@@ -2,32 +2,28 @@
 
 The lint gate runs on every CI build, so its cost is a tax on every
 change; this benchmark tracks it across PRs the same way
-``BENCH_kernel.json`` tracks scheduler throughput. Three measurements:
+``BENCH_kernel.json`` tracks scheduler throughput. Two measurements:
 
 * **sequential** — the full pipeline (parse, call graph, taint
-  fixpoint, rules) single-process;
-* **parallel** — the same with ``jobs=2`` (the CI setting), whose
-  output must stay bit-identical;
+  fixpoint, rules), which must report the committed tree clean;
 * **graph+fixpoint share** — the interprocedural build alone, so a
   regression can be attributed to the engine vs the rules.
 
 Run directly (``python benchmarks/bench_lint.py``) it prints the
-table, proves sequential/parallel equality, and emits
-``BENCH_lint.json`` in the shared bench-report schema
+table and emits ``BENCH_lint.json`` in the shared bench-report schema
 (``benchmarks/harness.py``): everything here is wall-clock, so every
-metric is informational and the sequential/parallel equality proof is
-the only verdict. ``--out PATH`` redirects the artifact.
+metric is informational and the clean-tree check is the only verdict.
+``--out PATH`` redirects the artifact.
 """
 
 import ast
-import json
 import pathlib
 import sys
 import time
 
 import harness
 
-from repro.lint import LintEngine, render_json
+from repro.lint import LintEngine
 from repro.lint.callgraph import build_call_graph
 from repro.lint.dataflow import DataflowAnalysis
 from repro.lint.engine import collect_files, module_name_for
@@ -37,10 +33,10 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 TARGET = str(REPO_ROOT / "src")
 
 
-def _lint(jobs):
+def _lint():
     engine = LintEngine()
     start = time.perf_counter()
-    result = engine.run([TARGET], jobs=jobs)
+    result = engine.run([TARGET])
     wall = time.perf_counter() - start
     return wall, result
 
@@ -60,25 +56,13 @@ def _engine_only():
     return time.perf_counter() - start, len(files)
 
 
-def test_parallel_lint_matches_sequential():
-    _, sequential = _lint(jobs=1)
-    _, parallel = _lint(jobs=2)
-    assert json.dumps(render_json(sequential), sort_keys=True) \
-        == json.dumps(render_json(parallel), sort_keys=True)
-
-
 def main(argv) -> int:
     out = "BENCH_lint.json"
     if "--out" in argv:
         out = argv[argv.index("--out") + 1]
 
-    seq_wall, seq_result = _lint(jobs=1)
-    par_wall, par_result = _lint(jobs=2)
+    seq_wall, seq_result = _lint()
     engine_wall, files = _engine_only()
-
-    identical = (json.dumps(render_json(seq_result), sort_keys=True)
-                 == json.dumps(render_json(par_result),
-                               sort_keys=True))
 
     report = harness.BenchReport(
         bench="lint", seed="-",
@@ -90,26 +74,19 @@ def main(argv) -> int:
             harness.Metric("sequential.files_per_second",
                            files / seq_wall, "files/s",
                            direction="higher"),
-            harness.Metric("parallel_jobs2.wall_seconds", par_wall,
-                           "s", direction="lower"),
-            harness.Metric("parallel_jobs2.files_per_second",
-                           files / par_wall, "files/s",
-                           direction="higher"),
             harness.Metric("callgraph_and_fixpoint.wall_seconds",
                            engine_wall, "s", direction="lower"),
         ),
-        verdicts={"sequential-parallel-bit-identical": identical})
+        verdicts={"committed-tree-clean": seq_result.clean})
     print("mode          files  wall [s]  files/s")
     print("sequential    %-6d %-9.2f %.0f"
           % (files, seq_wall, files / seq_wall))
-    print("parallel (2)  %-6d %-9.2f %.0f"
-          % (files, par_wall, files / par_wall))
     print("graph+fixpoint share: %.2fs" % engine_wall)
     report.write(out)
     print("wrote %s" % out)
-    print("sequential/parallel equality %s"
-          % ("PASSED" if identical else "FAILED"))
-    return 0 if identical else 1
+    print("committed tree clean %s"
+          % ("PASSED" if seq_result.clean else "FAILED"))
+    return 0 if seq_result.clean else 1
 
 
 if __name__ == "__main__":

@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from ..core.architecture import PAPER_PROFILES, ArchitectureProfile
-from ..sim.fleet import (DEFAULT_REQUEST_MIX, OpenLoadResult,
-                         nominal_service_ticks, run_open_load)
-from ..sim.ri import RICapacity
+from ..sim.fleet import OpenLoadResult, run_open_load
+from ..sim.ri import (DEFAULT_REQUEST_MIX, RICapacity,
+                      nominal_service_ticks)
 from .common import DEFAULT_SEED
 from .formatting import format_table
 

@@ -66,7 +66,7 @@ def ocsp_response_from_bytes(blob: bytes) -> OCSPResponse:
 
     Raises :class:`~repro.drm.errors.WireDecodeError` for any malformed
     input — missing fields, wrong types, unknown status strings — per
-    the wire-layer contract (REP4xx): corrupted transport bytes surface
+    the wire-layer contract (REP403): corrupted transport bytes surface
     as exactly one typed exception, never a raw ``KeyError``.
     """
     try:

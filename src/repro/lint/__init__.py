@@ -1,48 +1,39 @@
 """``repro.lint`` — invariant analyzer with interprocedural dataflow.
 
 The paper's cost model is only trustworthy if every crypto operation a
-protocol run performs is priced, and the fleet engine is only useful if
-shard merges stay bit-identical. Both are *invariants of the codebase*;
-this package enforces them statically instead of by convention — since
-PR 8 with a whole-program call graph (:mod:`repro.lint.callgraph`) and
-a forward taint engine with per-function summaries
-(:mod:`repro.lint.dataflow`), not just per-function syntax checks.
+protocol run performs is priced, and key material must never leave the
+protected path. Both are *invariants of the codebase*; this package
+enforces them statically over a whole-program call graph
+(:mod:`repro.lint.callgraph`) and a forward taint engine with
+per-function summaries (:mod:`repro.lint.dataflow`).
 
-Rule families (see :mod:`repro.lint.rules` and
-``docs/static-analysis.md``):
+Every rule has evidence: it found a real bug in this tree, or the
+seeded mutation gate proves it catches a bug class
+(``docs/static-analysis.md`` lists which):
 
-* **REP1xx determinism** — no wall-clock reads, OS entropy, unseeded
-  RNGs, or set-iteration-order leaks in priced or sharded paths
-  (``repro.usecases``, ``repro.analysis``).
-* **REP2xx metering completeness** — ``repro.drm``/``repro.sim`` must
-  route all crypto through the :class:`~repro.core.meter.PlainCrypto` /
+* **REP201/REP202 metering completeness** — ``repro.drm``/``repro.sim``
+  must route all crypto through the
+  :class:`~repro.core.meter.PlainCrypto` /
   :class:`~repro.core.meter.MeteredCrypto` provider: no direct
   :mod:`repro.crypto` primitive imports (REP201), and *no call path*
   reaching a primitive around the provider — proven by reachability
   over the call graph, with the uncovered path as evidence (REP202).
-* **REP3xx secret hygiene** — no variable-time ``==`` on digest/tag
-  bytes inside ``repro.crypto`` (REP302).
-* **REP4xx error contracts** — no bare ``except:``, no silent
-  ``except ...: pass`` in protocol code, typed
+* **REP302 timing** — no variable-time ``==`` on digest/tag bytes
+  inside ``repro.crypto``.
+* **REP403 error contract** — typed
   :class:`~repro.drm.errors.WireDecodeError` in wire-decode paths.
-* **REP5xx durability**, **REP6xx observability**, **REP7xx trust** —
-  journal discipline, no ``print``/``logging`` in library layers, no
-  swallowed trust errors.
-* **REP8xx secret taint** — key material (CEK/KEK/REK fields, private
-  keys, DRBG outputs) tracked through assignments and helper calls
-  into exception messages, trace attributes, metrics labels, logs, and
-  JSON output; interprocedural findings carry the call path (REP801,
-  superseding the old syntactic REP301).
-* **REP9xx sim resource protocol** — ``Acquire`` grants released on
-  exception paths (REP901), no nested-acquire deadlock hazards
-  (REP902), kernel-owned scheduler state mutated only by the kernel
-  (REP903).
+* **REP801 secret taint** — key material tracked through assignments
+  and helper calls into exception messages, trace attributes, metrics
+  labels, logs, and JSON output; findings carry the call path.
+* **REP901 sim resource protocol** — ``Acquire`` grants released on
+  exception paths.
+* **REP001/REP002/REP003 meta** — suppressions naming an unknown rule
+  or lacking a justification, and files that do not parse.
 
 Findings can be fixed, suppressed inline with a *justified*
 ``# repro: allow[REPnnn] -- reason`` comment, or grandfathered in the
-committed baseline file. Run ``python -m repro lint src/`` (``--jobs
-N`` shards across processes with bit-identical output, ``--format
-sarif`` for code-scanning upload).
+committed baseline file. Run ``python -m repro lint src/``
+(``--format sarif`` for code-scanning upload).
 """
 
 from .baseline import Baseline

@@ -1,12 +1,10 @@
 """Whole-program call graph over every scanned module.
 
-PR 3's :mod:`repro.lint.graph` stops at one level of indirection: a
-per-module import table plus the set of functions that touch crypto
-directly. That is enough to make a metering bypass *deliberate*, but it
-cannot *prove* anything — a ``repro.drm`` entry point can still reach a
-primitive through two helpers, and a secret can flow through a
-formatting helper into a span attribute without any single module
-looking wrong. This module builds the structure those proofs need:
+A per-module import table cannot *prove* anything: a ``repro.drm``
+entry point can reach a primitive through two helpers, and a secret
+can flow through a formatting helper into a span attribute without any
+single module looking wrong. This module builds the structure those
+proofs need:
 
 * a **function registry**: every function and method definition in the
   scanned tree, keyed by qualified name (``repro.drm.agent.DRMAgent.
@@ -53,15 +51,7 @@ class FunctionNode:
     name: str                  # DRMAgent.install (module-relative)
     line: int
     params: Tuple[str, ...]    # declared names, self/cls stripped
-    is_method: bool = False
-    is_generator: bool = False
     owner_class: Optional[str] = None   # qualname of the owning class
-    #: Identifiers this function's own body tests with ``is``/``is
-    #: not`` — the sentinel checks (REJECTED, TIMED_OUT, None, ...)
-    #: interprocedural rules consult without re-reading the module's
-    #: AST (REP904 asks whether a *caller* checks the expiry sentinel
-    #: of a value it received).
-    sentinel_tests: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -93,16 +83,11 @@ class CallGraph:
         self.functions: Dict[str, FunctionNode] = {}
         self.classes: Dict[str, ClassInfo] = {}
         self._edges: Dict[str, List[CallSite]] = {}
-        #: module -> sorted names of module-level functions
-        self._module_functions: Dict[str, Set[str]] = {}
 
     # -- construction ------------------------------------------------------
     def add_function(self, node: FunctionNode) -> None:
         self.functions[node.qualname] = node
         self._edges.setdefault(node.qualname, [])
-        if not node.is_method:
-            self._module_functions.setdefault(node.module,
-                                              set()).add(node.name)
 
     def add_edge(self, site: CallSite) -> None:
         self._edges.setdefault(site.caller, []).append(site)
@@ -116,9 +101,6 @@ class CallGraph:
     # -- queries -----------------------------------------------------------
     def edges_from(self, qualname: str) -> Tuple[CallSite, ...]:
         return tuple(self._edges.get(qualname, ()))
-
-    def function(self, qualname: str) -> Optional[FunctionNode]:
-        return self.functions.get(qualname)
 
     def functions_in_module(self, module: str) -> List[FunctionNode]:
         return sorted((fn for fn in self.functions.values()
@@ -180,15 +162,12 @@ class _ModuleIndexer(ast.NodeVisitor):
         is_method = bool(self._class_stack) and not self._func_stack
         if is_method and params and params[0] in _SELF_NAMES:
             params = params[1:]
-        is_generator = _generator_check(node)
         owner = self._class_stack[-1].qualname if is_method else None
         relative = qualname[len(self.module) + 1:]
         self.graph.add_function(FunctionNode(
             qualname=qualname, module=self.module, name=relative,
             line=node.lineno, params=tuple(params),
-            is_method=is_method, is_generator=is_generator,
-            owner_class=owner,
-            sentinel_tests=_sentinel_tests(node)))
+            owner_class=owner))
         if is_method:
             self._class_stack[-1].methods[node.name] = qualname
         self._func_stack.append(node.name)
@@ -197,47 +176,6 @@ class _ModuleIndexer(ast.NodeVisitor):
 
     visit_FunctionDef = _visit_function
     visit_AsyncFunctionDef = _visit_function
-
-
-def _sentinel_tests(node) -> Tuple[str, ...]:
-    """Identifiers this function tests with ``is``/``is not``.
-
-    Only the function's own body counts (nested defs are indexed as
-    their own nodes): an ``outcome is TIMED_OUT`` in a helper does not
-    make the enclosing function a sentinel checker.
-    """
-    found: Set[str] = set()
-
-    def walk(current) -> None:
-        for child in ast.iter_child_nodes(current):
-            if isinstance(child, (ast.FunctionDef,
-                                  ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            if isinstance(child, ast.Compare) \
-                    and any(isinstance(op, (ast.Is, ast.IsNot))
-                            for op in child.ops):
-                for comparator in [child.left] + child.comparators:
-                    if isinstance(comparator, ast.Name):
-                        found.add(comparator.id)
-                    elif isinstance(comparator, ast.Attribute):
-                        found.add(comparator.attr)
-            walk(child)
-
-    walk(node)
-    return tuple(sorted(found))
-
-
-def _generator_check(node) -> bool:
-    """Whether ``node`` itself (not a nested def) contains a yield."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                              ast.Lambda)):
-            continue
-        if isinstance(child, (ast.Yield, ast.YieldFrom)):
-            return True
-        if _generator_check(child):
-            return True
-    return False
 
 
 class _EdgeBuilder(ast.NodeVisitor):

@@ -25,10 +25,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                              "(default: src)")
     parser.add_argument("--format", choices=("text", "json", "sarif"),
                         default="text", help="report format")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="shard module analysis across N forked "
-                             "workers (output is bit-identical to "
-                             "--jobs 1)")
     parser.add_argument("--baseline", metavar="PATH", default=None,
                         help="baseline file (default: lint-baseline.json "
                              "or [tool.repro-lint] baseline)")
@@ -73,10 +69,7 @@ def run(args: argparse.Namespace) -> int:
         except ValueError as error:
             print("error: %s" % error, file=sys.stderr)
             return 2
-    if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return 2
-    result = engine.run(paths, baseline=baseline, jobs=args.jobs)
+    result = engine.run(paths, baseline=baseline)
 
     if args.update_baseline:
         Baseline.save(baseline_path, result.all_current)

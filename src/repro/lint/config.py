@@ -6,11 +6,11 @@ to) and default options; a ``[tool.repro-lint]`` table in
 baseline path::
 
     [tool.repro-lint]
-    disable = ["REP103"]
+    disable = ["REP403"]
     baseline = "lint-baseline.json"
 
     [tool.repro-lint.scopes]
-    REP101 = ["repro.usecases", "repro.analysis", "repro.core"]
+    REP201 = ["repro.drm", "repro.sim", "repro.store"]
 
 ``tomllib`` is stdlib from Python 3.11; on older interpreters the
 config file is simply ignored and the defaults apply (the defaults are

@@ -1,10 +1,9 @@
 """Forward taint engine with per-function summaries.
 
-PR 3's REP301 was a *syntactic* heuristic: a secret-named variable
-interpolated on the same line it is visible. It cannot see the secret
-that travels — ``kcek`` passed to a formatting helper whose result
-lands in a tracer span two calls later looks like three innocent
-lines. This module tracks the flow itself:
+A secret that travels — ``kcek`` passed to a formatting helper whose
+result lands in a tracer span two calls later — looks like three
+innocent lines to any per-line check. This module tracks the flow
+itself:
 
 * **Sources** seed taint: secret-*named* variables and attributes
   (``kdev``, ``kmac``, ``krek``, ``kcek``, ``kek``, ``cek``, ``rek``,

@@ -8,8 +8,8 @@ The pipeline for one invocation:
    everything above the last ``repro``/``src`` path component is
    stripped, so ``src/repro/drm/session.py`` → ``repro.drm.session``
    and fixture trees like ``tmp/repro/drm/x.py`` scope identically);
-3. build the :class:`~repro.lint.graph.ProjectGraph` of per-module
-   import tables and crypto call summaries;
+3. build the :class:`~repro.lint.graph.ProjectGraph`: the
+   whole-program call graph and taint fixpoint;
 4. run every enabled rule over every module inside its scope;
 5. drop findings covered by a *justified* inline suppression, report
    defective suppressions (REP001/REP002) as findings;
@@ -21,7 +21,6 @@ aborting the run: the lint gate must degrade loudly, not crash.
 """
 
 import ast
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -34,17 +33,6 @@ from .suppressions import build_suppression_index, parse_suppressions
 
 #: Meta rule id for files the parser rejects.
 PARSE_ERROR = "REP003"
-
-#: Fork-inherited scan state: (engine, contexts, project, known_ids).
-#: Set by the parent immediately before the worker pool is forked so
-#: children see it without pickling the ASTs.
-_SHARED_SCAN = None
-
-
-def _scan_one(index: int):
-    """Worker entry: scan the ``index``-th module of the shared state."""
-    engine, contexts, project, known_ids = _SHARED_SCAN
-    return engine._check_module(contexts[index], project, known_ids)
 
 
 @dataclass(frozen=True)
@@ -75,15 +63,6 @@ class ModuleContext:
     source_lines: List[str]
     is_package: bool
     summary: ModuleSummary
-
-    _calls: Optional[List[ast.Call]] = field(default=None, repr=False)
-
-    def calls(self) -> List[ast.Call]:
-        """All Call nodes, computed once per module."""
-        if self._calls is None:
-            self._calls = [node for node in ast.walk(self.tree)
-                           if isinstance(node, ast.Call)]
-        return self._calls
 
     def functions(self) -> Iterator[ast.AST]:
         """Every function/method definition in the module."""
@@ -244,61 +223,24 @@ class LintEngine:
                 snippet=ctx.snippet(problem.line)))
         return raw, suppressed
 
-    def _scan_modules(self, contexts: List[ModuleContext],
-                      project: ProjectGraph, known_ids,
-                      jobs: int) -> List[Tuple[List[Finding],
-                                               List[Finding]]]:
-        """Per-module scan results, in context order.
-
-        With ``jobs > 1`` the modules are sharded across forked
-        workers; each worker inherits the parsed ASTs, call graph, and
-        taint fixpoint from the parent (copy-on-write), so only the
-        picklable finding lists travel back. The merge preserves
-        context order, which makes the output bit-identical to the
-        sequential path — asserted by
-        ``tests/lint/test_parallel.py``.
-        """
-        if jobs > 1 and len(contexts) > 1:
-            try:
-                mp = multiprocessing.get_context("fork")
-            except ValueError:
-                mp = None
-            if mp is not None:
-                global _SHARED_SCAN
-                _SHARED_SCAN = (self, contexts, project, known_ids)
-                try:
-                    with mp.Pool(processes=min(jobs,
-                                               len(contexts))) as pool:
-                        chunk = max(1, len(contexts) // jobs)
-                        return pool.map(_scan_one,
-                                        range(len(contexts)),
-                                        chunksize=chunk)
-                finally:
-                    _SHARED_SCAN = None
-        return [self._check_module(ctx, project, known_ids)
-                for ctx in contexts]
-
     # -- the run ----------------------------------------------------------
     def run(self, paths: Sequence[str],
-            baseline: Optional[Baseline] = None,
-            jobs: int = 1) -> LintResult:
+            baseline: Optional[Baseline] = None) -> LintResult:
         """Analyze ``paths`` and split findings against ``baseline``."""
         files = collect_files(paths)
         contexts, parse_errors = self._load_modules(files)
 
-        project = ProjectGraph()
-        for ctx in contexts:
-            project.add(ctx.summary)
-        project.finalize([(ctx.name, ctx.tree, ctx.summary)
-                          for ctx in contexts])
+        project = ProjectGraph([(ctx.name, ctx.tree, ctx.summary)
+                                for ctx in contexts])
 
         known_ids = {rule.id for rule in self.rules}
         result = LintResult(files_scanned=len(files))
         raw: List[Finding] = list(parse_errors)
         suppressed: List[Finding] = []
 
-        for module_raw, module_suppressed in self._scan_modules(
-                contexts, project, known_ids, jobs):
+        for ctx in contexts:
+            module_raw, module_suppressed = self._check_module(
+                ctx, project, known_ids)
             raw.extend(module_raw)
             suppressed.extend(module_suppressed)
 

@@ -1,26 +1,17 @@
-"""Lightweight import graph and per-function call summaries.
+"""Per-module import tables and the project-wide analysis bundle.
 
-The metering rules (REP2xx) need more than "does this module import
-``repro.crypto``": a ``repro.drm`` module can escape the metered
-provider *transitively* by calling a helper in a third module that
-itself invokes a primitive. This module builds just enough structure to
-catch that one level of indirection:
-
-* a per-module **import table** mapping local aliases to the
-  (module, symbol) they resolve to, with relative imports resolved
-  against the module's dotted name, and
-* a per-module **call summary**: the set of function names whose bodies
-  invoke a crypto primitive directly.
-
-It is deliberately not a full call-graph — no attribute dataflow, no
-class hierarchy — because the invariant it protects is architectural
-(who may *import* whom) and one level of summaries already makes the
-bypass a deliberate act rather than an accident.
+Every interprocedural rule starts from the same per-module fact: an
+**import table** mapping local aliases to the (module, symbol) they
+resolve to, with relative imports resolved against the module's dotted
+name. :func:`summarize_module` builds it (plus the module's direct
+crypto-primitive imports, which REP201 reports), and
+:class:`ProjectGraph` bundles the whole-program call graph and taint
+fixpoint built on top of those tables.
 """
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 #: The package whose primitives must stay behind the provider.
 CRYPTO_PACKAGE = "repro.crypto"
@@ -105,27 +96,11 @@ def iter_imports(tree: ast.AST, module_name: str,
 
 @dataclass
 class ModuleSummary:
-    """Imports plus the names of functions that touch crypto directly."""
+    """A module's import table and its direct crypto-primitive imports."""
 
     name: str
     imports: Dict[str, ImportedName] = field(default_factory=dict)
     crypto_imports: Tuple[ImportedName, ...] = ()
-    crypto_using_functions: Set[str] = field(default_factory=set)
-
-    def resolve_call(self, node: ast.Call
-                     ) -> Optional[Tuple[str, str]]:
-        """(module, function) a call resolves to via imports, if any."""
-        func = node.func
-        if isinstance(func, ast.Name):
-            imported = self.imports.get(func.id)
-            if imported is not None and imported.symbol is not None:
-                return imported.module, imported.symbol
-        elif isinstance(func, ast.Attribute) \
-                and isinstance(func.value, ast.Name):
-            imported = self.imports.get(func.value.id)
-            if imported is not None and imported.symbol is None:
-                return imported.module, func.attr
-        return None
 
     def dotted_call_path(self, node: ast.Call) -> Optional[str]:
         """Fully dotted path of a call target (``datetime.datetime.now``).
@@ -147,22 +122,9 @@ class ModuleSummary:
         return ".".join([root] + list(reversed(parts)))
 
 
-def _call_uses_crypto(node: ast.Call, summary: ModuleSummary) -> bool:
-    func = node.func
-    if isinstance(func, ast.Name):
-        imported = summary.imports.get(func.id)
-        return (imported is not None and imported.symbol is not None
-                and imported.is_crypto_primitive)
-    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-        imported = summary.imports.get(func.value.id)
-        return (imported is not None and imported.symbol is None
-                and imported.is_crypto_primitive)
-    return False
-
-
 def summarize_module(name: str, tree: ast.AST,
                      is_package: bool) -> ModuleSummary:
-    """Build the import table and crypto call summary of one module."""
+    """Build the import table and crypto imports of one module."""
     summary = ModuleSummary(name=name)
     crypto = []
     for imported in iter_imports(tree, name, is_package):
@@ -170,62 +132,24 @@ def summarize_module(name: str, tree: ast.AST,
         if imported.is_crypto_primitive:
             crypto.append(imported)
     summary.crypto_imports = tuple(crypto)
-
-    class _FunctionVisitor(ast.NodeVisitor):
-        def __init__(self):
-            self.stack = ["<module>"]
-
-        def _visit_function(self, node):
-            self.stack.append(node.name)
-            self.generic_visit(node)
-            self.stack.pop()
-
-        visit_FunctionDef = _visit_function
-        visit_AsyncFunctionDef = _visit_function
-
-        def visit_Call(self, node):
-            if _call_uses_crypto(node, summary):
-                summary.crypto_using_functions.add(self.stack[-1])
-            self.generic_visit(node)
-
-    _FunctionVisitor().visit(tree)
     return summary
 
 
 class ProjectGraph:
-    """Summaries for every scanned module, queried by dotted name.
+    """The whole-program analyses every rule can query.
 
-    After :meth:`finalize` the graph also carries the whole-program
-    :class:`~repro.lint.callgraph.CallGraph` and the
-    :class:`~repro.lint.dataflow.DataflowAnalysis` fixpoint, which the
-    interprocedural rule families (REP2xx reachability, REP8xx taint)
-    query instead of the one-level import summaries.
+    ``modules`` is a sequence of ``(name, tree, summary)`` triples for
+    every parsed module; construction builds the
+    :class:`~repro.lint.callgraph.CallGraph` and runs the
+    :class:`~repro.lint.dataflow.DataflowAnalysis` fixpoint (REP202
+    reachability and REP801 taint query them).
     """
 
-    def __init__(self) -> None:
-        self._summaries: Dict[str, ModuleSummary] = {}
-        self.callgraph = None
-        self.dataflow = None
-
-    def add(self, summary: ModuleSummary) -> None:
-        self._summaries[summary.name] = summary
-
-    def summary(self, name: str) -> Optional[ModuleSummary]:
-        return self._summaries.get(name)
-
-    def finalize(self, modules) -> None:
-        """Build the call graph and run the taint fixpoint.
-
-        ``modules`` is a sequence of ``(name, tree, summary)`` triples
-        for every parsed module. Imported lazily so the light
-        import-table path stays dependency-free.
-        """
+    def __init__(self, modules) -> None:
+        # Imported here: both modules import ModuleSummary from this one.
         from .callgraph import build_call_graph
         from .dataflow import DataflowAnalysis
         self.callgraph = build_call_graph(modules)
         self.dataflow = DataflowAnalysis(
             self.callgraph,
             {name: (tree, summary) for name, tree, summary in modules})
-
-    def __len__(self) -> int:
-        return len(self._summaries)

@@ -1,22 +1,21 @@
 """Rule registry: every rule family, in id order.
 
-Adding a rule = writing a :class:`~repro.lint.rules.base.Rule` subclass
-in one of the family modules and listing it in that module's ``RULES``
-tuple; the engine, the CLI ``--list-rules`` output, suppression
-validation, and the docs table all derive from this registry.
+A rule stays registered only while it has evidence behind it: it found
+a real bug in this tree, or the seeded mutation gate
+(``tests/lint/test_mutation.py``) proves it catches a bug class (see
+``docs/static-analysis.md``). The engine, the CLI ``--list-rules``
+output, and suppression validation all derive from this registry.
 """
 
-from typing import Dict, Tuple, Type
+from typing import Tuple, Type
 
-from . import (contracts, determinism, durability, metering,
-               observability, secrets, simproto, taint, trust)
+from . import contracts, metering, secrets, simproto, taint
 from .base import RawFinding, Rule
 
 #: All rule classes, ordered by id.
 RULE_CLASSES: Tuple[Type[Rule], ...] = tuple(sorted(
-    determinism.RULES + metering.RULES + secrets.RULES + contracts.RULES
-    + durability.RULES + observability.RULES + trust.RULES
-    + taint.RULES + simproto.RULES,
+    metering.RULES + secrets.RULES + contracts.RULES + taint.RULES
+    + simproto.RULES,
     key=lambda rule: rule.id))
 
 
@@ -25,10 +24,4 @@ def all_rules() -> Tuple[Rule, ...]:
     return tuple(cls() for cls in RULE_CLASSES)
 
 
-def rules_by_id() -> Dict[str, Rule]:
-    """Registered rules keyed by id."""
-    return {rule.id: rule for rule in all_rules()}
-
-
-__all__ = ["RULE_CLASSES", "RawFinding", "Rule", "all_rules",
-           "rules_by_id"]
+__all__ = ["RULE_CLASSES", "RawFinding", "Rule", "all_rules"]

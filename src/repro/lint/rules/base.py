@@ -1,7 +1,7 @@
 """Rule infrastructure: the base class and the raw finding shape.
 
-A rule sees one module at a time (its AST plus the project-wide import
-graph) and yields :class:`RawFinding` positions; the engine attaches
+A rule sees one module at a time (its AST plus the project-wide call
+graph and taint fixpoint) and yields :class:`RawFinding` positions; the engine attaches
 paths, snippets, suppressions, and baseline state. Scoping is by
 module-name prefix so the same rule can be pointed at different layers
 through configuration.

@@ -1,13 +1,11 @@
-"""REP4xx — error contracts.
+"""REP403 — typed errors on wire-decode paths.
 
 PR 1 hardened the wire layer behind typed
 :class:`~repro.drm.errors.WireDecodeError` subclasses so the session
 layer can tell retryable corruption from semantic refusal. That
-contract erodes one ``raise ValueError`` at a time; these rules freeze
-it. Bare ``except:`` additionally swallows ``KeyboardInterrupt`` /
-``SystemExit``, and a silent ``except ...: pass`` in protocol code
-converts a fault the session layer should price into silent
-state corruption.
+contract erodes one ``raise ValueError`` at a time: the rule found
+``rights_from_bytes`` raising ``ValueError`` on corrupt input, which
+the session layer would have misclassified instead of retrying.
 """
 
 import ast
@@ -24,44 +22,6 @@ _BUILTIN_RAISES = frozenset({
 #: Function-name shapes that identify a wire-decode path.
 _DECODE_NAME_PARTS = ("decode", "parse", "from_bytes", "from_wire",
                       "unpack")
-
-
-class NoBareExceptRule(Rule):
-    """REP401: no bare ``except:`` anywhere."""
-
-    id = "REP401"
-    title = ("bare except: catches SystemExit/KeyboardInterrupt and "
-             "hides programming errors; name the exception types")
-
-    def check(self, ctx, project) -> Iterator[RawFinding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ExceptHandler) and node.type is None:
-                yield self.finding(
-                    node, "bare except: — name the exception types "
-                          "this handler is meant to absorb")
-
-
-class NoSilentSwallowRule(Rule):
-    """REP402: no ``except ...: pass`` in protocol code."""
-
-    id = "REP402"
-    title = ("silently swallowed exception in protocol code; handle "
-             "it, re-raise typed, or record the fault")
-    default_scopes = ("repro.drm", "repro.usecases")
-
-    def check(self, ctx, project) -> Iterator[RawFinding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
-            body = [stmt for stmt in node.body
-                    if not (isinstance(stmt, ast.Expr)
-                            and isinstance(stmt.value, ast.Constant)
-                            and isinstance(stmt.value.value, str))]
-            if body and all(isinstance(stmt, ast.Pass) for stmt in body):
-                yield self.finding(
-                    node, "exception handled with pass — protocol "
-                          "faults must surface or be recorded, never "
-                          "vanish")
 
 
 class TypedWireDecodeErrorRule(Rule):
@@ -100,4 +60,4 @@ class TypedWireDecodeErrorRule(Rule):
                               % (name, function.name))
 
 
-RULES = (NoBareExceptRule, NoSilentSwallowRule, TypedWireDecodeErrorRule)
+RULES = (TypedWireDecodeErrorRule,)

@@ -12,6 +12,8 @@ reverse reachability — every function from which an unmetered
 primitive is reachable without passing through ``repro.core.meter``
 (or crypto-internal code) is *escaping*, and each in-scope call into
 the escaping set is reported with the uncovered path as evidence.
+REP201 found the streaming decrypt importing ``unpad`` directly; the
+seeded mutation gate proves REP202 catches a helper-module escape.
 
 Exception types (``repro.crypto.errors``) and pure data types/constants
 (``KemCiphertext``, key classes, size constants) are allowed anywhere:

@@ -1,16 +1,12 @@
-"""REP3xx — secret hygiene (timing discipline).
+"""REP302 — constant-time comparison of secret-dependent bytes.
 
 Inside :mod:`repro.crypto`, tag/digest/padding bytes must be compared
 through :func:`~repro.crypto.encoding.constant_time_equal`; a raw
 ``==`` is an early-exit timing oracle (the discipline
 ``docs/static-analysis.md`` cross-references from the paper's
-embedded-implementation setting).
-
-REP301 — the syntactic "secret-named variable interpolated here"
-heuristic — used to live in this family; it is superseded by REP801
-(:mod:`repro.lint.rules.taint`), which tracks the *flow* of key
-material through assignments and calls into sinks instead of matching
-names at the interpolation site.
+embedded-implementation setting). The rule found three such oracles:
+the RFC 3394 unwrap integrity check, PKCS#7 pad validation, and the
+EMSA-PSS final hash comparison.
 """
 
 import ast

@@ -1,32 +1,15 @@
-"""REP9xx — resource protocol of the discrete-event kernel.
+"""REP901 — grants of the discrete-event kernel released on every path.
 
 PR 7's kernel runs generator processes that ``yield Acquire(r)`` /
 ``yield Release(r)`` against bounded :class:`~repro.sim.kernel.Resource`
 queues. The kernel cannot release on a process's behalf — an exception
 raised while a grant is held leaks the server slot forever, silently
-deadlocking every queued process behind it. These rules are the
-race-detector analogue for that cooperative concurrency:
-
-* **REP901** — an ``Acquire`` whose matching ``Release`` is not in a
-  ``finally`` block while other yields sit inside the critical section
-  (each suspension is a point where service code can raise), or an
-  ``Acquire`` with no matching ``Release`` at all.
-* **REP902** — a nested ``Acquire`` inside a held critical section: the
-  classic lock-ordering deadlock, two processes each holding one
-  resource and queued on the other. (``Wait`` while holding is service
-  time and perfectly legitimate.)
-* **REP903** — kernel-owned event-loop state (``now``, the heap, run
-  queues, stream tables) assigned from outside
-  :mod:`repro.sim.kernel`: mutating it behind the scheduler's back
-  breaks replay determinism and the FIFO-stability invariant.
-* **REP904** — an ``Acquire`` with a timeout whose
-  :data:`~repro.sim.kernel.TIMED_OUT` expiry sentinel is never
-  checked: the process would treat an expired wait as a real grant —
-  serving a request whose client already left, then releasing a slot
-  it never held. The sent value must be compared ``is`` /
-  ``is not TIMED_OUT`` in the function itself, or escape via
-  ``return`` to a caller that does (one caller level, resolved
-  through the PR 8 call graph's per-function sentinel-test index).
+deadlocking every queued process behind it. REP901 flags an
+``Acquire`` whose matching ``Release`` is not in a ``finally`` block
+while other yields sit inside the critical section (each suspension is
+a point where service code can raise), or an ``Acquire`` with no
+matching ``Release`` at all. It found two real leaks:
+``RIServer.serve`` and the queueing harness's ``job`` process.
 
 Resources are keyed by the *text* of the expression passed to
 ``Acquire``/``Release`` (``self.signing`` matches ``self.signing``), so
@@ -42,17 +25,6 @@ from .base import RawFinding, Rule
 #: Kernel command constructors, matched by name at the yield site.
 _ACQUIRE = "Acquire"
 _RELEASE = "Release"
-
-#: Fields the kernel owns; assigning them outside repro.sim.kernel
-#: desynchronizes the scheduler.
-_KERNEL_FIELDS = frozenset({
-    "now", "_seq", "_heap", "_pending", "_busy", "_queue", "log",
-    "events_executed", "_streams", "_processes", "_resources",
-    "_running",
-})
-
-#: Receiver names that conventionally hold the kernel instance.
-_KERNEL_NAMES = frozenset({"kernel", "kern", "loop"})
 
 
 def _command_call(node: ast.AST) -> Optional[Tuple[str, str]]:
@@ -186,282 +158,4 @@ class ReleaseOnExceptionPathsRule(Rule):
                         "Release into a try/finally" % resource)
 
 
-class NoNestedAcquireRule(Rule):
-    """REP902: no Acquire while already holding a resource."""
-
-    id = "REP902"
-    title = ("yield Acquire(...) inside a held critical section — two "
-             "processes each holding one resource and queued on the "
-             "other deadlock the kernel")
-    default_scopes = ("repro.sim", "repro.usecases")
-
-    def check(self, ctx, project) -> Iterator[RawFinding]:
-        for function in ctx.functions():
-            events = _collect_events(function.body)
-            for index, event in enumerate(events):
-                if event.kind != "acquire":
-                    continue
-                release_at = len(events)
-                for later in range(index + 1, len(events)):
-                    if events[later].kind == "release" \
-                            and events[later].key == event.key:
-                        release_at = later
-                        break
-                for inner in events[index + 1:release_at]:
-                    if inner.kind == "acquire" \
-                            and inner.key != event.key:
-                        yield self.finding(
-                            inner.node,
-                            "Acquire(%s) while still holding %s is a "
-                            "lock-ordering deadlock hazard; release "
-                            "first or acquire both up front"
-                            % (_render_key(inner.node),
-                               _render_key(event.node)))
-
-
-class NoKernelStateMutationRule(Rule):
-    """REP903: event-loop state is written only by the kernel."""
-
-    id = "REP903"
-    title = ("kernel-owned scheduler state (now, heap, queues, "
-             "streams) assigned outside repro.sim.kernel — breaks "
-             "replay determinism and FIFO stability")
-    default_scopes = ("repro.sim", "repro.usecases", "repro.analysis")
-
-    #: The one module allowed to write these fields.
-    _OWNER = "repro.sim.kernel"
-
-    def _kernel_receivers(self, ctx) -> frozenset:
-        """Local names bound to a Kernel instance in this module."""
-        names = set(_KERNEL_NAMES)
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Assign) \
-                    and isinstance(node.value, ast.Call):
-                func = node.value.func
-                callee = func.id if isinstance(func, ast.Name) else \
-                    func.attr if isinstance(func, ast.Attribute) \
-                    else None
-                if callee == "Kernel":
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            names.add(target.id)
-        return frozenset(names)
-
-    def check(self, ctx, project) -> Iterator[RawFinding]:
-        if ctx.name == self._OWNER:
-            return
-        receivers = self._kernel_receivers(ctx)
-        for node in ast.walk(ctx.tree):
-            targets = []
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [node.target]
-            for target in targets:
-                if isinstance(target, ast.Attribute) \
-                        and target.attr in _KERNEL_FIELDS \
-                        and isinstance(target.value, ast.Name) \
-                        and target.value.id in receivers:
-                    yield self.finding(
-                        target,
-                        "assignment to kernel-owned field %r from "
-                        "outside the kernel; only repro.sim.kernel "
-                        "may mutate scheduler state" % target.attr)
-
-
-#: The expiry sentinel's name; matched as a bare name or attribute
-#: (``TIMED_OUT`` and ``kernel.TIMED_OUT`` both count).
-_TIMED_OUT = "TIMED_OUT"
-
-
-def _acquire_timeout(call: ast.Call) -> Optional[ast.AST]:
-    """The timeout expression of an ``Acquire`` call, if armed.
-
-    ``None`` when no timeout is passed or it is the literal ``None``
-    (an untimed acquire can never see the sentinel).
-    """
-    timeout: Optional[ast.AST] = None
-    if len(call.args) > 1:
-        timeout = call.args[1]
-    for keyword in call.keywords:
-        if keyword.arg == "timeout":
-            timeout = keyword.value
-    if isinstance(timeout, ast.Constant) and timeout.value is None:
-        return None
-    return timeout
-
-
-def _timed_acquires(function) -> List[Tuple[ast.Yield,
-                                            Optional[str], bool]]:
-    """``(yield node, bound name, discarded)`` per timed Acquire.
-
-    Only the function's own body (nested defs are visited as their own
-    functions). ``bound`` is the single name the sent value lands in
-    for the plain ``grant = yield Acquire(...)`` shape; ``discarded``
-    marks a bare expression statement, whose sent value nothing can
-    ever observe.
-    """
-    sites: List[Tuple[ast.Yield, Optional[str], bool]] = []
-
-    def timed(node: ast.AST) -> Optional[ast.Yield]:
-        if not isinstance(node, ast.Yield) or node.value is None:
-            return None
-        command = _command_call(node.value)
-        if command is None or command[0] != _ACQUIRE:
-            return None
-        if _acquire_timeout(node.value) is None:
-            return None
-        return node
-
-    def walk(current: ast.AST) -> None:
-        for child in ast.iter_child_nodes(current):
-            if isinstance(child, (ast.FunctionDef,
-                                  ast.AsyncFunctionDef, ast.Lambda,
-                                  ast.ClassDef)):
-                continue
-            if isinstance(child, ast.Assign) \
-                    and timed(child.value) is not None:
-                target = child.targets[0]
-                bound = target.id \
-                    if len(child.targets) == 1 \
-                    and isinstance(target, ast.Name) else None
-                sites.append((timed(child.value), bound, False))
-                continue
-            if isinstance(child, ast.Expr) \
-                    and timed(child.value) is not None:
-                sites.append((timed(child.value), None, True))
-                continue
-            node = timed(child)
-            if node is not None:
-                # Consumed inline (inside a comparison or call): the
-                # local sentinel-test scan decides.
-                sites.append((node, None, False))
-                continue
-            walk(child)
-
-    walk(function)
-    return sites
-
-
-def _tests_timed_out(function) -> bool:
-    """Whether this body compares something ``is (not) TIMED_OUT``."""
-    def walk(current: ast.AST) -> bool:
-        for child in ast.iter_child_nodes(current):
-            if isinstance(child, (ast.FunctionDef,
-                                  ast.AsyncFunctionDef, ast.Lambda,
-                                  ast.ClassDef)):
-                continue
-            if isinstance(child, ast.Compare) \
-                    and any(isinstance(op, (ast.Is, ast.IsNot))
-                            for op in child.ops):
-                for comparator in [child.left] + child.comparators:
-                    name = comparator.id \
-                        if isinstance(comparator, ast.Name) else \
-                        comparator.attr \
-                        if isinstance(comparator, ast.Attribute) \
-                        else None
-                    if name == _TIMED_OUT:
-                        return True
-            if walk(child):
-                return True
-        return False
-
-    return walk(function)
-
-
-def _returns_name(function, bound: str) -> bool:
-    """Whether ``bound`` escapes this body through a ``return``."""
-    def walk(current: ast.AST) -> bool:
-        for child in ast.iter_child_nodes(current):
-            if isinstance(child, (ast.FunctionDef,
-                                  ast.AsyncFunctionDef, ast.Lambda,
-                                  ast.ClassDef)):
-                continue
-            if isinstance(child, ast.Return) \
-                    and child.value is not None:
-                for node in ast.walk(child.value):
-                    if isinstance(node, ast.Name) \
-                            and node.id == bound:
-                        return True
-            if walk(child):
-                return True
-        return False
-
-    return walk(function)
-
-
-class TimeoutSentinelHandledRule(Rule):
-    """REP904: a timed Acquire must observe the TIMED_OUT sentinel."""
-
-    id = "REP904"
-    title = ("yield Acquire(..., timeout=...) whose TIMED_OUT expiry "
-             "sentinel is never checked — an expired wait would be "
-             "handled as a real grant, serving an abandoned request "
-             "and releasing a slot the process never held")
-    default_scopes = ("repro.sim", "repro.usecases")
-
-    def _caller_tests(self, project, ctx, line: int) -> bool:
-        """Whether any direct caller checks the sentinel.
-
-        The escape hatch for ``return``-ed grants: the function at
-        ``line`` of this module is resolved in the project call graph
-        and its callers' pre-indexed ``sentinel_tests`` are consulted
-        — one caller level, which is exactly how far a returned
-        sentinel can travel before the repository's own conventions
-        (wrap it in an outcome object) take over.
-        """
-        graph = getattr(project, "callgraph", None)
-        if graph is None:
-            return False
-        target = None
-        for fn in graph.functions_in_module(ctx.name):
-            if fn.line == line:
-                target = fn
-                break
-        if target is None:
-            return False
-        for caller in sorted(graph.functions):
-            for site in graph.edges_from(caller):
-                if site.callee != target.qualname:
-                    continue
-                node = graph.functions.get(caller)
-                if node is not None \
-                        and _TIMED_OUT in node.sentinel_tests:
-                    return True
-        return False
-
-    def check(self, ctx, project) -> Iterator[RawFinding]:
-        for function in ctx.functions():
-            sites = _timed_acquires(function)
-            if not sites:
-                continue
-            handled_here = _tests_timed_out(function)
-            for node, bound, discarded in sites:
-                resource = _render_key(node)
-                if discarded:
-                    yield self.finding(
-                        node,
-                        "the sent value of Acquire(%s, timeout=...) "
-                        "is discarded; an in-queue expiry (TIMED_OUT) "
-                        "can never be observed" % resource)
-                    continue
-                if handled_here:
-                    continue
-                if bound is not None \
-                        and _returns_name(function, bound) \
-                        and self._caller_tests(project, ctx,
-                                               function.lineno):
-                    continue
-                yield self.finding(
-                    node,
-                    "grant of Acquire(%s, timeout=...) is never "
-                    "compared `is TIMED_OUT` here%s; an expired wait "
-                    "would be treated as a real grant"
-                    % (resource,
-                       " or in any caller it escapes to"
-                       if bound is not None
-                       and _returns_name(function, bound) else ""))
-
-
-RULES = (ReleaseOnExceptionPathsRule, NoNestedAcquireRule,
-         NoKernelStateMutationRule, TimeoutSentinelHandledRule)
+RULES = (ReleaseOnExceptionPathsRule,)

@@ -1,16 +1,13 @@
-"""REP8xx — interprocedural secret taint.
+"""REP801 — interprocedural secret taint.
 
-PR 3's REP301 flagged a secret-*named* variable interpolated on the
-line where it was still visible under its telltale name. That
-heuristic is blind to flow: pass ``kcek`` through a formatting helper
-and the interpolation site sees only an innocent local. REP801 replaces
-it with the :mod:`repro.lint.dataflow` engine — taint seeded at key
-material (CEK/KEK/REK fields, private keys, DRBG/nonce outputs) is
-tracked through assignments, string building, and *calls* (via
-per-function summaries over the whole-program call graph) into sinks:
-exception messages, tracer span/event attributes, metrics labels, log
-calls, JSON serialization, and f-string interpolation. Interprocedural
-findings carry the call path as evidence.
+Key material (CEK/KEK/REK fields, private keys, DRBG/nonce outputs) is
+tracked by the :mod:`repro.lint.dataflow` engine through assignments,
+string building, and *calls* (via per-function summaries over the
+whole-program call graph) into sinks: exception messages, tracer
+span/event attributes, metrics labels, log calls, JSON serialization,
+and f-string interpolation. Interprocedural findings carry the call
+path as evidence; the seeded mutation gate proves a secret routed
+through a formatting helper into a span attribute fails the build.
 
 Sanitized values — ``len``/``type`` metadata, constant-time verdicts,
 and stable-digest redactors (``fingerprint``/``redact``/``digest``) —

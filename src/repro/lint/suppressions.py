@@ -16,7 +16,7 @@ import tokenize
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
-#: ``# repro: allow[REP101]`` or ``# repro: allow[REP101,REP102] -- why``.
+#: ``# repro: allow[REP201]`` or ``# repro: allow[REP201,REP202] -- why``.
 #: Matched against COMMENT tokens only, so prose in docstrings that
 #: *describes* the syntax is never mistaken for a suppression.
 _ALLOW_RE = re.compile(

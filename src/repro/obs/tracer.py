@@ -7,7 +7,7 @@ in CPU cycles: the cumulative cost of every
 :class:`~repro.core.architecture.ArchitectureProfile`. Nothing ever reads
 wall-clock time, so traces of the same seed are byte-identical across
 machines and runs — instrumentation inherits the repository's
-determinism contract (REP1xx) instead of fighting it.
+determinism contract instead of fighting it.
 
 Three record kinds:
 

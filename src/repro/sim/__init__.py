@@ -21,15 +21,14 @@ from .queueing import (QueueObservation, deterministic_draw,
                        md1_mean_wait, mm1_mean_number, mm1_mean_wait,
                        offered_load, simulate_queue)
 from .ri import (DEFAULT_OCSP_FETCH_MS, DEFAULT_OCSP_VALIDITY_SECONDS,
-                 REQUEST_KINDS, SERVE_STATUSES, RICapacity, RIServer,
-                 ServeOutcome, service_records)
+                 DEFAULT_REQUEST_MIX, REQUEST_KINDS, SERVE_STATUSES,
+                 RICapacity, RIServer, ServeOutcome, nominal_service_ticks,
+                 service_records)
 from .admission import (ADMISSION_POLICIES, PRIORITY_CLASSES, AdmitAll,
                         AdmissionPolicy, CoDelShedder,
                         PriorityAdmission, TokenBucket, make_admission)
-from .fleet import (DEFAULT_REQUEST_MIX, ArchitectureLoadResult,
-                    KernelFleetResult, OpenLoadResult,
-                    nominal_service_ticks, run_fleet_kernel,
-                    run_open_load)
+from .fleet import (ArchitectureLoadResult, KernelFleetResult,
+                    OpenLoadResult, run_fleet_kernel, run_open_load)
 from .overload import (RETRY_DISCIPLINES, RETRY_POLICIES, BinStat,
                        RetryBudget, StormResult, StormSpec, run_storm)
 from .roap import (EPISODE_RETRIES, Episode, EpisodeResult, EpisodeSpec,
@@ -44,13 +43,13 @@ __all__ = [
     "exponential_ticks", "md1_mean_wait", "mm1_mean_number",
     "mm1_mean_wait", "offered_load", "simulate_queue",
     "DEFAULT_OCSP_FETCH_MS", "DEFAULT_OCSP_VALIDITY_SECONDS",
-    "REQUEST_KINDS", "SERVE_STATUSES", "RICapacity", "RIServer",
-    "ServeOutcome", "service_records",
+    "DEFAULT_REQUEST_MIX", "REQUEST_KINDS", "SERVE_STATUSES",
+    "RICapacity", "RIServer", "ServeOutcome", "nominal_service_ticks",
+    "service_records",
     "ADMISSION_POLICIES", "PRIORITY_CLASSES", "AdmitAll",
     "AdmissionPolicy", "CoDelShedder", "PriorityAdmission",
     "TokenBucket", "make_admission",
-    "DEFAULT_REQUEST_MIX", "ArchitectureLoadResult",
-    "KernelFleetResult", "OpenLoadResult", "nominal_service_ticks",
+    "ArchitectureLoadResult", "KernelFleetResult", "OpenLoadResult",
     "run_fleet_kernel", "run_open_load",
     "RETRY_DISCIPLINES", "RETRY_POLICIES", "BinStat", "RetryBudget",
     "StormResult", "StormSpec", "run_storm",

@@ -40,16 +40,10 @@ from ..usecases.fleet import (CostTemplates, DeviceDraw, FleetConfig,
                               draw_device, run_fleet)
 from .kernel import Kernel, Wait
 from .queueing import exponential_ticks
-# DEFAULT_REQUEST_MIX and nominal_service_ticks moved to repro.sim.ri
-# (the admission policies size their budgets from them); re-exported
-# here because the saturation analysis and external callers import
-# them from the fleet module.
-from .ri import (DEFAULT_REQUEST_MIX, RICapacity, RIServer,
-                 nominal_service_ticks)
+from .ri import DEFAULT_REQUEST_MIX, RICapacity, RIServer
 
 __all__ = [
-    "DEFAULT_REQUEST_MIX", "ArchitectureLoadResult",
-    "KernelFleetResult", "OpenLoadResult", "nominal_service_ticks",
+    "ArchitectureLoadResult", "KernelFleetResult", "OpenLoadResult",
     "run_fleet_kernel", "run_open_load",
 ]
 

@@ -67,8 +67,8 @@ def test_fingerprints_survive_line_drift(tmp_path):
 
 
 def test_duplicate_findings_get_distinct_fingerprints():
-    assert fingerprint("REP101", "a.py", "x = time.time()", 0) \
-        != fingerprint("REP101", "a.py", "x = time.time()", 1)
+    assert fingerprint("REP201", "a.py", "from x import sha1", 0) \
+        != fingerprint("REP201", "a.py", "from x import sha1", 1)
 
 
 def test_baseline_file_shape(tmp_path):
@@ -101,14 +101,14 @@ def test_config_can_disable_and_rescope_rules(tmp_path):
 
 def test_config_from_mapping_parses_pyproject_table():
     config = LintConfig.from_mapping({
-        "disable": ["REP103"],
+        "disable": ["REP403"],
         "baseline": "custom.json",
-        "scopes": {"REP101": ["repro.core"]},
+        "scopes": {"REP201": ["repro.core"]},
     })
-    assert not config.rule("REP103").enabled
+    assert not config.rule("REP403").enabled
     assert config.baseline_path == "custom.json"
-    assert config.rule("REP101").applies_to("repro.core.stats", ())
-    assert not config.rule("REP101").applies_to("repro.usecases.fleet",
+    assert config.rule("REP201").applies_to("repro.core.stats", ())
+    assert not config.rule("REP201").applies_to("repro.usecases.fleet",
                                                 ())
     # Prefixes match whole components: repro.corex is out of scope.
-    assert not config.rule("REP101").applies_to("repro.corex", ())
+    assert not config.rule("REP201").applies_to("repro.corex", ())

@@ -18,20 +18,24 @@ from repro.lint import LintEngine, render_json, render_sarif, \
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 GOLDEN_SARIF = GOLDEN_DIR / "findings.sarif.json"
 
+#: One REP201 finding, on line 2.
+VIOLATION = """
+    from ..crypto.sha1 import sha1
+
+    def digest(data):
+        return sha1(data)
+    """
+
 
 def run_on(tmp_path, source):
-    target = tmp_path / "repro" / "usecases" / "w.py"
+    target = tmp_path / "repro" / "drm" / "w.py"
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(textwrap.dedent(source))
     return LintEngine().run([str(tmp_path)])
 
 
 def test_json_report_schema(tmp_path):
-    result = run_on(tmp_path, """
-        import time
-        def stamp():
-            return time.time()
-        """)
+    result = run_on(tmp_path, VIOLATION)
     document = render_json(result)
     # Pin the whole shape: CI and external tooling parse this.
     assert set(document) == {"version", "findings", "counts", "summary"}
@@ -39,9 +43,9 @@ def test_json_report_schema(tmp_path):
     finding = document["findings"][0]
     assert set(finding) == {"rule", "path", "line", "column", "message",
                             "fingerprint"}
-    assert finding["rule"] == "REP101"
-    assert finding["line"] == 4
-    assert document["counts"] == {"REP101": 1}
+    assert finding["rule"] == "REP201"
+    assert finding["line"] == 2
+    assert document["counts"] == {"REP201": 1}
     assert document["summary"] == {
         "new": 1, "baselined": 0, "suppressed": 0,
         "files": result.files_scanned, "clean": False,
@@ -57,14 +61,10 @@ def test_json_report_clean_summary(tmp_path):
 
 
 def test_text_report_lists_findings_and_summary(tmp_path):
-    result = run_on(tmp_path, """
-        import time
-        def stamp():
-            return time.time()
-        """)
+    result = run_on(tmp_path, VIOLATION)
     text = render_text(result)
-    assert "REP101" in text
-    assert "w.py:4:" in text
+    assert "REP201" in text
+    assert "w.py:2:" in text
     assert "1 finding(s)" in text
 
 
@@ -76,13 +76,9 @@ def test_text_report_clean(tmp_path):
 def _sarif_fixture_result(tmp_path, monkeypatch):
     # Relative paths keep fingerprints and artifact URIs independent
     # of the tmp directory, so the document can be byte-pinned.
-    target = tmp_path / "repro" / "usecases" / "w.py"
+    target = tmp_path / "repro" / "drm" / "w.py"
     target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(textwrap.dedent("""
-        import time
-        def stamp():
-            return time.time()
-        """))
+    target.write_text(textwrap.dedent(VIOLATION))
     monkeypatch.chdir(tmp_path)
     return LintEngine().run(["repro"])
 
@@ -93,13 +89,13 @@ def test_sarif_schema_shape(tmp_path, monkeypatch):
     run = document["runs"][0]
     assert run["tool"]["driver"]["name"] == "repro-lint"
     assert [rule["id"] for rule in run["tool"]["driver"]["rules"]] \
-        == ["REP101"]
+        == ["REP201"]
     result = run["results"][0]
-    assert result["ruleId"] == "REP101"
+    assert result["ruleId"] == "REP201"
     assert result["level"] == "error"
     location = result["locations"][0]["physicalLocation"]
-    assert location["artifactLocation"]["uri"] == "repro/usecases/w.py"
-    assert location["region"]["startLine"] == 4
+    assert location["artifactLocation"]["uri"] == "repro/drm/w.py"
+    assert location["region"]["startLine"] == 2
     assert location["region"]["startColumn"] >= 1
     assert result["partialFingerprints"]["reproLint/v1"]
 

@@ -1,8 +1,8 @@
 """Per-rule fixture snippets: positive, negative, and suppressed.
 
 Each case writes a small module into a fixture tree whose layout
-mirrors the scopes the rules default to (``repro/usecases``,
-``repro/drm``, ``repro/crypto``), runs the engine over the tree, and
+mirrors the scopes the rules default to (``repro/drm``,
+``repro/sim``, ``repro/crypto``), runs the engine over the tree, and
 asserts exactly which rule ids fire.
 """
 
@@ -22,64 +22,6 @@ def lint_tree(tmp_path, files):
 
 def rule_ids(result):
     return sorted(finding.rule for finding in result.findings)
-
-
-# -- REP1xx determinism ------------------------------------------------------
-
-def test_rep101_flags_wall_clock_in_usecases(tmp_path):
-    result = lint_tree(tmp_path, {"repro/usecases/w.py": """
-        import time
-        def arrival():
-            return time.time()
-        """})
-    assert rule_ids(result) == ["REP101"]
-
-
-def test_rep101_flags_datetime_now_through_alias(tmp_path):
-    result = lint_tree(tmp_path, {"repro/analysis/a.py": """
-        from datetime import datetime as dt
-        def stamp():
-            return dt.now()
-        """})
-    assert rule_ids(result) == ["REP101"]
-
-
-def test_rep101_ignores_wall_clock_outside_scope(tmp_path):
-    result = lint_tree(tmp_path, {"repro/drm/clockish.py": """
-        import time
-        def now():
-            return time.time()
-        """})
-    assert "REP101" not in rule_ids(result)
-
-
-def test_rep102_flags_os_urandom_and_global_random(tmp_path):
-    result = lint_tree(tmp_path, {"repro/usecases/r.py": """
-        import os
-        import random
-        def draw():
-            return os.urandom(8), random.random()
-        """})
-    assert rule_ids(result) == ["REP102", "REP102"]
-
-
-def test_rep102_flags_unseeded_random_instance_only(tmp_path):
-    result = lint_tree(tmp_path, {"repro/usecases/r.py": """
-        import random
-        bad = random.Random()
-        good = random.Random(1234)
-        """})
-    assert rule_ids(result) == ["REP102"]
-
-
-def test_rep103_flags_set_iteration_but_not_sorted(tmp_path):
-    result = lint_tree(tmp_path, {"repro/analysis/s.py": """
-        def order(names):
-            bad = [n for n in set(names)]
-            good = [n for n in sorted(set(names))]
-            return bad, good
-        """})
-    assert rule_ids(result) == ["REP103"]
 
 
 # -- REP2xx metering completeness --------------------------------------------
@@ -170,7 +112,7 @@ def test_rep202_proves_deep_chains_with_witness_path(tmp_path):
     assert "repro.helpers.inner.digest" in findings[0].message
 
 
-# -- REP9xx sim resource protocol --------------------------------------------
+# -- REP901 sim resource protocol --------------------------------------------
 
 def test_rep901_flags_release_outside_finally(tmp_path):
     result = lint_tree(tmp_path, {"repro/sim/p.py": """
@@ -216,154 +158,7 @@ def test_rep901_allows_immediate_release(tmp_path):
     assert rule_ids(result) == []
 
 
-def test_rep902_flags_nested_acquire_allows_wait(tmp_path):
-    result = lint_tree(tmp_path, {"repro/sim/p.py": """
-        def deadlocky(a, b):
-            yield Acquire(a)
-            try:
-                yield Acquire(b)
-                try:
-                    yield Wait(1)
-                finally:
-                    yield Release(b)
-            finally:
-                yield Release(a)
-        def fine(a):
-            yield Acquire(a)
-            try:
-                yield Wait(10)
-            finally:
-                yield Release(a)
-        """})
-    assert rule_ids(result) == ["REP902"]
-
-
-def test_rep903_flags_kernel_state_mutation_outside_kernel(tmp_path):
-    result = lint_tree(tmp_path, {"repro/sim/hack.py": """
-        def skip_ahead(kernel, ticks):
-            kernel.now = kernel.now + ticks
-        """})
-    assert rule_ids(result) == ["REP903"]
-
-
-def test_rep903_allows_the_kernel_module_itself(tmp_path):
-    result = lint_tree(tmp_path, {"repro/sim/kernel.py": """
-        class Kernel:
-            def _advance(kernel, when):
-                kernel.now = when
-        """})
-    assert rule_ids(result) == []
-
-
-def test_rep904_flags_unchecked_timed_grant(tmp_path):
-    result = lint_tree(tmp_path, {"repro/sim/p.py": """
-        def worker(kernel, server):
-            grant = yield Acquire(server, timeout=5)
-            if grant is REJECTED:
-                return
-            try:
-                yield Wait(3)
-            finally:
-                yield Release(server)
-        """})
-    assert rule_ids(result) == ["REP904"]
-
-
-def test_rep904_flags_discarded_timed_grant(tmp_path):
-    result = lint_tree(tmp_path, {"repro/sim/p.py": """
-        def touch(server):
-            yield Acquire(server, timeout=5)
-            yield Release(server)
-        """})
-    findings = [f for f in result.findings if f.rule == "REP904"]
-    assert rule_ids(result) == ["REP904"]
-    assert "discarded" in findings[0].message
-
-
-def test_rep904_allows_local_sentinel_test(tmp_path):
-    result = lint_tree(tmp_path, {"repro/sim/p.py": """
-        def worker(kernel, server):
-            grant = yield Acquire(server, timeout=5)
-            if grant is REJECTED or grant is TIMED_OUT:
-                return
-            try:
-                yield Wait(3)
-            finally:
-                yield Release(server)
-        """})
-    assert rule_ids(result) == []
-
-
-def test_rep904_ignores_untimed_acquires(tmp_path):
-    result = lint_tree(tmp_path, {"repro/sim/p.py": """
-        def worker(kernel, server):
-            grant = yield Acquire(server)
-            try:
-                yield Wait(3)
-            finally:
-                yield Release(server)
-        def explicit(kernel, server):
-            grant = yield Acquire(server, timeout=None)
-            try:
-                yield Wait(3)
-            finally:
-                yield Release(server)
-        """})
-    assert rule_ids(result) == []
-
-
-def test_rep904_accepts_grant_checked_by_its_caller(tmp_path):
-    result = lint_tree(tmp_path, {"repro/sim/p.py": """
-        def probe(server):
-            grant = yield Acquire(server, timeout=9)
-            if grant is REJECTED:
-                return grant
-            yield Release(server)
-            return grant
-
-        def caller(kernel, server):
-            grant = yield from probe(server)
-            if grant is TIMED_OUT:
-                return None
-            return grant
-        """})
-    assert rule_ids(result) == []
-
-
-def test_rep904_flags_grant_no_caller_checks(tmp_path):
-    result = lint_tree(tmp_path, {"repro/sim/p.py": """
-        def probe(server):
-            grant = yield Acquire(server, timeout=9)
-            if grant is REJECTED:
-                return grant
-            yield Release(server)
-            return grant
-
-        def caller(kernel, server):
-            grant = yield from probe(server)
-            return grant
-        """})
-    findings = [f for f in result.findings if f.rule == "REP904"]
-    assert rule_ids(result) == ["REP904"]
-    assert "any caller it escapes to" in findings[0].message
-
-
-def test_rep904_suppressible_inline(tmp_path):
-    result = lint_tree(tmp_path, {"repro/sim/p.py": """
-        def worker(kernel, server):
-            grant = yield Acquire(server, timeout=5)  # repro: allow[REP904] -- expiry handled by the harness
-            if grant is REJECTED:
-                return
-            try:
-                yield Wait(3)
-            finally:
-                yield Release(server)
-        """})
-    assert rule_ids(result) == []
-    assert len(result.suppressed) == 1
-
-
-# -- REP3xx secret hygiene / REP8xx secret taint -----------------------------
+# -- REP801 secret taint / REP302 timing -------------------------------------
 
 def test_rep801_flags_secret_in_fstring_and_exception(tmp_path):
     result = lint_tree(tmp_path, {"repro/drm/k.py": """
@@ -454,40 +249,7 @@ def test_rep302_allows_length_checks_and_constant_time_equal(tmp_path):
     assert rule_ids(result) == []
 
 
-# -- REP4xx error contracts --------------------------------------------------
-
-def test_rep401_flags_bare_except_everywhere(tmp_path):
-    result = lint_tree(tmp_path, {"anywhere.py": """
-        def swallow():
-            try:
-                risky()
-            except:
-                return None
-        """})
-    assert rule_ids(result) == ["REP401"]
-
-
-def test_rep402_flags_silent_pass_in_protocol_code(tmp_path):
-    result = lint_tree(tmp_path, {"repro/drm/p.py": """
-        def attempt():
-            try:
-                risky()
-            except ValueError:
-                pass
-        """})
-    assert rule_ids(result) == ["REP402"]
-
-
-def test_rep402_allows_handled_exceptions(tmp_path):
-    result = lint_tree(tmp_path, {"repro/drm/p.py": """
-        def attempt(log):
-            try:
-                risky()
-            except ValueError as error:
-                log.append(error)
-        """})
-    assert rule_ids(result) == []
-
+# -- REP403 error contract ---------------------------------------------------
 
 def test_rep403_flags_builtin_raise_in_decode_path(tmp_path):
     result = lint_tree(tmp_path, {"repro/drm/w.py": """
@@ -500,68 +262,6 @@ def test_rep403_flags_builtin_raise_in_decode_path(tmp_path):
         """})
     # encode paths are free to raise TypeError; decode paths are not.
     assert rule_ids(result) == ["REP403"]
-
-
-# -- REP5xx durability -------------------------------------------------------
-
-def test_rep501_flags_direct_storage_dict_mutation(tmp_path):
-    result = lint_tree(tmp_path, {"repro/drm/a.py": """
-        def install(agent, installed):
-            agent.storage.installed_ros[installed.ro_id] = installed
-        def forget(agent, ro_id):
-            del agent.storage.installed_ros[ro_id]
-        def remember(agent, guid):
-            agent.storage.replay_cache.add(guid)
-        """})
-    assert rule_ids(result) == ["REP501", "REP501", "REP501"]
-
-
-def test_rep501_allows_reads_and_storage_module_itself(tmp_path):
-    result = lint_tree(tmp_path, {
-        "repro/drm/a.py": """
-            def lookup(agent, ro_id):
-                if ro_id in agent.storage.replay_cache:
-                    return None
-                return agent.storage.installed_ros.get(ro_id)
-            """,
-        "repro/drm/storage.py": """
-            class DeviceStorage:
-                def _do_store_ro(self, installed):
-                    self.installed_ros[installed.ro_id] = installed
-            """,
-    })
-    assert "REP501" not in rule_ids(result)
-
-
-def test_rep501_ignores_same_names_outside_drm(tmp_path):
-    result = lint_tree(tmp_path, {"repro/usecases/f.py": """
-        def poke(agent, guid):
-            agent.storage.replay_cache.add(guid)
-        """})
-    assert "REP501" not in rule_ids(result)
-
-
-def test_rep502_flags_in_place_state_edit(tmp_path):
-    result = lint_tree(tmp_path, {"repro/drm/a.py": """
-        def consume(installed, ptype, now):
-            installed.state.remaining_counts[ptype] -= 1
-            installed.state.first_use[ptype] = now
-        """})
-    assert rule_ids(result) == ["REP502", "REP502"]
-
-
-def test_rep502_allows_snapshot_then_set_ro_state(tmp_path):
-    result = lint_tree(tmp_path, {"repro/drm/a.py": """
-        def consume(agent, installed, evaluator, permission, now):
-            state = installed.state.snapshot()
-            evaluator.consume(permission, state, now)
-            agent.storage.set_ro_state(installed.ro_id, state)
-        def evaluate(state, ptype):
-            state.remaining_counts[ptype] -= 1
-        """})
-    # The local-variable mutation in evaluate() is the evaluator's
-    # job on a snapshot; only the .state.<field> chain is the hazard.
-    assert "REP502" not in rule_ids(result)
 
 
 # -- suppressions ------------------------------------------------------------
@@ -599,160 +299,10 @@ def test_docstring_mention_of_allow_syntax_is_not_a_suppression(tmp_path):
     assert rule_ids(result) == ["REP201"]
 
 
-# -- REP6xx observability ----------------------------------------------------
+# -- parse errors ------------------------------------------------------------
 
-def test_rep601_flags_print_in_library_code(tmp_path):
-    result = lint_tree(tmp_path, {"repro/drm/agentish.py": """
-        def install(ro):
-            print("installing", ro)
+def test_unparseable_file_is_a_finding_not_a_crash(tmp_path):
+    result = lint_tree(tmp_path, {"repro/drm/broken.py": """
+        def half(:
         """})
-    assert rule_ids(result) == ["REP601"]
-
-
-def test_rep601_flags_builtins_print_alias(tmp_path):
-    result = lint_tree(tmp_path, {"repro/store/j.py": """
-        import builtins
-        def debug(x):
-            builtins.print(x)
-        """})
-    assert rule_ids(result) == ["REP601"]
-
-
-def test_rep601_allows_print_in_cli(tmp_path):
-    result = lint_tree(tmp_path, {"repro/cli.py": """
-        def emit(text):
-            print(text)
-        """})
-    assert "REP601" not in rule_ids(result)
-
-
-def test_rep601_ignores_local_print_method(tmp_path):
-    result = lint_tree(tmp_path, {"repro/drm/r.py": """
-        def render(doc):
-            return doc.print()
-        """})
-    # attribute call on an object is not builtins.print
-    assert "REP601" not in rule_ids(result)
-
-
-def test_rep602_flags_logging_import_in_library_code(tmp_path):
-    result = lint_tree(tmp_path, {"repro/usecases/f.py": """
-        import logging
-        log = logging.getLogger(__name__)
-        """})
-    assert rule_ids(result) == ["REP602"]
-
-
-def test_rep602_flags_from_logging_import(tmp_path):
-    result = lint_tree(tmp_path, {"repro/obs/t.py": """
-        from logging import getLogger
-        log = getLogger(__name__)
-        """})
-    assert rule_ids(result) == ["REP602"]
-
-
-def test_rep602_allows_logging_in_lint_reporters(tmp_path):
-    result = lint_tree(tmp_path, {"repro/lint/reporterish.py": """
-        import logging
-        """})
-    assert "REP602" not in rule_ids(result)
-
-
-def test_rep601_suppression_with_justification(tmp_path):
-    result = lint_tree(tmp_path, {"repro/drm/d.py": """
-        def dump(x):
-            print(x)  # repro: allow[REP601] -- debug hook, never shipped
-        """})
-    assert rule_ids(result) == []
-    assert len(result.suppressed) == 1
-
-
-def test_rep603_flags_unmanaged_span_call(tmp_path):
-    result = lint_tree(tmp_path, {"repro/drm/s.py": """
-        def flow(tracer):
-            span = tracer.span("flow", track="roap")
-            span.set("k", 1)
-        """})
-    assert rule_ids(result) == ["REP603"]
-
-
-def test_rep603_flags_unmanaged_span_on_attribute_chain(tmp_path):
-    result = lint_tree(tmp_path, {"repro/usecases/s.py": """
-        def flow(world):
-            world.tracer.span("flow")
-        """})
-    assert rule_ids(result) == ["REP603"]
-
-
-def test_rep603_allows_with_managed_span(tmp_path):
-    result = lint_tree(tmp_path, {"repro/drm/s.py": """
-        def flow(self, tracer):
-            with tracer.span("a"), self.tracer.span("b") as span:
-                span.set("k", 1)
-        """})
-    assert "REP603" not in rule_ids(result)
-
-
-def test_rep603_ignores_non_tracer_span_methods(tmp_path):
-    result = lint_tree(tmp_path, {"repro/core/s.py": """
-        def width(interval):
-            return interval.span(2)
-        """})
-    assert "REP603" not in rule_ids(result)
-
-
-# -- REP7xx trust boundary ---------------------------------------------------
-
-def test_rep701_flags_swallowed_trust_error(tmp_path):
-    result = lint_tree(tmp_path, {"repro/drm/v.py": """
-        def verify(chain):
-            try:
-                check_chain(chain)
-            except TrustError:
-                pass
-        """})
-    # the generic silent-pass rule fires too; REP701 is the specific one
-    assert "REP701" in rule_ids(result)
-
-
-def test_rep701_flags_counter_bump_and_tuple_catch(tmp_path):
-    result = lint_tree(tmp_path, {"repro/drm/v.py": """
-        failures = 0
-        def verify(chain):
-            global failures
-            try:
-                check_chain(chain)
-            except (ValueError, CertificateRevokedError):
-                failures += 1
-        """})
-    # not a bare pass, so only the trust-specific rule sees it
-    assert rule_ids(result) == ["REP701"]
-
-
-def test_rep701_allows_recorded_or_reraised_failures(tmp_path):
-    result = lint_tree(tmp_path, {"repro/drm/v.py": """
-        def verify(chain, breaker):
-            try:
-                check_chain(chain)
-            except TrustError as error:
-                breaker.record_failure()
-                raise
-        def probe(chain):
-            try:
-                check_chain(chain)
-            except errors.TrustError:
-                return False
-            return True
-        """})
-    assert "REP701" not in rule_ids(result)
-
-
-def test_rep701_ignores_trust_names_outside_drm(tmp_path):
-    result = lint_tree(tmp_path, {"repro/analysis/a.py": """
-        def tolerate(run):
-            try:
-                run()
-            except TrustError:
-                pass
-        """})
-    assert "REP701" not in rule_ids(result)
+    assert rule_ids(result) == ["REP003"]

@@ -40,14 +40,11 @@ def test_seeded_regression_fails_the_gate(tmp_path, capsys):
     # flip the exit code: this is the regression CI would catch.
     bad = tmp_path / "regression.py"
     bad.write_text(textwrap.dedent("""
-        def swallow():
-            try:
-                risky()
-            except:
-                return None
+        def fail(kdev):
+            raise RuntimeError("bad key %r" % kdev)
         """))
     assert main(["lint", str(bad), "--no-baseline"]) == 1
-    assert "REP401" in capsys.readouterr().out
+    assert "REP801" in capsys.readouterr().out
 
 
 def test_seeded_scoped_regression_fails_the_gate(tmp_path, capsys):
@@ -81,13 +78,13 @@ def test_missing_path_is_a_usage_error(capsys):
 
 def test_list_rules_names_every_family(capsys):
     assert main(["lint", "--list-rules"]) == 0
-    out = capsys.readouterr().out
-    for rule_id in ("REP101", "REP102", "REP103", "REP201", "REP202",
-                    "REP302", "REP401", "REP402", "REP403",
-                    "REP801", "REP901", "REP902", "REP903"):
-        assert rule_id in out
-    # REP301's syntactic heuristic is fully replaced by REP801 taint.
-    assert "REP301" not in out
+    listed = [line.split()[0] for line in
+              capsys.readouterr().out.splitlines()
+              if line.startswith("REP")]
+    # Only rules with evidence stay registered (docs/static-analysis.md):
+    # a fixed real bug, or a bug class the seeded mutation gate proves.
+    assert listed == ["REP201", "REP202", "REP302", "REP403", "REP801",
+                      "REP901"]
 
 
 def test_suppressions_in_committed_tree_are_justified(in_repo_root,

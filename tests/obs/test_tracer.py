@@ -63,6 +63,31 @@ def test_span_set_attaches_arguments():
     assert span.args == {"mode": "journaled", "outcome": "committed"}
 
 
+def test_unentered_span_records_nothing():
+    # span() is a context-manager generator: the span is created and
+    # pushed on the open-span stack only on __enter__, so a call that
+    # is never entered cannot leave the stack unbalanced.
+    tracer = Tracer()
+    tracer.span("never-entered", track="roap")
+    with tracer.span("outer") as outer:
+        tracer.on_record(record())
+    assert [span.name for span in tracer.spans] == ["outer", "probe"]
+    assert outer.parent is None
+    assert tracer.spans[1].parent == outer.index
+
+
+def test_span_stack_unwinds_on_exception():
+    tracer = Tracer()
+    with pytest.raises(RuntimeError):
+        with tracer.span("failing") as failing:
+            tracer.on_record(record())
+            raise RuntimeError("must propagate")
+    with tracer.span("next") as following:
+        pass
+    assert failing.end == tracer.now
+    assert following.parent is None
+
+
 def test_event_stamped_at_current_time_and_counted():
     tracer = Tracer()
     tracer.on_record(record())

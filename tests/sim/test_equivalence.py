@@ -176,7 +176,8 @@ def test_episode_spec_validation():
 
 def test_open_load_validation():
     from repro.core.architecture import HW_PROFILE
-    from repro.sim.fleet import nominal_service_ticks, run_open_load
+    from repro.sim.fleet import run_open_load
+    from repro.sim.ri import nominal_service_ticks
     with pytest.raises(ValueError):
         run_open_load("eq", HW_PROFILE, arrivals_per_second=0,
                       requests=10)
