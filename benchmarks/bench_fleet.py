@@ -11,13 +11,11 @@ Two properties are exercised:
 
 Run directly (``python benchmarks/bench_fleet.py``) it prints the
 scaling curve and checks equivalence at 10^4 devices; the 10^6-device
-point only runs under ``pytest -m slow`` or ``--big``.
+point only runs with ``--big``.
 """
 
 import sys
 import time
-
-import pytest
 
 from repro.usecases.fleet import (FleetConfig, build_cost_templates,
                                   run_fleet)
@@ -35,32 +33,6 @@ MILLION = 1_000_000
 def _config(devices: int) -> FleetConfig:
     return FleetConfig(devices=devices, seed=SEED, rsa_bits=BITS,
                        shard_size=25_000)
-
-
-@pytest.fixture(scope="module")
-def templates():
-    return build_cost_templates(_config(POPULATIONS[0]))
-
-
-def bench_fleet_10k(benchmark, templates):
-    benchmark(run_fleet, _config(10_000), workers=1,
-              templates=templates)
-
-
-def test_serial_vs_sharded_equivalence(templates):
-    config = _config(10_000)
-    serial = run_fleet(config, workers=1, templates=templates)
-    for workers in (2, 4):
-        sharded = run_fleet(config, workers=workers,
-                            templates=templates)
-        assert sharded.accumulator == serial.accumulator
-
-
-@pytest.mark.slow
-def test_million_device_fleet(templates):
-    result = run_fleet(_config(MILLION), workers=4,
-                       templates=templates)
-    assert result.accumulator.devices == MILLION
 
 
 def main(argv) -> int:

@@ -63,17 +63,6 @@ def measure(workload):
             "events_per_second": events / wall}, signature
 
 
-def bench_kernel_open_load(benchmark):
-    benchmark(_open_load)
-
-
-def test_workloads_replay_bit_identically():
-    for _name, workload in WORKLOADS:
-        _, first = workload()
-        _, second = workload()
-        assert first == second
-
-
 def main(argv) -> int:
     out = "BENCH_kernel.json"
     if "--out" in argv:

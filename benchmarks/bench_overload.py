@@ -44,27 +44,6 @@ def _storm(spec):
     return result.events, result
 
 
-def bench_overload_unmitigated(benchmark):
-    benchmark(lambda: _storm(SPECS[0][1]))
-
-
-def bench_overload_mitigated(benchmark):
-    benchmark(lambda: _storm(SPECS[1][1]))
-
-
-def test_storms_replay_bit_identically():
-    for _name, spec in SPECS:
-        assert run_storm(spec).digest() == run_storm(spec).digest()
-
-
-def test_smoke_gate_mitigation_beats_collapse():
-    unmitigated = run_storm(SPECS[0][1])
-    mitigated = run_storm(SPECS[1][1])
-    assert mitigated.goodput_ratio >= unmitigated.goodput_ratio
-    assert unmitigated.collapse_duration >= WINDOW
-    assert mitigated.recovered_within(WINDOW)
-
-
 def measure(spec):
     start = time.perf_counter()
     events, result = _storm(spec)

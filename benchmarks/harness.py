@@ -24,8 +24,7 @@ drift is a real behavior change, not noise.
 
 The module lives in ``benchmarks/`` (not the package) because the
 bench scripts are standalone: ``python benchmarks/bench_kernel.py``
-puts this directory on ``sys.path``, and pytest's rootdir insertion
-does the same for the collected ``bench_*`` tests.
+puts this directory on ``sys.path``.
 """
 
 import json

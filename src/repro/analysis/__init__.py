@@ -9,8 +9,10 @@
 * :mod:`~repro.analysis.formatting` — ASCII table/chart rendering
 """
 
-from . import (ablations, claims, durability, figure5, figure6, figure7,
-               fleet, messages, report, table1)
+# ``ablations`` is left out of the eager imports so that
+# ``python -m repro.analysis.ablations`` runs it without a double import.
+from . import (claims, durability, figure5, figure6, figure7, fleet,
+               messages, report, table1)
 from .common import DEFAULT_SEED, music_trace, ringtone_trace
 from .formatting import (deviation_pct, format_log_bars, format_ms,
                          format_stacked_shares, format_table)

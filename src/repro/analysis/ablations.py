@@ -15,21 +15,26 @@ Each function regenerates one study from DESIGN.md's ablation index:
   that the hardware gap widens for energy).
 * :func:`mgf1_sensitivity` — effect of the paper's one-hash EMSA-PSS
   approximation on every headline number.
+* :func:`rsa_macro_sweep` — how fast must the RSA macro be before the
+  Ringtone HW total stops being RSA-bound?
+
+Run ``python -m repro.analysis.ablations`` to print all seven tables.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence, Tuple
 
 from ..core.architecture import (HW_PROFILE, PAPER_PROFILES, SW_HW_PROFILE,
                                  SW_PROFILE, custom_profile)
-from ..core.costs import CostOptions
+from ..core.costs import (HARDWARE_COSTS, PAPER_TABLE1, CostOptions,
+                          Implementation)
 from ..core.energy import ProportionalEnergyModel, WeightedEnergyModel
 from ..core.model import PerformanceModel
 from ..core.trace import Algorithm
 from ..usecases.catalog import music_player, ringtone
 from ..usecases.scenario import KIB, UseCase
 from ..usecases.workload import WorkloadScaler, run_modeled
-from .common import DEFAULT_SEED
+from .common import DEFAULT_SEED, ringtone_trace
 from .formatting import format_table, format_ms
 
 #: AES + SHA-1 macros only (the SW/HW variant's hardware set).
@@ -240,3 +245,44 @@ def energy_gap_ratios(seed: str = DEFAULT_SEED) -> Dict[str, float]:
         "time_ratio": sw.total_ms / hw.total_ms,
         "energy_ratio": weighted.joules(sw) / weighted.joules(hw),
     }
+
+
+#: RSA macro speed relative to the paper's Montgomery-multiplier cycles.
+RSA_MACRO_FACTORS = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+
+
+def rsa_macro_sweep(seed: str = DEFAULT_SEED) -> SweepResult:
+    """Scale the hardware RSA cycle counts from 1/8 to 8x the paper's.
+
+    The paper notes PKI acceleration buys ~600 ms once and questions the
+    macro's gate cost; the sweep shows where the Ringtone HW total stops
+    being RSA-bound and saturates at the fixed AES/SHA-1 access work.
+    """
+    trace = ringtone_trace(seed)
+    rows = []
+    for factor in RSA_MACRO_FACTORS:
+        table = PAPER_TABLE1
+        for algorithm in (Algorithm.RSA_PRIVATE, Algorithm.RSA_PUBLIC):
+            paper = HARDWARE_COSTS[algorithm]
+            table = table.override(
+                algorithm, Implementation.HARDWARE,
+                replace(paper, cycles_per_block=int(
+                    paper.cycles_per_block * factor)))
+        total_ms = PerformanceModel(table).evaluate(trace,
+                                                    HW_PROFILE).total_ms
+        rows.append(("%.3fx" % factor, format_ms(total_ms)))
+    return SweepResult(
+        title="Ablation: RSA macro speed sweep (Ringtone, full HW)",
+        headers=("RSA macro cycles vs paper", "Ringtone HW total [ms]"),
+        rows=rows,
+    )
+
+
+if __name__ == "__main__":  # pragma: no cover
+    for study in (filesize_crossover, playback_sensitivity, kdev_ablation,
+                  domain_overhead, energy_comparison, mgf1_sensitivity,
+                  rsa_macro_sweep):
+        print(study().render() + "\n")
+    gaps = energy_gap_ratios()
+    print("Music Player SW:HW gap - time %.0fx, energy %.0fx"
+          % (gaps["time_ratio"], gaps["energy_ratio"]))

@@ -2,8 +2,8 @@
 
 Paper-scale traces are deterministic functions of (use case, seed,
 options), and building one costs a few seconds of RSA key generation, so
-they are memoized here. The cost-model evaluation itself is cheap and is
-what the benchmarks time.
+they are memoized here. The cost-model evaluation itself is cheap, so
+sweeps re-price one memoized trace many times.
 """
 
 from functools import lru_cache

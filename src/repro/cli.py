@@ -56,7 +56,7 @@ from .core.concurrency import analyze as analyze_concurrency
 from .crypto.selftest import run_self_tests
 from .lint import cli as lint_cli
 from .core.design_space import (MacroCosts, enumerate_design_points,
-                                pareto_frontier)
+                                marginal_value, pareto_frontier)
 from .core.model import PerformanceModel
 from .core.serialization import (breakdown_to_dict, dump_breakdown,
                                  dump_trace)
@@ -276,6 +276,13 @@ def _build_pareto(args: argparse.Namespace) -> CommandOutput:
         ("macro set", "kgates", "time [ms]", "energy [mJ]", "Pareto"),
         rows, title="Design space: %s (objective: %s)"
         % (use_case.name, args.objective))
+    marginal = marginal_value(points)
+    text += "\n\n" + format_table(
+        ("macro", "speedup", "saved [ms]", "saved ms/kgate"),
+        [(macro, "%.2fx" % stats["speedup"], format_ms(stats["saved_ms"]),
+          "%.2f" % stats["saved_ms_per_kgate"])
+         for macro, stats in marginal.items()],
+        title="Marginal macro value: %s" % use_case.name)
     payload = {
         "objective": args.objective,
         "points": [{"name": point.name, "kgates": point.kgates,
@@ -283,6 +290,7 @@ def _build_pareto(args: argparse.Namespace) -> CommandOutput:
                     "energy_mj": point.energy_mj,
                     "pareto": point in frontier}
                    for point in points],
+        "marginal": marginal,
     }
     return text, payload
 

@@ -12,7 +12,7 @@ is both faster *and* lower-power widens the SW/HW gap beyond the time
 ratio. The default power numbers are illustrative engineering values for a
 130 nm-class SoC of the period (an ARM9 core around 0.4 mW/MHz; dedicated
 macros an order of magnitude below), chosen only to demonstrate the
-qualitative effect the authors describe; the ablation bench sweeps them.
+qualitative effect the authors describe; the ``abl-energy`` ablation uses them.
 """
 
 from dataclasses import dataclass, field

@@ -61,7 +61,6 @@ class CallSite:
     caller: str                # caller qualname
     callee: str                # project qualname or external dotted path
     line: int
-    resolved: bool             # True when callee is a scanned function
     is_reference: bool = False  # bare-name reference, not a call
 
 
@@ -195,14 +194,13 @@ class _EdgeBuilder(ast.NodeVisitor):
         self._body = body
 
     # -- name resolution ---------------------------------------------------
-    def _resolve_name(self, name: str) -> Optional[Tuple[str, bool]]:
-        """(target, resolved) for a bare name used as a callable."""
+    def _resolve_name(self, name: str) -> Optional[str]:
+        """The call target for a bare name used as a callable."""
         if name in self.local_functions:
-            target = self.local_functions[name]
-            return target, target in self.graph.functions
+            return self.local_functions[name]
         module_level = "%s.%s" % (self.module, name)
         if module_level in self.graph.functions:
-            return module_level, True
+            return module_level
         if module_level in self.graph.classes:
             return self._class_target(module_level)
         imported = self.summary.imports.get(name)
@@ -228,39 +226,29 @@ class _EdgeBuilder(ast.NodeVisitor):
                 return dotted
         return None
 
-    def _class_target(self, class_qualname: str) -> Tuple[str, bool]:
+    def _class_target(self, class_qualname: str) -> str:
         """Calling a class: edge to its __init__ when it has one."""
         init = self.graph.method_on(class_qualname, "__init__")
-        if init is not None:
-            return init, True
-        return class_qualname, class_qualname in self.graph.classes
+        return init if init is not None else class_qualname
 
-    def _project_or_external(self, dotted: str) -> Tuple[str, bool]:
-        if dotted in self.graph.functions:
-            return dotted, True
+    def _project_or_external(self, dotted: str) -> str:
         if dotted in self.graph.classes:
             return self._class_target(dotted)
-        return dotted, False
+        return dotted
 
     def _resolve_attribute_call(self, func: ast.Attribute
-                                ) -> Optional[Tuple[str, bool]]:
+                                ) -> Optional[str]:
         # self.method() / cls.method() inside a class body.
         if isinstance(func.value, ast.Name) \
                 and func.value.id in _SELF_NAMES \
                 and self.caller.owner_class is not None:
-            method = self.graph.method_on(self.caller.owner_class,
-                                          func.attr)
-            if method is not None:
-                return method, True
-            return None
+            return self.graph.method_on(self.caller.owner_class,
+                                        func.attr)
         # obj.method() on a locally constructed instance.
         if isinstance(func.value, ast.Name) \
                 and func.value.id in self.local_instances:
             owner = self.local_instances[func.value.id]
-            method = self.graph.method_on(owner, func.attr)
-            if method is not None:
-                return method, True
-            return None
+            return self.graph.method_on(owner, func.attr)
         # module-alias attribute chains: dt.now(), repro.crypto.sha1.sha1().
         dotted = self.summary.dotted_call_path(
             ast.Call(func=func, args=[], keywords=[]))
@@ -295,15 +283,14 @@ class _EdgeBuilder(ast.NodeVisitor):
             return
         name = targets[0].id
         if isinstance(value, ast.Name):
-            resolved = self._resolve_name(value.id)
-            if resolved is not None:
-                self.local_functions[name] = resolved[0]
+            target = self._resolve_name(value.id)
+            if target is not None:
+                self.local_functions[name] = target
             return
         if isinstance(value, ast.Call) \
                 and isinstance(value.func, ast.Name):
-            resolved = self._resolve_name(value.func.id)
-            if resolved is not None:
-                target = resolved[0]
+            target = self._resolve_name(value.func.id)
+            if target is not None:
                 fn = self.graph.functions.get(target)
                 if fn is not None and fn.name.endswith("__init__") \
                         and fn.owner_class is not None:
@@ -313,7 +300,7 @@ class _EdgeBuilder(ast.NodeVisitor):
 
     # -- call and reference edges ------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
-        target: Optional[Tuple[str, bool]] = None
+        target: Optional[str] = None
         if isinstance(node.func, ast.Name):
             target = self._resolve_name(node.func.id)
             # The callee Name is a call, not a first-class reference.
@@ -321,10 +308,9 @@ class _EdgeBuilder(ast.NodeVisitor):
         elif isinstance(node.func, ast.Attribute):
             target = self._resolve_attribute_call(node.func)
         if target is not None:
-            callee, resolved = target
             self.graph.add_edge(CallSite(
-                caller=self.caller.qualname, callee=callee,
-                line=node.lineno, resolved=resolved))
+                caller=self.caller.qualname, callee=target,
+                line=node.lineno))
         self.generic_visit(node)
 
     def visit_Name(self, node: ast.Name) -> None:
@@ -337,7 +323,7 @@ class _EdgeBuilder(ast.NodeVisitor):
             return
         self.graph.add_edge(CallSite(
             caller=self.caller.qualname, callee=target,
-            line=node.lineno, resolved=True, is_reference=True))
+            line=node.lineno, is_reference=True))
 
     def visit_FunctionDef(self, node) -> None:
         # Nested definitions get their own _EdgeBuilder pass.

@@ -65,3 +65,14 @@ def test_mgf1_effect_is_negligible():
     for row in result.rows:
         difference_pct = abs(float(row[4].rstrip("%")))
         assert difference_pct < 0.1
+
+
+def test_rsa_macro_sweep_saturates():
+    """Even an 8x faster RSA macro cuts the Ringtone HW total by less
+    than a third: the fixed AES/SHA-1 access work dominates."""
+    result = ablations.rsa_macro_sweep(seed=SEED)
+    totals = {float(row[0].rstrip("x")): float(row[1])
+              for row in result.rows}
+    ordered = [totals[factor] for factor in sorted(totals)]
+    assert ordered == sorted(ordered)  # slower macro -> longer total
+    assert totals[0.125] > 0.65 * totals[1.0]

@@ -89,6 +89,16 @@ def test_generate_covers_every_phase_and_length():
         assert 0.0 < overhead.overhead_fraction < 1.0
 
 
+def test_recovery_projection_monotone_in_journal_length():
+    result = durability.generate(SEED, rsa_bits=BITS)
+    for arch in ARCHES:
+        pairs = sorted((p.records, p.cycles) for p in result.projections
+                       if p.architecture == arch)
+        cycles = [c for _, c in pairs]
+        assert all(b >= a for a, b in zip(cycles, cycles[1:])), \
+            "%s replay cost not monotone: %r" % (arch, cycles)
+
+
 def test_render_includes_both_tables():
     rendered = durability.generate(SEED, rsa_bits=BITS).render()
     assert "Write-ahead journal overhead per phase" in rendered

@@ -77,6 +77,7 @@ def test_pareto(capsys):
     # SW-only and the full set are always in the frontier column.
     lines = [line for line in out.splitlines() if "yes" in line]
     assert len(lines) >= 2
+    assert "Marginal macro value: Music Player" in out
 
 
 def test_battery(capsys):
