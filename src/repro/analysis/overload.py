@@ -108,25 +108,6 @@ class OverloadSweep:
         return [result for result in self.grid.values()
                 if result.recovered_within(self.recovery_window)]
 
-    def assert_conservation(self) -> None:
-        """Raise unless every cell's attempts are fully accounted for.
-
-        Every attempt is exactly one of: served, refused by the queue
-        bound, shed by admission, expired in-queue, or still pending
-        when the horizon fell — the books must balance to the request.
-        """
-        results = ([*self.grid.values(), *self.severity.values(),
-                    *self.architectures.values()])
-        for result in results:
-            resolved = (result.served + result.refused + result.shed
-                        + result.timed_out)
-            if resolved + result.pending != result.attempts:
-                raise AssertionError(
-                    "request conservation violated for %s: "
-                    "%d attempts but %d resolved + %d pending"
-                    % (result.spec.label, result.attempts, resolved,
-                       result.pending))
-
     def assert_metastable_contract(self) -> None:
         """Raise unless the storm is metastable and escapable.
 
@@ -336,7 +317,6 @@ def generate(seed: str = DEFAULT_SEED, architecture: str = "SW",
     analysis = OverloadAnalysis(
         sweep=sweep(seed + "/overload", architecture=architecture,
                     jobs=jobs))
-    analysis.sweep.assert_conservation()
     analysis.sweep.assert_metastable_contract()
     analysis.sweep.assert_slo_contract()
     return analysis

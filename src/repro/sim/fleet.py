@@ -89,16 +89,10 @@ class ArchitectureLoadResult:
         value = getattr(self.latency, which) or 0
         return value * 1000.0 / self.ticks_per_second
 
-    def arrival_rate_per_second(self) -> float:
-        """Realized request arrivals per second of RI time."""
-        if not self.span_ticks:
-            return 0.0
-        return ((self.served + self.refused) * self.ticks_per_second
-                / self.span_ticks)
-
 
 def _load_result(ri: RIServer, kernel: Kernel,
                  name: str) -> ArchitectureLoadResult:
+    ri.check_conservation()
     return ArchitectureLoadResult(
         architecture=name,
         ticks_per_second=ri.ticks_per_second,
@@ -174,7 +168,7 @@ def run_fleet_kernel(config: FleetConfig, workers: int = 1,
 
         def device(draw: DeviceDraw):
             for kind in _device_requests(draw):
-                yield from ri.serve(kind)
+                yield from ri.serve_request(kind)
             return None
 
         for draw in draws:
@@ -227,8 +221,9 @@ def run_open_load(seed: str, profile: ArchitectureProfile,
     weights = tuple(mix[name] for name in names)
 
     def request(kind: str):
-        yield from ri.serve(kind)
-        return None
+        # Drop the outcome (the ledger has it): a finished process would
+        # pin it until the cyclic collector frees the kernel.
+        yield from ri.serve_request(kind)
 
     def source():
         for index in range(requests):

@@ -239,7 +239,6 @@ class _StormState:
         self.abandoned = 0
         self.late_served = 0
         self.wasted_service_ticks = 0
-        self.resolved = 0
         self.offered_by_bin = [0] * bins
         self.good_by_bin = [0] * bins
         self.served_by_bin = [0] * bins
@@ -320,6 +319,16 @@ class StormResult:
             return 0.0
         return self.wasted_service_ticks / self.service_ticks_total
 
+    def metrics(self) -> MetricsRegistry:
+        """The clients' counters as a registry (zero counts omitted)."""
+        counters = {"storm.clients": self.clients,
+                    "storm.success": self.successes,
+                    "storm.abandoned": self.abandoned,
+                    "storm.gave_up": self.gave_up,
+                    "storm.retry_denied": self.retries_denied}
+        return MetricsRegistry(counters={
+            name: value for name, value in counters.items() if value})
+
     def digest(self) -> str:
         """A stable fingerprint of every counter and bin.
 
@@ -350,14 +359,13 @@ class _Request:
         self.outcome = None
 
 
-def run_storm(spec: StormSpec, tracer=NULL_TRACER,
-              metrics: Optional[MetricsRegistry] = None) -> StormResult:
+def run_storm(spec: StormSpec, tracer=NULL_TRACER) -> StormResult:
     """Run one retry storm to its horizon and measure it.
 
     A pure function of ``spec``: see the module docstring for the
     determinism contract. The kernel runs ``until`` the horizon and is
     *not* drained — a collapsed queue never drains, which is the
-    point.
+    point — and the RI's ledger is closed at the horizon.
     """
     profile = PROFILES_BY_NAME[spec.architecture]
     capacity = RICapacity(signing_units=spec.signing_units,
@@ -370,7 +378,6 @@ def run_storm(spec: StormSpec, tracer=NULL_TRACER,
     slo = ri.attach_slo(spec.objectives())
     policy = RETRY_POLICIES[spec.retry]
     budget = RetryBudget() if spec.retry == "retry-budget" else None
-    registry = metrics if metrics is not None else MetricsRegistry()
 
     horizon_ticks = spec.horizon * slot_ticks
     spike_start_ticks = spec.spike_start * slot_ticks
@@ -384,7 +391,6 @@ def run_storm(spec: StormSpec, tracer=NULL_TRACER,
         return min(bins - 1, tick // bin_ticks)
 
     def record(request: _Request, outcome) -> None:
-        state.resolved += 1
         index = bin_of(outcome.finished)
         if outcome.status == "served":
             state.served_by_bin[index] += 1
@@ -433,24 +439,15 @@ def run_storm(spec: StormSpec, tracer=NULL_TRACER,
             if outcome is not None and outcome.status == "served" \
                     and outcome.finished <= request.deadline:
                 state.successes += 1
-                registry.counter("storm.success")
-                registry.histogram("storm.attempts_to_success",
-                                   attempts)
                 return None
             if outcome is None:
                 # Patience ran out with the request still queued (or
                 # in service): the client walks away, the request
                 # stays — the waste that feeds the metastable regime.
                 state.abandoned += 1
-                registry.counter("storm.abandoned")
-            if attempts >= policy.max_attempts:
+            if attempts >= policy.max_attempts or (
+                    budget is not None and not budget.take()):
                 state.gave_up += 1
-                registry.counter("storm.gave_up")
-                return None
-            if budget is not None and not budget.take():
-                state.gave_up += 1
-                registry.counter("storm.gave_up")
-                registry.counter("storm.retry_denied")
                 return None
             delay_units = policy.backoff_seconds(attempts, salt=name)
             yield Wait(delay_units * slot_ticks)
@@ -474,7 +471,6 @@ def run_storm(spec: StormSpec, tracer=NULL_TRACER,
             kind = kinds.choices(names, weights=weights)[0]
             state.clients += 1
             state.offered_by_bin[bin_of(kernel.now)] += 1
-            registry.counter("storm.clients")
             if budget is not None:
                 budget.on_fresh()
             kernel.spawn("client/%d" % index,
@@ -483,6 +479,7 @@ def run_storm(spec: StormSpec, tracer=NULL_TRACER,
 
     kernel.spawn("source", source())
     kernel.run(until=horizon_ticks)
+    ri.check_conservation()
     kernel.close()
 
     bin_stats = tuple(
@@ -528,7 +525,9 @@ def run_storm(spec: StormSpec, tracer=NULL_TRACER,
         abandoned=state.abandoned,
         served=ri.served, refused=ri.refused, shed=ri.shed,
         timed_out=ri.timed_out, late_served=state.late_served,
-        pending=state.attempts - state.resolved,
+        pending=state.attempts - sum(
+            stat.served + stat.refused + stat.shed + stat.timed_out
+            for stat in bin_stats),
         retries_denied=budget.denied if budget is not None else 0,
         service_ticks_total=ri.service_ticks_total,
         wasted_service_ticks=state.wasted_service_ticks,

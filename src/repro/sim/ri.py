@@ -25,11 +25,12 @@ models that capacity explicitly:
   cache; lookups cost one HMAC probe plus a per-probe SHA-1 tree walk
   that deepens logarithmically with the cache population.
 
-Per-request queue waits and sojourn latencies land in exact
-:class:`~repro.core.stats.StreamingStats` (integer ticks), counters and
-histograms in a :class:`~repro.obs.metrics.MetricsRegistry`, and — when
-a tracer is attached — each served request becomes a span on the shared
-virtual clock via :meth:`~repro.obs.tracer.Tracer.advance_to`.
+Each request is counted once in an outcome ledger, closed by
+:meth:`RIServer.check_conservation` at end of run; sojourn latencies
+land in exact :class:`~repro.core.stats.StreamingStats` (integer
+ticks), and — when a tracer is attached — each served request becomes
+a span on the shared virtual clock via
+:meth:`~repro.obs.tracer.Tracer.advance_to`.
 """
 
 import math
@@ -182,6 +183,11 @@ class RICapacity:
 SERVE_STATUSES = ("served", "refused", "shed", "timed-out")
 
 
+def _ledger_total(row: str) -> property:
+    return property(lambda self: sum(self.ledger[row].values()),
+                    doc="Requests in the ledger's %r row." % row)
+
+
 @dataclass(frozen=True)
 class ServeOutcome:
     """What happened to one request driven through ``serve_request``.
@@ -221,12 +227,9 @@ class ServeOutcome:
 class RIServer:
     """One Rights Issuer instance serving requests on the kernel.
 
-    Device processes drive it with ``yield from ri.serve(kind)``; the
-    returned value is the request's sojourn latency in ticks, or
-    ``None`` when the bounded queue refused the request. The richer
-    ``yield from ri.serve_request(kind, deadline=..., timeout=...)``
-    returns a :class:`ServeOutcome` and engages admission control and
-    in-queue expiry.
+    Device processes drive it with ``yield from ri.serve_request(kind,
+    deadline=..., timeout=...)``, which engages admission control and
+    in-queue expiry and returns a :class:`ServeOutcome`.
     """
 
     def __init__(self, kernel: Kernel, profile: ArchitectureProfile,
@@ -263,17 +266,17 @@ class RIServer:
         }
         self.replay_entries = 0
         self.ocsp_fetches = 0
-        self.served = 0
-        self.refused = 0
-        self.shed = 0
-        self.timed_out = 0
+        #: The outcome ledger, one integer per (row, kind): ``offered``
+        #: counts arrivals, each :data:`SERVE_STATUSES` row resolutions.
+        self.ledger: Dict[str, Dict[str, int]] = {
+            row: dict.fromkeys(REQUEST_KINDS, 0)
+            for row in ("offered",) + SERVE_STATUSES}
         #: Signing-unit ticks spent serving requests (useful against
         #: the wasted-work share a retry storm produces).
         self.service_ticks_total = 0
         self.latency = StreamingStats()
         self.latency_by_kind: Dict[str, StreamingStats] = {
             kind: StreamingStats() for kind in REQUEST_KINDS}
-        self.metrics = MetricsRegistry()
         #: Admission policy consulted on every ``serve_request``
         #: arrival; ``None`` admits everything (the historical path).
         self.admission = admission
@@ -362,24 +365,14 @@ class RIServer:
         return self.slo
 
     def _resolved(self, outcome: ServeOutcome) -> ServeOutcome:
-        """Score a terminal outcome against the bound SLO monitor."""
+        """Book a terminal outcome in the ledger and score it against
+        the bound SLO monitor."""
+        self.ledger[outcome.status][outcome.kind] += 1
         if self.slo is not None:
             self.slo.observe_outcome(outcome)
         return outcome
 
     # -- the serving protocol ---------------------------------------------
-    def serve(self, kind: str) -> Generator[Any, Any, Optional[int]]:
-        """Serve one request; ``yield from`` this in a device process.
-
-        Returns the request's sojourn latency in ticks (queue wait plus
-        service), or ``None`` when the queue refused it. A thin wrapper
-        over :meth:`serve_request` preserving the PR 7 surface.
-        """
-        outcome = yield from self.serve_request(kind)
-        if not outcome.served:
-            return None
-        return outcome.latency
-
     def serve_request(self, kind: str, deadline: Optional[int] = None,
                       timeout: Optional[int] = None
                       ) -> Generator[Any, Any, ServeOutcome]:
@@ -398,14 +391,12 @@ class RIServer:
             raise ValueError("unknown request kind %r (expected one of "
                              "%s)" % (kind, ", ".join(REQUEST_KINDS)))
         arrived = self.kernel.now
+        self.ledger["offered"][kind] += 1
         priority = 0
         if self.admission is not None:
             priority = self.admission.priority(kind)
             reason = self.admission.admit(self, kind, arrived)
             if reason is not None:
-                self.shed += 1
-                self.metrics.counter("ri.shed")
-                self.metrics.counter("ri.shed.%s" % kind)
                 return self._resolved(ServeOutcome(
                     kind=kind, status="shed", arrived=arrived,
                     finished=arrived, shed_reason=reason))
@@ -413,9 +404,6 @@ class RIServer:
         if deadline is not None:
             remaining = deadline - arrived
             if remaining <= 0:
-                self.timed_out += 1
-                self.metrics.counter("ri.timed_out")
-                self.metrics.counter("ri.timed_out.%s" % kind)
                 return self._resolved(ServeOutcome(
                     kind=kind, status="timed-out", arrived=arrived,
                     finished=arrived))
@@ -429,9 +417,6 @@ class RIServer:
             if self.admission is not None:
                 self.admission.on_departed(self, kind, self.kernel.now,
                                            "refused")
-            self.refused += 1
-            self.metrics.counter("ri.refused")
-            self.metrics.counter("ri.refused.%s" % kind)
             return self._resolved(ServeOutcome(
                 kind=kind, status="refused", arrived=arrived,
                 finished=self.kernel.now))
@@ -439,14 +424,10 @@ class RIServer:
             if self.admission is not None:
                 self.admission.on_departed(self, kind, self.kernel.now,
                                            "timed-out")
-            self.timed_out += 1
-            self.metrics.counter("ri.timed_out")
-            self.metrics.counter("ri.timed_out.%s" % kind)
-            waited = self.kernel.now - arrived
-            self.metrics.histogram("ri.expired_wait_ticks", waited)
             return self._resolved(ServeOutcome(
                 kind=kind, status="timed-out", arrived=arrived,
-                finished=self.kernel.now, waited=waited))
+                finished=self.kernel.now,
+                waited=self.kernel.now - arrived))
         if self.admission is not None:
             self.admission.on_departed(self, kind, self.kernel.now,
                                        "granted")
@@ -468,20 +449,64 @@ class RIServer:
         latency = self.kernel.now - arrived
         if kind != "hello":
             self.replay_entries += 1
-        self.served += 1
         self.service_ticks_total += ticks
         self.latency.add(latency)
         self.latency_by_kind[kind].add(latency)
-        self.metrics.counter("ri.served")
-        self.metrics.counter("ri.served.%s" % kind)
-        self.metrics.histogram("ri.wait_ticks", waited)
-        self.metrics.histogram("ri.latency_ticks.%s" % kind, latency)
-        self.metrics.gauge("ri.queue_peak", self.signing.queue_depth
-                           .maximum)
         return self._resolved(ServeOutcome(
             kind=kind, status="served", arrived=arrived,
             finished=self.kernel.now, waited=waited,
             service_ticks=ticks))
+
+    # -- the outcome ledger -----------------------------------------------
+    offered = _ledger_total("offered")
+    served = _ledger_total("served")
+    refused = _ledger_total("refused")
+    shed = _ledger_total("shed")
+    timed_out = _ledger_total("timed-out")
+
+    def check_conservation(self) -> None:
+        """Raise unless ``offered == served + refused + shed +
+        timed-out + in flight``, with *in flight* read from the signing
+        :class:`~repro.sim.kernel.Resource`'s own count (busy + queued)
+        — state the ledger does not keep itself."""
+        in_flight = self.signing.busy + self.signing.queued
+        resolved = (self.served + self.refused + self.shed
+                    + self.timed_out)
+        if self.offered == resolved + in_flight:
+            return
+        rows = "; ".join("%s: %s" % (kind, ", ".join(
+            "%s %d" % (row, counts[kind])
+            for row, counts in self.ledger.items()))
+            for kind in REQUEST_KINDS)
+        raise AssertionError(
+            "RI outcome ledger does not close at tick %d: %d offered, "
+            "%d resolved, %d in flight — %s"
+            % (self.kernel.now, self.offered, resolved, in_flight, rows))
+
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """The books as a registry, built on read: counters
+        ``ri.<status>[.<kind>]`` from the ledger (zero counts omitted,
+        ``timed_out`` for ``timed-out``); histograms
+        ``ri.latency_ticks.<kind>`` (served sojourns) and
+        ``ri.wait_ticks`` (grant waits, so a run stopped at a horizon
+        includes requests still in service); gauge ``ri.queue_peak``,
+        the signing queue's all-run high-water mark."""
+        registry = MetricsRegistry(gauges={
+            "ri.queue_peak": self.signing.queue_depth.maximum})
+        for status in SERVE_STATUSES:
+            name = "ri." + status.replace("-", "_")
+            for kind, count in self.ledger[status].items():
+                if count:
+                    registry.counter(name, count)
+                    registry.counter("%s.%s" % (name, kind), count)
+        histograms = {"ri.latency_ticks." + kind: stats
+                      for kind, stats in self.latency_by_kind.items()}
+        histograms["ri.wait_ticks"] = self.signing.wait_ticks
+        for name, stats in histograms.items():
+            if stats.count:
+                registry.histograms[name] = StreamingStats().merge(stats)
+        return registry
 
     # -- aggregate views --------------------------------------------------
     def utilization(self) -> float:

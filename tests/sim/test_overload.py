@@ -12,9 +12,11 @@ contracts the analysis sweep and CI smoke gate build on.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.architecture import HW_PROFILE, SW_PROFILE
-from repro.obs.metrics import MetricsRegistry
+from repro.sim import overload
 from repro.sim.admission import (ADMISSION_POLICIES, AdmitAll,
                                  CoDelShedder, PriorityAdmission,
                                  TokenBucket, make_admission)
@@ -213,16 +215,11 @@ def test_serve_request_shed_spends_no_queue_slot():
     assert ri.shed == 1 and ri.signing.rejections == 0
 
 
-def test_serve_wrapper_preserves_the_pr7_surface():
+def test_idle_server_latency_is_the_base_service_time():
     kernel, ri = _server()
-    results = {}
-
-    def via_serve(name, kind):
-        results[name] = yield from ri.serve(kind)
-
-    kernel.spawn("a", via_serve("a", "hello"))
-    drain(kernel)
-    assert results["a"] == ri.base_ticks("hello")
+    outcome, = _drive(kernel, ri, [(0, "hello", {})])
+    assert outcome.status == "served"
+    assert outcome.latency == ri.base_ticks("hello")
 
 
 # -- retry budget -----------------------------------------------------------
@@ -343,9 +340,59 @@ def test_storm_times_scale_in_ticks_not_in_service_units():
 
 
 def test_storm_feeds_the_metrics_registry():
-    registry = MetricsRegistry()
-    run_storm(StormSpec(horizon=240, spike_start=60, spike_end=90),
-              metrics=registry)
-    counters = registry.counters
-    assert counters["storm.clients"] > 0
-    assert counters.get("storm.abandoned", 0) > 0
+    result = run_storm(StormSpec(horizon=240, spike_start=60,
+                                 spike_end=90))
+    counters = result.metrics().counters
+    assert counters["storm.clients"] == result.clients > 0
+    assert counters.get("storm.abandoned", 0) == result.abandoned > 0
+    assert counters["storm.success"] == result.successes
+
+
+def _run_storm_capturing_ri(spec):
+    """``run_storm(spec)`` plus the RIServer it built."""
+    servers = []
+
+    class Captured(RIServer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            servers.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(overload, "RIServer", Captured)
+        result = run_storm(spec)
+    ri, = servers
+    return result, ri
+
+
+def test_queue_peak_counts_growth_after_the_last_served_request():
+    # A collapsed storm: the queue is still at its high-water mark when
+    # the horizon falls, well after the last request the RI served.
+    result, ri = _run_storm_capturing_ri(StormSpec(
+        seed="p/0", spike_start=60, spike_end=120, horizon=240))
+    assert result.recovery_bin is None
+    peak = ri.signing.queue_depth.maximum
+    assert peak == ri.signing.queued == result.pending - 1
+    assert ri.metrics.gauges["ri.queue_peak"] == peak
+
+
+@settings(max_examples=12, deadline=None)
+@given(admission=st.sampled_from(ADMISSION_POLICIES),
+       retry=st.sampled_from(RETRY_DISCIPLINES),
+       deadlines=st.booleans(),
+       signing_units=st.sampled_from((1, 2)),
+       queue_limit=st.sampled_from((None, 0, 3)),
+       seed=st.integers(min_value=0, max_value=2 ** 16))
+def test_every_storm_closes_the_ri_ledger(admission, retry, deadlines,
+                                          signing_units, queue_limit,
+                                          seed):
+    # run_storm raises from check_conservation if the books do not
+    # close; the storm's own attempt count must agree with them too.
+    result, ri = _run_storm_capturing_ri(StormSpec(
+        seed="ledger/%d" % seed, admission=admission, retry=retry,
+        deadlines=deadlines, signing_units=signing_units,
+        queue_limit=queue_limit, spike_start=10, spike_end=20,
+        horizon=40, bin_size=10, patience=4))
+    assert ri.offered == result.attempts
+    assert result.pending == ri.signing.busy + ri.signing.queued
+    assert (result.served + result.refused + result.shed
+            + result.timed_out + result.pending) == result.attempts

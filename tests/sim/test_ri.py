@@ -105,28 +105,25 @@ def test_replay_pressure_can_be_disabled():
 
 # -- the serving protocol ---------------------------------------------------
 
-def _drive(ri, kinds):
+def _drive(ri, kinds, until=None):
     """Spawn one process per request, all arriving at tick zero."""
-    latencies = {}
-
-    def request(index, kind):
-        latencies[index] = yield from ri.serve(kind)
-
-    for index, kind in enumerate(kinds):
-        ri.kernel.spawn("req/%d" % index, request(index, kind))
-    ri.kernel.run()
-    return latencies
+    processes = [ri.kernel.spawn("req/%d" % index,
+                                 ri.serve_request(kind))
+                 for index, kind in enumerate(kinds)]
+    ri.kernel.run(until=until)
+    return [process.result for process in processes]
 
 
 def test_serve_records_latency_and_replay_growth():
     _, ri = _server(HW)
-    latencies = _drive(ri, ["hello", "registration", "acquisition"])
+    outcomes = _drive(ri, ["hello", "registration", "acquisition"])
     assert ri.served == 3
     assert ri.refused == 0
     # hello does not populate the replay cache; the others do.
     assert ri.replay_entries == 2
     assert ri.latency.count == 3
-    assert all(value > 0 for value in latencies.values())
+    latencies = [outcome.latency for outcome in outcomes]
+    assert all(value > 0 for value in latencies)
     # Simultaneous arrivals on one signing unit: each latency includes
     # the queue wait behind its predecessors.
     assert latencies[0] < latencies[1] < latencies[2]
@@ -138,10 +135,12 @@ def test_serve_records_latency_and_replay_growth():
 def test_bounded_queue_refuses_and_counts():
     _, ri = _server(HW, capacity=RICapacity(signing_units=1,
                                             queue_limit=1))
-    latencies = _drive(ri, ["hello"] * 3)
+    outcomes = _drive(ri, ["hello"] * 3)
     assert ri.served == 2
     assert ri.refused == 1
-    assert latencies[2] is None  # last arrival found the queue full
+    # The last arrival found the queue full.
+    assert [o.status for o in outcomes] == ["served", "served",
+                                            "refused"]
     counters = ri.metrics.to_dict()["counters"]
     assert counters["ri.refused"] == 1
     assert counters["ri.refused.hello"] == 1
@@ -150,7 +149,51 @@ def test_bounded_queue_refuses_and_counts():
 def test_serve_rejects_unknown_kind():
     _, ri = _server()
     with pytest.raises(ValueError):
-        next(ri.serve("teardown"))
+        next(ri.serve_request("teardown"))
+
+
+# -- the outcome ledger -----------------------------------------------------
+
+def test_ledger_closes_against_requests_still_in_flight():
+    _, ri = _server(HW, capacity=RICapacity(signing_units=1,
+                                            queue_limit=2))
+    # Stop mid-run: one request in service, two queued, one refused.
+    _drive(ri, ["registration"] * 4, until=1)
+    assert (ri.offered, ri.refused, ri.served) == (4, 1, 0)
+    assert (ri.signing.busy, ri.signing.queued) == (1, 2)
+    ri.check_conservation()
+    ri.kernel.run()
+    assert ri.served == 3
+    ri.check_conservation()
+
+
+def test_corrupted_ledger_cell_fails_conservation():
+    _, ri = _server(HW)
+    _drive(ri, ["hello", "acquisition", "acquisition"])
+    ri.check_conservation()
+    ri.ledger["served"]["acquisition"] += 1  # one outcome booked twice
+    with pytest.raises(AssertionError,
+                       match="acquisition: offered 2, served 3"):
+        ri.check_conservation()
+    ri.ledger["served"]["acquisition"] -= 2  # one outcome lost
+    with pytest.raises(AssertionError,
+                       match="acquisition: offered 2, served 1"):
+        ri.check_conservation()
+
+
+def test_metrics_publish_the_ledger_and_signing_stats():
+    _, ri = _server(HW, capacity=RICapacity(signing_units=1,
+                                            queue_limit=1))
+    _drive(ri, ["hello", "registration", "registration"])
+    metrics = ri.metrics
+    assert metrics.counters == {"ri.served": 2, "ri.served.hello": 1,
+                                "ri.served.registration": 1,
+                                "ri.refused": 1,
+                                "ri.refused.registration": 1}
+    assert metrics.histograms["ri.wait_ticks"] == ri.signing.wait_ticks
+    assert metrics.histograms["ri.latency_ticks.registration"] \
+        == ri.latency_by_kind["registration"]
+    assert metrics.gauges["ri.queue_peak"] == 1
 
 
 def test_latency_ms_converts_ticks_at_the_profile_clock():
