@@ -562,7 +562,7 @@ def _command_report(args: argparse.Namespace) -> int:
 def _command_selftest(args: argparse.Namespace) -> int:
     outcome = run_self_tests()
     for name, ok in outcome.results:
-        print("%-14s %s" % (name, "PASS" if ok else "FAIL"))
+        print("%-20s %s" % (name, "PASS" if ok else "FAIL"))
     print("self-test %s" % ("PASSED" if outcome.passed else "FAILED"))
     return 0 if outcome.passed else 1
 

@@ -3,8 +3,12 @@
 Everything OMA DRM 2 mandates (paper §2.4.5) is implemented here with no
 external dependencies:
 
-* :mod:`~repro.crypto.sha1` — SHA-1 hash (FIPS 180)
-* :mod:`~repro.crypto.hmac` — HMAC-SHA1 MAC (RFC 2104)
+* :mod:`~repro.crypto.sha1` — SHA-1 hash (FIPS 180; the one-shot
+  :func:`sha1` runs on ``hashlib``, the :class:`SHA1` class is the
+  tested reference)
+* :mod:`~repro.crypto.hmac` — HMAC-SHA1 MAC (RFC 2104; the one-shot
+  :func:`hmac_sha1` runs on the stdlib ``hmac``, :class:`HMACSHA1` is
+  the tested reference)
 * :mod:`~repro.crypto.aes` — AES block cipher (FIPS 197)
 * :mod:`~repro.crypto.modes` — AES-CBC content encryption
 * :mod:`~repro.crypto.keywrap` — 128-bit AES key wrap (RFC 3394)

@@ -2,7 +2,16 @@
 
 OMA DRM 2 uses HMAC-SHA1 as the MAC algorithm that protects Rights-Object
 integrity and authenticity (the ``<mac>`` element of a protected RO).
+
+The one-shot :func:`hmac_sha1` every caller uses runs on the stdlib
+``hmac`` module over ``hashlib.sha1``. :class:`HMACSHA1`, built on the
+FIPS 180 :class:`~repro.crypto.sha1.SHA1`, is the conformance reference:
+the test suite proves it byte-equal to the stdlib, and ``python -m repro
+selftest`` checks both against an RFC 2202 vector.
 """
+
+import hashlib
+import hmac
 
 from .encoding import constant_time_equal
 from .sha1 import BLOCK_SIZE, SHA1
@@ -51,8 +60,8 @@ class HMACSHA1:
 
 
 def hmac_sha1(key: bytes, message: bytes) -> bytes:
-    """One-shot HMAC-SHA1 of ``message`` under ``key``."""
-    return HMACSHA1(key, message).digest()
+    """One-shot HMAC-SHA1 of ``message`` under ``key`` (stdlib ``hmac``)."""
+    return hmac.new(key, message, hashlib.sha1).digest()
 
 
 def verify_hmac_sha1(key: bytes, message: bytes, tag: bytes) -> bool:

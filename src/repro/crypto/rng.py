@@ -5,6 +5,10 @@ keys and CBC IVs. Real terminals use a hardware TRNG; for a reproducible
 simulation we use an HMAC-SHA1 DRBG seeded explicitly, so every protocol
 run — and therefore every byte on the wire and every recorded operation
 trace — is repeatable.
+
+Every draw runs :func:`~repro.crypto.hmac.hmac_sha1`, which is stdlib
+``hmac`` over ``hashlib.sha1``; RSA key generation (one draw per
+Miller–Rabin witness) is the hot caller. The DRBG is not priced.
 """
 
 from .hmac import hmac_sha1

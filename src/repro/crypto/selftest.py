@@ -8,27 +8,41 @@ one fixed vector per primitive, executed in milliseconds.
 The DRM robustness rules a Certification Authority imposes (paper §2.4.3)
 are exactly the kind of requirement that mandates such self-checks on a
 real terminal.
+
+SHA-1 and HMAC-SHA1 are checked twice: the one-shot functions every
+caller uses (stdlib ``hashlib``/``hmac``) and the FIPS 180 / RFC 2104
+reference classes, both against the same published vector.
 """
 
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple
 
 from .aes import AES
-from .hmac import hmac_sha1
+from .hmac import HMACSHA1, hmac_sha1
 from .kdf import kdf2
 from .keywrap import unwrap, wrap
 from .modes import cbc_encrypt_raw
-from .sha1 import sha1
+from .sha1 import SHA1, sha1
+
+_SHA1_ABC = "a9993e364706816aba3e25717850c26c9cd0d89d"
+_HMAC_KEY = b"\x0b" * 20
+_HMAC_HI_THERE = "b617318655057264e28bc0b6fb378c8ef146be00"
 
 
 def _check_sha1() -> bool:
-    return sha1(b"abc").hex() \
-        == "a9993e364706816aba3e25717850c26c9cd0d89d"
+    return sha1(b"abc").hex() == _SHA1_ABC
+
+
+def _check_sha1_reference() -> bool:
+    return SHA1(b"abc").hexdigest() == _SHA1_ABC
 
 
 def _check_hmac() -> bool:
-    return hmac_sha1(b"\x0b" * 20, b"Hi There").hex() \
-        == "b617318655057264e28bc0b6fb378c8ef146be00"
+    return hmac_sha1(_HMAC_KEY, b"Hi There").hex() == _HMAC_HI_THERE
+
+
+def _check_hmac_reference() -> bool:
+    return HMACSHA1(_HMAC_KEY, b"Hi There").hexdigest() == _HMAC_HI_THERE
 
 
 def _check_aes_encrypt() -> bool:
@@ -73,7 +87,9 @@ def _check_kdf2() -> bool:
 #: conventional split for public-key primitives.
 SELF_TESTS: Dict[str, Callable[[], bool]] = {
     "sha1": _check_sha1,
+    "sha1-reference": _check_sha1_reference,
     "hmac-sha1": _check_hmac,
+    "hmac-sha1-reference": _check_hmac_reference,
     "aes-encrypt": _check_aes_encrypt,
     "aes-decrypt": _check_aes_decrypt,
     "aes-cbc": _check_cbc,

@@ -29,7 +29,7 @@ Exports:
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from .tracer import OPERATION_CATEGORY, STRUCTURE_CATEGORY, Tracer
@@ -43,26 +43,20 @@ ROOT_NAME = "(root)"
 
 @dataclass
 class ProfileNode:
-    """One node of the folded call tree."""
+    """One node of the folded call tree (slotted: a fold makes many)."""
+
+    __slots__ = ("name", "calls", "self_cycles", "children")
 
     name: str
-    calls: int = 0
-    self_cycles: int = 0
-    children: "Dict[str, ProfileNode]" = field(default_factory=dict)
+    calls: int
+    self_cycles: int
+    children: "Dict[str, ProfileNode]"
 
     @property
     def cumulative_cycles(self) -> int:
         """Own cycles plus every descendant's, exactly."""
         return self.self_cycles + sum(
             child.cumulative_cycles for child in self.children.values())
-
-    def child(self, name: str) -> "ProfileNode":
-        """Fetch-or-create the child named ``name``."""
-        node = self.children.get(name)
-        if node is None:
-            node = ProfileNode(name=name)
-            self.children[name] = node
-        return node
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-able nested representation (insertion-ordered)."""
@@ -95,20 +89,24 @@ class ProfileTree:
         containment — zero-cycle structural spans make intervals
         ambiguous, parent links never are. Sibling spans with the same
         name merge into one node (classic profile folding), so ``calls``
-        counts how many spans folded in.
+        counts how many spans folded in. ``tracer.spans`` is already in
+        index order, so a parent is always folded before its children.
         """
-        if architecture == "" and getattr(tracer, "profile", None):
+        if architecture == "":
             architecture = tracer.profile.name
-        root = ProfileNode(name=ROOT_NAME, calls=1)
+        root = ProfileNode(ROOT_NAME, 1, 0, {})
         nodes: Dict[int, ProfileNode] = {}
-        for span in sorted(tracer.spans, key=lambda s: s.index):
-            parent = root if span.parent is None \
-                else nodes[span.parent]
-            node = parent.child(span.name)
+        for span in tracer.spans:
+            siblings = (root if span.parent is None
+                        else nodes[span.parent]).children
+            node = siblings.get(span.name)
+            if node is None:
+                node = siblings[span.name] = ProfileNode(span.name, 0, 0, {})
             node.calls += 1
-            if span.category == OPERATION_CATEGORY:
+            category = span.category
+            if category == OPERATION_CATEGORY:
                 node.self_cycles += span.args["cycles"]
-            if span.category == STRUCTURE_CATEGORY:
+            elif category == STRUCTURE_CATEGORY:
                 nodes[span.index] = node
         return cls(root=root, architecture=architecture,
                    scenario=scenario, seed=seed)

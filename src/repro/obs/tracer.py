@@ -27,14 +27,21 @@ Three record kinds:
 The default tracer everywhere is :data:`NULL_TRACER`, whose every method
 is a constant no-op, so un-instrumented runs (and all pre-existing
 artifacts) stay byte-identical.
+
+Recording is kept cheap because profiling a run must not distort it
+(``benchmarks/bench_obs_overhead.py`` holds the real tracer under 5 % of
+the protocol scenarios): spans and events are slotted, a structural
+span is a small context object rather than a generator, the per-
+algorithm price is looked up once per tracer, and :attr:`Tracer.metrics`
+is derived from the recorded spans and events on read instead of being
+kept up to date on every call.
 """
 
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.architecture import ArchitectureProfile, SW_PROFILE
-from ..core.costs import CostTable, PAPER_TABLE1
+from ..core.costs import CostTable, LinearCost, PAPER_TABLE1
 from ..core.trace import OperationRecord
 
 from .metrics import MetricsRegistry
@@ -55,21 +62,28 @@ DEFAULT_TRACK = "main"
 
 @dataclass
 class Span:
-    """One closed interval on the virtual cycle timeline."""
+    """One closed interval on the virtual cycle timeline.
+
+    Only :class:`Tracer` creates spans, so every field is positional.
+    """
+
+    __slots__ = ("name", "track", "category", "start", "end", "args",
+                 "index", "parent")
 
     name: str
     track: str
     category: str
     start: int
-    end: Optional[int] = None
-    args: Dict[str, Any] = field(default_factory=dict)
-    index: int = 0
+    #: ``None`` while the span is still open.
+    end: Optional[int]
+    args: Dict[str, Any]
+    index: int
     #: ``index`` of the enclosing structural span (``None`` at top
     #: level). Maintained by the tracer's open-span stack so the
     #: profiler can fold spans into an exact call tree without
     #: re-inferring nesting from intervals (zero-width structural spans
     #: would make interval containment ambiguous).
-    parent: Optional[int] = None
+    parent: Optional[int]
 
     def set(self, key: str, value: Any) -> None:
         """Attach (or overwrite) one argument on the span."""
@@ -85,34 +99,103 @@ class Span:
 class Event:
     """One instantaneous mark on the virtual cycle timeline."""
 
+    __slots__ = ("name", "track", "ts", "args", "index")
+
     name: str
     track: str
     ts: int
-    args: Dict[str, Any] = field(default_factory=dict)
-    index: int = 0
+    args: Dict[str, Any]
+    index: int
+
+
+class _SpanContext:
+    """``with tracer.span(...)``: opens the span on enter, closes on exit.
+
+    Nothing is recorded until ``__enter__``, so a span that is never
+    entered cannot leave the open-span stack unbalanced.
+    """
+
+    __slots__ = ("_tracer", "_name", "_track", "_category", "_args",
+                 "_span")
+
+    def __init__(self, tracer: "Tracer", name: str, track: str,
+                 category: str, args: Dict[str, Any]) -> None:
+        self._tracer = tracer
+        self._name = name
+        self._track = track
+        self._category = category
+        self._args = args
+
+    def __enter__(self) -> Span:
+        tracer = self._tracer
+        stack = tracer._open
+        tracer._seq += 1
+        span = Span(self._name, self._track, self._category, tracer.now,
+                    None, self._args, tracer._seq,
+                    stack[-1].index if stack else None)
+        tracer.spans.append(span)
+        stack.append(span)
+        self._span = span
+        return span
+
+    def __exit__(self, *exc: Any) -> bool:
+        self._tracer._open.pop()
+        self._span.end = self._tracer.now
+        return False
 
 
 class Tracer:
-    """Collects spans/events stamped with priced-cycle timestamps."""
+    """Collects spans/events stamped with priced-cycle timestamps.
+
+    ``spans`` and ``events`` are each in ``index`` (recording) order.
+    The profile and cost table are fixed for the tracer's life: prices
+    are looked up once per algorithm.
+    """
 
     enabled = True
 
     def __init__(self, profile: ArchitectureProfile = SW_PROFILE,
                  cost_table: CostTable = PAPER_TABLE1,
                  actor: str = "device") -> None:
-        self.profile = profile
-        self.cost_table = cost_table
+        self._profile = profile
+        self._cost_table = cost_table
         self.actor = actor
         self.now = 0
         self.spans: List[Span] = []
         self.events: List[Event] = []
-        self.metrics = MetricsRegistry()
         self._seq = 0
         self._open: List[Span] = []
+        #: Algorithm value -> (implementation, Table 1 entry).
+        self._prices: Dict[str, Tuple[str, LinearCost]] = {}
 
-    def _next_index(self) -> int:
-        self._seq += 1
-        return self._seq
+    @property
+    def profile(self) -> ArchitectureProfile:
+        """The architecture every operation span is priced under."""
+        return self._profile
+
+    @property
+    def cost_table(self) -> CostTable:
+        """The Table 1 costs every operation span is priced from."""
+        return self._cost_table
+
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """Counts and cycle histograms, derived from what was recorded.
+
+        ``ops.<algorithm>`` counts operation spans, ``cycles.<algorithm>``
+        holds their cycle distribution and ``events.<name>`` counts
+        events. Built on each read.
+        """
+        registry = MetricsRegistry()
+        for span in self.spans:
+            if span.category == OPERATION_CATEGORY:
+                algorithm = span.args["algorithm"]
+                registry.counter("ops." + algorithm)
+                registry.histogram("cycles." + algorithm,
+                                   span.args["cycles"])
+        for event in self.events:
+            registry.counter("events." + event.name)
+        return registry
 
     def advance_to(self, now: int) -> None:
         """Move the virtual clock forward to an externally-owned time.
@@ -127,35 +210,23 @@ class Tracer:
             self.now = now
 
     # -- structural spans ------------------------------------------------
-    @contextmanager
     def span(self, name: str, track: str = DEFAULT_TRACK,
              category: str = STRUCTURE_CATEGORY,
-             **args: Any) -> Iterator[Span]:
+             **args: Any) -> _SpanContext:
         """Open a span at the current virtual time; close it on exit.
 
         The span itself consumes no cycles — its duration is the cycle
         cost of the operations priced inside the ``with`` block.
         """
-        span = Span(name=name, track=track, category=category,
-                    start=self.now, args=dict(args),
-                    index=self._next_index(),
-                    parent=self._open[-1].index if self._open else None)
-        self.spans.append(span)
-        self._open.append(span)
-        try:
-            yield span
-        finally:
-            self._open.pop()
-            span.end = self.now
+        return _SpanContext(self, name, track, category, args)
 
     # -- events ----------------------------------------------------------
     def event(self, name: str, track: str = DEFAULT_TRACK,
               **args: Any) -> Event:
         """Record an instantaneous event at the current virtual time."""
-        event = Event(name=name, track=track, ts=self.now,
-                      args=dict(args), index=self._next_index())
+        self._seq += 1
+        event = Event(name, track, self.now, args, self._seq)
         self.events.append(event)
-        self.metrics.counter("events.%s" % name)
         return event
 
     # -- operation records (MeteredCrypto hook) --------------------------
@@ -163,33 +234,40 @@ class Tracer:
         """Price one trace record and advance the virtual clock.
 
         Called by :class:`~repro.core.meter.MeteredCrypto` for every
-        primitive batch. Pricing uses exactly the same
-        ``cost_table.cycles(record, implementation)`` call as
+        primitive batch. Pricing uses the same Table 1 entry and
+        :meth:`~repro.core.costs.LinearCost.cycles` call as
         :class:`~repro.core.model.PerformanceModel`, so span totals and
         breakdown totals cannot disagree.
         """
-        implementation = self.profile.implementation(record.algorithm)
-        cycles = self.cost_table.cycles(record, implementation)
-        span = Span(
-            name=record.label, track=record.phase.value,
-            category=OPERATION_CATEGORY,
-            start=self.now, end=self.now + cycles,
-            index=self._next_index(),
-            parent=self._open[-1].index if self._open else None,
-            args={
-                "algorithm": record.algorithm.value,
-                "phase": record.phase.value,
-                "label": record.label,
-                "invocations": record.invocations,
-                "blocks": record.blocks,
-                "implementation": implementation,
-                "cycles": cycles,
-            },
-        )
+        # ``_value_`` is the enum member's plain value attribute; the
+        # ``.value`` property and enum hashing cost a Python-level call.
+        algorithm_name = record.algorithm._value_
+        price = self._prices.get(algorithm_name)
+        if price is None:
+            implementation = self._profile.implementation(record.algorithm)
+            price = self._prices[algorithm_name] = (
+                implementation,
+                self._cost_table.cost(record.algorithm, implementation))
+        implementation, cost = price
+        invocations = record.invocations
+        blocks = record.blocks
+        cycles = cost.cycles(invocations, blocks)
+        label = record.label
+        phase = record.phase._value_
+        start = self.now
+        self.now = start + cycles
+        self._seq += 1
+        stack = self._open
+        span = Span(label, phase, OPERATION_CATEGORY, start, self.now, {
+            "algorithm": algorithm_name,
+            "phase": phase,
+            "label": label,
+            "invocations": invocations,
+            "blocks": blocks,
+            "implementation": implementation,
+            "cycles": cycles,
+        }, self._seq, stack[-1].index if stack else None)
         self.spans.append(span)
-        self.now += cycles
-        self.metrics.counter("ops.%s" % record.algorithm.value)
-        self.metrics.histogram("cycles.%s" % record.algorithm.value, cycles)
         return span
 
     # -- aggregate views -------------------------------------------------

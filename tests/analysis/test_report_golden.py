@@ -9,6 +9,9 @@ The comparison is *normalized* — trailing whitespace and line-ending
 differences are ignored, so the snapshot does not break on editor or
 platform noise — but every character of content must match.
 
+The report is built once per module and shared by the three tests; the
+CLI path is covered separately by ``tests/test_cli.py::test_report``.
+
 To regenerate after an intentional change::
 
     UPDATE_GOLDEN=1 python -m pytest tests/analysis/test_report_golden.py
@@ -17,6 +20,8 @@ To regenerate after an intentional change::
 import difflib
 import os
 import pathlib
+
+import pytest
 
 from repro.analysis import report
 from repro.analysis.common import DEFAULT_SEED
@@ -43,6 +48,12 @@ EXPECTED_SECTIONS = (
 )
 
 
+@pytest.fixture(scope="module")
+def document():
+    """The default-seed report, generated once for this module."""
+    return report.generate(seed=DEFAULT_SEED)
+
+
 def normalize(text):
     """Content-only form: universal newlines, no trailing whitespace."""
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -52,8 +63,8 @@ def normalize(text):
     return "\n".join(stripped) + "\n"
 
 
-def test_report_matches_golden_snapshot():
-    generated = normalize(report.generate(seed=DEFAULT_SEED).markdown)
+def test_report_matches_golden_snapshot(document):
+    generated = normalize(document.markdown)
     if os.environ.get("UPDATE_GOLDEN"):
         GOLDEN_PATH.write_text(generated, encoding="utf-8")
     golden = normalize(GOLDEN_PATH.read_text(encoding="utf-8"))
@@ -67,8 +78,8 @@ def test_report_matches_golden_snapshot():
             "intentional, regenerate with UPDATE_GOLDEN=1.\n" + diff)
 
 
-def test_report_sections_in_order():
-    markdown = report.generate(seed=DEFAULT_SEED).markdown
+def test_report_sections_in_order(document):
+    markdown = document.markdown
     position = -1
     for heading in EXPECTED_SECTIONS:
         found = markdown.find(heading)
@@ -76,8 +87,7 @@ def test_report_sections_in_order():
         position = found
 
 
-def test_report_write_roundtrip(tmp_path):
-    document = report.generate(seed=DEFAULT_SEED)
+def test_report_write_roundtrip(document, tmp_path):
     path = tmp_path / "report.md"
     document.write(str(path))
     assert path.read_text(encoding="utf-8") == document.markdown

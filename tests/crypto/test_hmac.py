@@ -1,4 +1,9 @@
-"""HMAC-SHA1: RFC 2202 known-answer vectors and interface behaviour."""
+"""HMAC-SHA1: RFC 2202 known-answer vectors and interface behaviour.
+
+The one-shot :func:`hmac_sha1` runs on the stdlib ``hmac`` module; the
+differential tests therefore check the reference class :class:`HMACSHA1`
+against it, and the known-answer vectors run against both.
+"""
 
 import hashlib
 import hmac as stdlib_hmac
@@ -33,6 +38,7 @@ RFC2202_VECTORS = [
                          ids=["tc%d" % i for i in range(1, 8)])
 def test_rfc2202_vectors(key, message, expected):
     assert hmac_sha1(key, message).hex() == expected
+    assert HMACSHA1(key, message).hexdigest() == expected
 
 
 def test_verify_accepts_valid_tag():
@@ -74,12 +80,14 @@ def test_hexdigest():
 def test_rejects_non_bytes_key():
     with pytest.raises(TypeError):
         HMACSHA1("string-key")
+    with pytest.raises(TypeError):
+        hmac_sha1("string-key", b"message")
 
 
 def test_exact_block_size_key_is_used_verbatim():
     """A 64-octet key must not be hashed (RFC 2104 hashes only longer)."""
     key = b"K" * 64
-    assert hmac_sha1(key, b"msg") == stdlib_hmac.new(
+    assert HMACSHA1(key, b"msg").digest() == stdlib_hmac.new(
         key, b"msg", hashlib.sha1).digest()
 
 
@@ -87,5 +95,5 @@ def test_exact_block_size_key_is_used_verbatim():
        st.binary(min_size=0, max_size=1024))
 @settings(max_examples=150, deadline=None)
 def test_matches_stdlib(key, message):
-    assert hmac_sha1(key, message) == stdlib_hmac.new(
+    assert HMACSHA1(key, message).digest() == stdlib_hmac.new(
         key, message, hashlib.sha1).digest()

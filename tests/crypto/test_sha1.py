@@ -1,4 +1,9 @@
-"""SHA-1: FIPS 180 known-answer vectors, streaming behaviour, properties."""
+"""SHA-1: FIPS 180 known-answer vectors, streaming behaviour, properties.
+
+The one-shot :func:`sha1` runs on ``hashlib``; the differential tests
+therefore check the FIPS 180 reference class :class:`SHA1` against
+``hashlib``, and the known-answer vectors run against both.
+"""
 
 import hashlib
 
@@ -25,6 +30,7 @@ KNOWN_VECTORS = [
                               "million-a"])
 def test_known_vectors(message, expected):
     assert sha1(message).hex() == expected
+    assert SHA1(message).hexdigest() == expected
 
 
 def test_hexdigest_matches_digest():
@@ -64,6 +70,8 @@ def test_update_rejects_text():
     h = SHA1()
     with pytest.raises(TypeError):
         h.update("not bytes")
+    with pytest.raises(TypeError):
+        sha1("not bytes")
 
 
 def test_update_accepts_bytearray_and_memoryview():
@@ -78,13 +86,13 @@ def test_update_accepts_bytearray_and_memoryview():
 def test_padding_boundaries_match_hashlib(length):
     """Lengths around the Merkle-Damgard padding boundaries."""
     message = bytes(range(256))[:1] * length
-    assert sha1(message) == hashlib.sha1(message).digest()
+    assert SHA1(message).digest() == hashlib.sha1(message).digest()
 
 
 @given(st.binary(min_size=0, max_size=2048))
 @settings(max_examples=200, deadline=None)
 def test_matches_hashlib(data):
-    assert sha1(data) == hashlib.sha1(data).digest()
+    assert SHA1(data).digest() == hashlib.sha1(data).digest()
 
 
 @given(st.lists(st.binary(min_size=0, max_size=200), min_size=0,

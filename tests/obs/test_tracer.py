@@ -1,5 +1,7 @@
 """Tracer semantics: cycle timebase, reconciliation, null overhead."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.core.architecture import HW_PROFILE, PAPER_PROFILES, SW_PROFILE
@@ -64,7 +66,7 @@ def test_span_set_attaches_arguments():
 
 
 def test_unentered_span_records_nothing():
-    # span() is a context-manager generator: the span is created and
+    # span() returns a context object: the span is created and
     # pushed on the open-span stack only on __enter__, so a call that
     # is never entered cannot leave the stack unbalanced.
     tracer = Tracer()
@@ -110,8 +112,8 @@ def test_same_seed_runs_are_identical():
         run_scenario("full", tracer, seed=SEED, rsa_bits=BITS)
         return tracer
     a, b = capture(), capture()
-    assert [s.__dict__ for s in a.spans] == [s.__dict__ for s in b.spans]
-    assert [e.__dict__ for e in a.events] == [e.__dict__ for e in b.events]
+    assert [asdict(s) for s in a.spans] == [asdict(s) for s in b.spans]
+    assert [asdict(e) for e in a.events] == [asdict(e) for e in b.events]
     assert a.metrics == b.metrics
 
 
