@@ -67,7 +67,8 @@ class StreamingStats:
 
     def add(self, value: int, weight: int = 1) -> None:
         """Fold in ``value`` observed ``weight`` times."""
-        if not isinstance(value, int) or isinstance(value, bool):
+        if value.__class__ is not int and (
+                not isinstance(value, int) or isinstance(value, bool)):
             raise TypeError("observations must be integers; quantize "
                             "continuous values before adding")
         if weight < 0:
@@ -183,7 +184,8 @@ class TimeWeightedStats:
 
     def observe(self, value: int, now: int) -> None:
         """Record that the tracked quantity became ``value`` at ``now``."""
-        if not isinstance(value, int) or isinstance(value, bool):
+        if value.__class__ is not int and (
+                not isinstance(value, int) or isinstance(value, bool)):
             raise TypeError("time-weighted values must be integers")
         if now < self._since:
             raise ValueError("observations must not move backwards in "

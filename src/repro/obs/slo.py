@@ -122,13 +122,16 @@ class _WindowCounts:
         self.bad = 0
 
     def push(self, tick: int, good: bool) -> None:
-        self.events.append((tick, good))
+        events = self.events
+        events.append((tick, good))
         self.total += 1
         if not good:
             self.bad += 1
         horizon = tick - self.width
-        while self.events and self.events[0][0] <= horizon:
-            _old, was_good = self.events.popleft()
+        # The event just pushed is inside the window (width >= 1), so
+        # the scan stops before the deque empties.
+        while events[0][0] <= horizon:
+            _old, was_good = events.popleft()
             self.total -= 1
             if not was_good:
                 self.bad -= 1
@@ -148,6 +151,7 @@ class _ObjectiveState:
         self.threshold_ticks = (
             None if objective.threshold_units is None
             else int(round(objective.threshold_units * slot_ticks)))
+        self.budget = 1.0 - objective.target
         self.fast = _WindowCounts(objective.fast_window_units
                                   * slot_ticks)
         self.slow = _WindowCounts(objective.slow_window_units
@@ -159,19 +163,22 @@ class _ObjectiveState:
         self._open: Optional[Alert] = None
 
     def observe(self, kind: str, now: int, completed: bool,
-                latency_ticks: int, label: str) -> None:
+                latency_ticks: int, label: str,
+                arrived: Optional[int]) -> None:
         good = completed and (self.threshold_ticks is None
                               or latency_ticks <= self.threshold_ticks)
         self.total += 1
         if not good:
             self.bad += 1
             if len(self.exemplars) < self.objective.max_exemplars:
+                if not label and arrived is not None:
+                    label = "%s@%d" % (kind, arrived)
                 self.exemplars.append(Exemplar(
                     objective=self.objective.name, tick=now, kind=kind,
                     latency_ticks=latency_ticks, label=label))
         self.fast.push(now, good)
         self.slow.push(now, good)
-        budget = 1.0 - self.objective.target
+        budget = self.budget
         fast_burn = self.fast.burn_rate(budget)
         slow_burn = self.slow.burn_rate(budget)
         threshold = self.objective.burn_threshold
@@ -307,20 +314,31 @@ class SLOMonitor:
         self.slot_ticks = slot_ticks
         self._states = [_ObjectiveState(objective, slot_ticks)
                         for objective in objectives]
+        #: kind -> the states whose objective scores it, in
+        #: declaration order; routed on a kind's first observation.
+        self._routes: Dict[str, Tuple[_ObjectiveState, ...]] = {}
 
     def observe(self, kind: str, now: int, completed: bool,
-                latency_ticks: int, label: str = "") -> None:
-        """Score one resolved request against every matching objective."""
-        for state in self._states:
-            if state.objective.matches(kind):
-                state.observe(kind, now, completed, latency_ticks,
-                              label)
+                latency_ticks: int, label: str = "",
+                arrived: Optional[int] = None) -> None:
+        """Score one resolved request against every matching objective.
+
+        An exemplar is labelled ``label``, or ``kind@arrived`` when no
+        label is given — built only for the few exemplars captured.
+        """
+        states = self._routes.get(kind)
+        if states is None:
+            states = self._routes[kind] = tuple(
+                state for state in self._states
+                if state.objective.matches(kind))
+        for state in states:
+            state.observe(kind, now, completed, latency_ticks, label,
+                          arrived)
 
     def observe_outcome(self, outcome: Any) -> None:
         """Score a :class:`~repro.sim.ri.ServeOutcome` (duck-typed)."""
         self.observe(outcome.kind, outcome.finished, outcome.served,
-                     outcome.latency,
-                     label="%s@%d" % (outcome.kind, outcome.arrived))
+                     outcome.latency, arrived=outcome.arrived)
 
     def report(self) -> SLOReport:
         """Freeze the current evaluation into an :class:`SLOReport`."""

@@ -29,6 +29,7 @@ contract.
 """
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, Mapping, Optional, Tuple
 
 from ..core.architecture import PAPER_PROFILES, ArchitectureProfile
@@ -218,7 +219,7 @@ def run_open_load(seed: str, profile: ArchitectureProfile,
     gaps = kernel.stream("arrivals")
     kinds_rng = kernel.stream("kinds")
     names = tuple(mix)
-    weights = tuple(mix[name] for name in names)
+    cum_weights = tuple(accumulate(mix[name] for name in names))
 
     def request(kind: str):
         # Drop the outcome (the ledger has it): a finished process would
@@ -228,7 +229,7 @@ def run_open_load(seed: str, profile: ArchitectureProfile,
     def source():
         for index in range(requests):
             yield Wait(exponential_ticks(gaps, mean_gap))
-            kind = kinds_rng.choices(names, weights=weights)[0]
+            kind = kinds_rng.choices(names, cum_weights=cum_weights)[0]
             kernel.spawn("request/%d" % index, request(kind))
         return None
 

@@ -34,7 +34,6 @@ per RI clock cycle so service times come straight from the priced
 """
 
 import heapq
-from dataclasses import dataclass
 from random import Random
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
@@ -54,21 +53,21 @@ TIMED_OUT = object()
 ProcessBody = Generator[Any, Any, Any]
 
 
-@dataclass(frozen=True)
 class Wait:
     """Suspend the yielding process for ``ticks`` of virtual time."""
 
-    ticks: int
+    __slots__ = ("ticks",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.ticks, int) or isinstance(self.ticks, bool):
+    def __init__(self, ticks: int) -> None:
+        if ticks.__class__ is not int and (
+                not isinstance(ticks, int) or isinstance(ticks, bool)):
             raise TypeError("waits must be integer ticks; quantize "
                             "continuous delays before yielding")
-        if self.ticks < 0:
+        if ticks < 0:
             raise ValueError("a process cannot wait backwards in time")
+        self.ticks = ticks
 
 
-@dataclass(frozen=True)
 class Acquire:
     """Request one unit of ``resource``; resumes with a grant token.
 
@@ -82,28 +81,39 @@ class Acquire:
     exactly.
     """
 
-    resource: "Resource"
-    timeout: Optional[int] = None
-    priority: int = 0
+    __slots__ = ("resource", "timeout", "priority")
 
-    def __post_init__(self) -> None:
-        if self.timeout is not None:
-            if not isinstance(self.timeout, int) \
-                    or isinstance(self.timeout, bool):
+    def __init__(self, resource: "Resource",
+                 timeout: Optional[int] = None, priority: int = 0) -> None:
+        if timeout is not None:
+            if not isinstance(timeout, int) or isinstance(timeout, bool):
                 raise TypeError("acquire timeouts are integer ticks")
-            if self.timeout < 0:
+            if timeout < 0:
                 raise ValueError("an acquire timeout cannot be "
                                  "negative")
-        if not isinstance(self.priority, int) \
-                or isinstance(self.priority, bool):
+        if priority.__class__ is not int and (
+                not isinstance(priority, int)
+                or isinstance(priority, bool)):
             raise TypeError("acquire priorities are integers")
+        self.resource = resource
+        self.timeout = timeout
+        self.priority = priority
 
 
-@dataclass(frozen=True)
 class Release:
     """Return one previously granted unit of ``resource``."""
 
-    resource: "Resource"
+    __slots__ = ("resource",)
+
+    def __init__(self, resource: "Resource") -> None:
+        self.resource = resource
+
+
+def _require_ticks(value: Any, what: str) -> None:
+    """Raise ``TypeError`` unless ``value`` is an integer tick count."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError("%s must be integer ticks; virtual time has no "
+                        "fractions" % what)
 
 
 class Process:
@@ -137,9 +147,6 @@ class _Waiter:
         #: timer is a no-op (popped without advancing the clock).
         self.alive = True
 
-    def sort_key(self) -> Tuple[int, int]:
-        return (self.priority, self.order)
-
 
 class _Expiry:
     """A heap entry that expires one queued waiter at its deadline."""
@@ -170,9 +177,11 @@ class Kernel:
         self.events_executed = 0
 
     # -- logging ----------------------------------------------------------
-    def _log(self, kind: str, process: str, *detail: Any) -> None:
-        if self.record_log:
-            self.log.append((self.now, kind, process) + detail)
+    def _log(self, at: int, kind: str, process: str,
+             *detail: Any) -> None:
+        # Callers test ``record_log`` first: an unlogged run never
+        # pays for the call or its argument tuple.
+        self.log.append((at, kind, process) + detail)
 
     def event_log(self) -> Tuple[Tuple[Any, ...], ...]:
         """The immutable event log (bit-identical per seed and spawns)."""
@@ -202,6 +211,8 @@ class Kernel:
         """
         if name in self._processes:
             raise ValueError("process name %r already registered" % name)
+        if at.__class__ is not int:
+            _require_ticks(at, "spawn offsets")
         if at < 0:
             raise ValueError("a process cannot start in the past")
         process = Process(name, body)
@@ -210,7 +221,8 @@ class Kernel:
             # A spawn issued by a running process inherits that
             # process's deterministic position in the schedule — it is
             # scheduled (and logged) immediately.
-            self._log_at(self.now + at, "spawn", name)
+            if self.record_log:
+                self._log(self.now + at, "spawn", name)
             self._schedule(process, self.now + at, None)
         else:
             self._pending.append((self.now + at, process))
@@ -235,14 +247,10 @@ class Kernel:
         # spawn set schedules identically.
         self._pending.sort(key=lambda entry: (entry[0], entry[1].name))
         for at, process in self._pending:
-            self._log_at(at, "spawn", process.name)
+            if self.record_log:
+                self._log(at, "spawn", process.name)
             self._schedule(process, at, None)
         self._pending.clear()
-
-    def _log_at(self, at: int, kind: str, process: str,
-                *detail: Any) -> None:
-        if self.record_log:
-            self.log.append((at, kind, process) + detail)
 
     # -- the event loop ---------------------------------------------------
     def run(self, until: Optional[int] = None) -> int:
@@ -251,19 +259,30 @@ class Kernel:
         Returns the virtual time at exit. Pausing with ``until`` and
         calling ``run`` again replays exactly the schedule an unpaused
         run would have executed — the pause is invisible to processes.
+
+        Commands dispatch on their exact class, so a subclass of
+        :class:`Wait`, :class:`Acquire` or :class:`Release` is rejected
+        like any other foreign yield.
         """
-        if until is not None and until < self.now:
-            raise ValueError("cannot run until a time already passed")
+        if until is not None:
+            _require_ticks(until, "run horizons")
+            if until < self.now:
+                raise ValueError("cannot run until a time already "
+                                 "passed")
         self._flush_pending()
         self._running = True
+        heap = self._heap
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        log = self.log if self.record_log else None
         try:
-            while self._heap:
-                at, _seq, entry = self._heap[0]
+            while heap:
+                at, _seq, entry = heap[0]
                 if until is not None and at > until:
                     self.now = until
                     return self.now
-                heapq.heappop(self._heap)
-                if isinstance(entry, _Expiry):
+                heappop(heap)
+                if entry.__class__ is _Expiry:
                     if not entry.waiter.alive:
                         # A cancelled timer (its waiter was granted or
                         # rejected first) is popped silently: no clock
@@ -277,7 +296,36 @@ class Kernel:
                     continue
                 self.now = at
                 self.events_executed += 1
-                self._step(entry)
+                # Resume the process with its inbox, then act on the
+                # command it yields next.
+                entry.state = "running"
+                inbox = entry._inbox
+                entry._inbox = None
+                try:
+                    command = entry.body.send(inbox)
+                except StopIteration as stop:
+                    entry.state = "done"
+                    entry.result = stop.value
+                    if log is not None:
+                        log.append((at, "exit", entry.name))
+                    continue
+                kind = command.__class__
+                if kind is Wait:
+                    entry.state = "waiting"
+                    if log is not None:
+                        log.append((at, "wait", entry.name,
+                                    command.ticks))
+                    self._seq += 1
+                    heappush(heap, (at + command.ticks, self._seq, entry))
+                elif kind is Acquire:
+                    command.resource._request(entry, command.timeout,
+                                              command.priority)
+                elif kind is Release:
+                    command.resource._release(entry)
+                else:
+                    raise TypeError(
+                        "process %r yielded %r; expected Wait, Acquire "
+                        "or Release" % (entry.name, command))
         finally:
             self._running = False
         if until is not None and until > self.now:
@@ -307,30 +355,6 @@ class Kernel:
                 # closing — the release it would have issued had it
                 # finished. There is no scheduler left to hand it to.
                 pass
-
-    def _step(self, process: Process) -> None:
-        process.state = "running"
-        inbox, process._inbox = process._inbox, None
-        try:
-            command = process.body.send(inbox)
-        except StopIteration as stop:
-            process.state = "done"
-            process.result = stop.value
-            self._log("exit", process.name)
-            return
-        if isinstance(command, Wait):
-            process.state = "waiting"
-            self._log("wait", process.name, command.ticks)
-            self._schedule(process, self.now + command.ticks, None)
-        elif isinstance(command, Acquire):
-            command.resource._request(process, timeout=command.timeout,
-                                      priority=command.priority)
-        elif isinstance(command, Release):
-            command.resource._release(process)
-        else:
-            raise TypeError(
-                "process %r yielded %r; expected Wait, Acquire or "
-                "Release" % (process.name, command))
 
     # -- snapshots --------------------------------------------------------
     def state_digest(self) -> str:
@@ -403,61 +427,72 @@ class Resource:
 
     # -- kernel-facing mechanics ------------------------------------------
     def _grant(self, process: Process, waited: int) -> None:
+        kernel = self.kernel
+        now = kernel.now
         self._busy += 1
-        self.busy_servers.observe(self._busy, self.kernel.now)
+        self.busy_servers.observe(self._busy, now)
         self.grants += 1
         self.wait_ticks.add(waited)
         process.state = "granted"
-        self.kernel._log("grant", process.name, self.name, waited)
-        self.kernel._schedule(process, self.kernel.now, self)
+        if kernel.record_log:
+            kernel._log(now, "grant", process.name, self.name, waited)
+        kernel._schedule(process, now, self)
 
     def _request(self, process: Process, timeout: Optional[int] = None,
                  priority: int = 0) -> None:
-        now = self.kernel.now
-        if self._busy < self.capacity and not self._queue:
+        kernel = self.kernel
+        now = kernel.now
+        queue = self._queue
+        if self._busy < self.capacity and not queue:
             self._grant(process, 0)
         elif (self.queue_limit is not None
-              and len(self._queue) >= self.queue_limit):
+              and len(queue) >= self.queue_limit):
             self.rejections += 1
             process.state = "rejected"
-            self.kernel._log("reject", process.name, self.name)
-            self.kernel._schedule(process, now, REJECTED)
+            if kernel.record_log:
+                kernel._log(now, "reject", process.name, self.name)
+            kernel._schedule(process, now, REJECTED)
         elif timeout == 0:
             # Zero patience and no free server: the request expires on
             # arrival, before ever occupying a queue slot.
             self.timeouts += 1
             process.state = "timed-out"
-            self.kernel._log("timeout", process.name, self.name, 0)
-            self.kernel._schedule(process, now, TIMED_OUT)
+            if kernel.record_log:
+                kernel._log(now, "timeout", process.name, self.name, 0)
+            kernel._schedule(process, now, TIMED_OUT)
         else:
             self._order += 1
             waiter = _Waiter(process, now, priority, self._order)
-            index = len(self._queue)
-            key = waiter.sort_key()
-            while index > 0 \
-                    and self._queue[index - 1].sort_key() > key:
+            # Queue order is (priority, order). The newcomer's order is
+            # the largest yet, so it goes behind every waiter of equal
+            # or better priority: scan back past strictly worse ones.
+            index = len(queue)
+            while index > 0 and queue[index - 1].priority > priority:
                 index -= 1
-            self._queue.insert(index, waiter)
-            self.queue_depth.observe(len(self._queue), now)
+            queue.insert(index, waiter)
+            self.queue_depth.observe(len(queue), now)
             process.state = "queued"
-            self.kernel._log("enqueue", process.name, self.name)
+            if kernel.record_log:
+                kernel._log(now, "enqueue", process.name, self.name)
             if timeout is not None:
-                self.kernel._schedule_timer(_Expiry(self, waiter),
-                                            now + timeout)
+                kernel._schedule_timer(_Expiry(self, waiter),
+                                       now + timeout)
 
     def _release(self, process: Process) -> None:
         if self._busy < 1:
             raise ValueError(
                 "process %r released %r, which has no unit out"
                 % (process.name, self.name))
-        now = self.kernel.now
+        kernel = self.kernel
+        now = kernel.now
         self._busy -= 1
         self.busy_servers.observe(self._busy, now)
-        self.kernel._log("release", process.name, self.name)
+        if kernel.record_log:
+            kernel._log(now, "release", process.name, self.name)
         # The releasing process resumes first (it was scheduled before
         # the waiter it unblocks), then the head-of-line waiter — both
         # at the current tick, ordered by seq: FIFO, never hash order.
-        self.kernel._schedule(process, now, None)
+        kernel._schedule(process, now, None)
         if self._queue:
             waiter = self._queue.pop(0)
             # Granting cancels any armed expiry timer for this waiter.
@@ -469,13 +504,15 @@ class Resource:
         """Fire one armed expiry: the waiter leaves the queue unserved."""
         waiter.alive = False
         self._queue.remove(waiter)
-        now = self.kernel.now
+        kernel = self.kernel
+        now = kernel.now
         self.queue_depth.observe(len(self._queue), now)
         self.timeouts += 1
         waiter.process.state = "timed-out"
-        self.kernel._log("timeout", waiter.process.name, self.name,
-                         now - waiter.enqueued)
-        self.kernel._schedule(waiter.process, now, TIMED_OUT)
+        if kernel.record_log:
+            kernel._log(now, "timeout", waiter.process.name, self.name,
+                        now - waiter.enqueued)
+        kernel._schedule(waiter.process, now, TIMED_OUT)
 
     # -- statistics -------------------------------------------------------
     @property

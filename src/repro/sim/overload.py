@@ -46,6 +46,7 @@ ticks throughout — the same spec produces the same
 """
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any, Dict, Generator, List, Mapping, Optional, Tuple
 
 from ..core.architecture import PAPER_PROFILES, ArchitectureProfile
@@ -453,7 +454,8 @@ def run_storm(spec: StormSpec, tracer=NULL_TRACER) -> StormResult:
             yield Wait(delay_units * slot_ticks)
 
     names = tuple(DEFAULT_REQUEST_MIX)
-    weights = tuple(DEFAULT_REQUEST_MIX[name] for name in names)
+    cum_weights = tuple(accumulate(DEFAULT_REQUEST_MIX[name]
+                                   for name in names))
     gaps = kernel.stream("arrivals")
     kinds = kernel.stream("kinds")
 
@@ -468,7 +470,7 @@ def run_storm(spec: StormSpec, tracer=NULL_TRACER) -> StormResult:
             yield Wait(exponential_ticks(gaps, mean_gap))
             if kernel.now >= horizon_ticks:
                 return None
-            kind = kinds.choices(names, weights=weights)[0]
+            kind = kinds.choices(names, cum_weights=cum_weights)[0]
             state.clients += 1
             state.offered_by_bin[bin_of(kernel.now)] += 1
             if budget is not None:

@@ -33,13 +33,12 @@ a span on the shared virtual clock via
 :meth:`~repro.obs.tracer.Tracer.advance_to`.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, Mapping, Optional, Tuple
 
 from ..core.architecture import ArchitectureProfile
 from ..core.costs import PAPER_TABLE1, CostTable
-from ..core.stats import StreamingStats
+from ..core.stats import StreamingStats, merge_all
 from ..core.trace import Algorithm, OperationRecord, Phase
 from ..obs.metrics import MetricsRegistry
 from ..obs.slo import DEFAULT_OBJECTIVES, Objective, SLOMonitor
@@ -265,6 +264,8 @@ class RIServer:
             for kind in REQUEST_KINDS
         }
         self.replay_entries = 0
+        #: Replay-probe cycles per cache depth, priced on first use.
+        self._probe_ticks: Dict[int, int] = {}
         self.ocsp_fetches = 0
         #: The outcome ledger, one integer per (row, kind): ``offered``
         #: counts arrivals, each :data:`SERVE_STATUSES` row resolutions.
@@ -274,9 +275,10 @@ class RIServer:
         #: Signing-unit ticks spent serving requests (useful against
         #: the wasted-work share a retry storm produces).
         self.service_ticks_total = 0
-        self.latency = StreamingStats()
         self.latency_by_kind: Dict[str, StreamingStats] = {
             kind: StreamingStats() for kind in REQUEST_KINDS}
+        self._span_names = {kind: "ri.serve." + kind
+                            for kind in REQUEST_KINDS}
         #: Admission policy consulted on every ``serve_request``
         #: arrival; ``None`` admits everything (the historical path).
         self.admission = admission
@@ -299,18 +301,22 @@ class RIServer:
 
         One keyed HMAC over the nonce plus a hash per level of a
         balanced lookup structure: ``ceil(log2(entries + 1))`` SHA-1
-        invocations — the cache-pressure term that makes long-lived RI
-        instances measurably slower per request.
+        invocations (``entries.bit_length()``, its exact integer form;
+        the float spelling agrees below 2**49 entries) — the
+        cache-pressure term that makes long-lived RI instances
+        measurably slower per request. Priced once per depth.
         """
-        table = self.cost_table
-        impl = self.profile.implementation
-        hmac = table.cost(Algorithm.HMAC_SHA1,
-                          impl(Algorithm.HMAC_SHA1)).cycles(1, 2)
-        depth = math.ceil(math.log2(self.replay_entries + 1)) \
-            if self.replay_entries else 0
-        probe = table.cost(Algorithm.SHA1,
-                           impl(Algorithm.SHA1)).cycles(depth, depth * 2)
-        return hmac + probe
+        depth = self.replay_entries.bit_length()
+        ticks = self._probe_ticks.get(depth)
+        if ticks is None:
+            table = self.cost_table
+            impl = self.profile.implementation
+            hmac = table.cost(Algorithm.HMAC_SHA1,
+                              impl(Algorithm.HMAC_SHA1)).cycles(1, 2)
+            probe = table.cost(Algorithm.SHA1, impl(Algorithm.SHA1)
+                               ).cycles(depth, depth * 2)
+            ticks = self._probe_ticks[depth] = hmac + probe
+        return ticks
 
     def service_ticks(self, kind: str) -> int:
         """Total signing-unit occupancy to serve ``kind`` right now.
@@ -436,7 +442,7 @@ class RIServer:
         try:
             ticks = self.service_ticks(kind)
             self.tracer.advance_to(self.kernel.now)
-            with self.tracer.span("ri.serve.%s" % kind, track="ri",
+            with self.tracer.span(self._span_names[kind], track="ri",
                                   waited_ticks=waited) as span:
                 yield Wait(ticks)
                 self.tracer.advance_to(self.kernel.now)
@@ -450,7 +456,6 @@ class RIServer:
         if kind != "hello":
             self.replay_entries += 1
         self.service_ticks_total += ticks
-        self.latency.add(latency)
         self.latency_by_kind[kind].add(latency)
         return self._resolved(ServeOutcome(
             kind=kind, status="served", arrived=arrived,
@@ -482,6 +487,11 @@ class RIServer:
             "RI outcome ledger does not close at tick %d: %d offered, "
             "%d resolved, %d in flight — %s"
             % (self.kernel.now, self.offered, resolved, in_flight, rows))
+
+    @property
+    def latency(self) -> StreamingStats:
+        """Served sojourn latencies of every kind, merged on read."""
+        return merge_all(self.latency_by_kind.values())
 
     @property
     def metrics(self) -> MetricsRegistry:

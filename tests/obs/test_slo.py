@@ -15,6 +15,7 @@ from repro.obs.slo import (DEFAULT_OBJECTIVES, MIN_WINDOW_EVENTS,
                            Objective, SLOMonitor)
 from repro.sim.fleet import run_open_load
 from repro.sim.overload import StormSpec, run_storm
+from repro.sim.ri import RICapacity, nominal_service_ticks
 
 LATENCY = Objective(name="lat", kind="req", threshold_units=10.0,
                     target=0.9, fast_window_units=20,
@@ -140,6 +141,27 @@ def test_exemplars_capture_first_breaches_up_to_cap():
     assert ticks[0] == 0
 
 
+def test_exemplar_label_is_explicit_or_kind_at_arrival():
+    slo = monitor()
+    slo.observe("req", now=5, completed=False, latency_ticks=0,
+                label="replay-me", arrived=1)
+    slo.observe("req", now=6, completed=False, latency_ticks=4,
+                arrived=2)
+    slo.observe("req", now=7, completed=False, latency_ticks=0)
+    labels = [ex.label for ex in slo.report().objective("lat").exemplars]
+    assert labels == ["replay-me", "req@2", ""]
+
+
+def test_each_kind_scores_every_matching_objective():
+    wildcard = Objective(name="all", kind="*", target=0.9)
+    slo = monitor(objectives=(LATENCY, wildcard))
+    for now, kind in enumerate(("req", "other", "req", "other", "req")):
+        slo.observe(kind, now=now, completed=True, latency_ticks=0)
+    report = slo.report()
+    assert report.objective("lat").total == 3
+    assert report.objective("all").total == 5
+
+
 def test_monitor_is_deterministic():
     def run():
         slo = monitor()
@@ -161,6 +183,25 @@ def test_open_load_attaches_slo_report():
                 if report.name != "goodput")
     assert total == 60
     assert slo.objective("goodput").total == 60
+
+
+def test_kernel_exemplars_read_kind_at_arrival_under_the_cap():
+    rate = SW_PROFILE.clock_hz / nominal_service_ticks(SW_PROFILE)
+    result = run_open_load("slo-exemplars", SW_PROFILE, 1.2 * rate,
+                           requests=300,
+                           capacity=RICapacity(queue_limit=8))
+    captured = 0
+    for report, objective in zip(result.load.slo.objectives,
+                                 DEFAULT_OBJECTIVES):
+        cap = objective.max_exemplars
+        assert len(report.exemplars) == min(report.bad, cap)
+        for exemplar in report.exemplars:
+            arrived = exemplar.tick - exemplar.latency_ticks
+            assert exemplar.label == "%s@%d" % (exemplar.kind, arrived)
+        captured += len(report.exemplars)
+    # Every objective breached more often than it keeps exemplars.
+    assert captured == sum(objective.max_exemplars
+                           for objective in DEFAULT_OBJECTIVES)
 
 
 def test_storm_slo_alerts_are_reproducible():

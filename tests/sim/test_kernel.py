@@ -37,6 +37,102 @@ def test_spawn_rejects_negative_start():
         kernel.spawn("p", iter(()), at=-1)
 
 
+@pytest.mark.parametrize("at", [1.5, True, 2.0])
+def test_spawn_rejects_non_integer_start(at):
+    kernel = Kernel(seed="unit")
+    with pytest.raises(TypeError):
+        kernel.spawn("p", iter(()), at=at)
+    assert kernel.run() == 0
+
+
+def test_midrun_spawn_rejects_non_integer_offset():
+    kernel = Kernel(seed="unit")
+
+    def parent():
+        yield Wait(1)
+        kernel.spawn("child", iter(()), at=1.5)
+
+    kernel.spawn("parent", parent())
+    with pytest.raises(TypeError):
+        kernel.run()
+    assert kernel.now == 1
+
+
+@pytest.mark.parametrize("until", [1.5, True, 2.0])
+def test_run_rejects_non_integer_horizon(until):
+    kernel = Kernel(seed="unit")
+
+    def body():
+        yield Wait(1)
+
+    kernel.spawn("p", body())
+    with pytest.raises(TypeError):
+        kernel.run(until=until)
+    assert kernel.now == 0
+    assert kernel.run() == 1
+
+
+def test_command_subclasses_are_foreign_yields():
+    """Dispatch is on the exact command class, not isinstance."""
+    class LongWait(Wait):
+        pass
+
+    kernel = Kernel(seed="unit")
+
+    def body():
+        yield LongWait(3)
+
+    kernel.spawn("p", body())
+    with pytest.raises(TypeError, match="expected Wait, Acquire or "
+                                        "Release"):
+        kernel.run()
+
+
+def test_commands_are_slotted():
+    wait = Wait(4)
+    assert wait.ticks == 4
+    acquire = Acquire(None, timeout=7, priority=2)
+    assert (acquire.resource, acquire.timeout, acquire.priority) \
+        == (None, 7, 2)
+    assert Release(None).resource is None
+    for command in (wait, acquire, Release(None)):
+        assert not hasattr(command, "__dict__")
+
+
+def test_unlogged_kernel_records_nothing_and_matches_logged_run():
+    def build(record_log):
+        kernel = Kernel(seed="unit", record_log=record_log)
+        resource = Resource(kernel, "r", queue_limit=2)
+        order = []
+
+        def body(name, timeout):
+            grant = yield Acquire(resource, timeout=timeout)
+            order.append((name, kernel.now, grant is resource))
+            if grant is resource:
+                yield Wait(5)
+                yield Release(resource)
+
+        # a is served, b times out in the queue, c expires on
+        # arrival, d waits its turn and e finds the queue full.
+        for name, timeout in (("a", None), ("b", 2), ("c", 0),
+                              ("d", None), ("e", None)):
+            kernel.spawn(name, body(name, timeout))
+        kernel.run()
+        return kernel, order
+
+    logged, logged_order = build(True)
+    unlogged, unlogged_order = build(False)
+    assert unlogged.log == []
+    assert {entry[1] for entry in logged.log} == {
+        "spawn", "grant", "enqueue", "timeout", "reject", "wait",
+        "release", "exit"}
+    assert unlogged_order == logged_order == [
+        ("a", 0, True), ("c", 0, False), ("e", 0, False),
+        ("b", 2, False), ("d", 5, True)]
+    assert unlogged.events_executed == logged.events_executed
+    assert unlogged.state_digest() == logged.state_digest()
+
+
 def test_run_rejects_past_deadline():
     kernel = Kernel(seed="unit")
 

@@ -7,11 +7,15 @@ that price the terminal side — so the RI cannot drift onto a private
 notion of what crypto costs.
 """
 
+import math
+
 import pytest
 
 from repro.core.architecture import (HW_PROFILE, PAPER_PROFILES,
                                      SW_PROFILE)
 from repro.core.costs import PAPER_TABLE1
+from repro.core.stats import StreamingStats, merge_all
+from repro.core.trace import Algorithm
 from repro.obs.tracer import Tracer
 from repro.sim.kernel import Kernel
 from repro.sim.ri import (REQUEST_KINDS, RICapacity, RIServer,
@@ -97,6 +101,20 @@ def test_replay_probe_grows_logarithmically():
     assert ri.replay_probe_ticks() - million <= million - empty
 
 
+def test_replay_probe_is_priced_per_cache_depth():
+    _, ri = _server()
+    impl = ri.profile.implementation
+    hmac = PAPER_TABLE1.cost(Algorithm.HMAC_SHA1,
+                             impl(Algorithm.HMAC_SHA1)).cycles(1, 2)
+    sha1 = PAPER_TABLE1.cost(Algorithm.SHA1, impl(Algorithm.SHA1))
+    for entries in (0, 1, 2, 3, 4, 7, 8, 1023, 1024, 1_000_000):
+        ri.replay_entries = entries
+        depth = math.ceil(math.log2(entries + 1)) if entries else 0
+        expected = hmac + sha1.cycles(depth, depth * 2)
+        assert ri.replay_probe_ticks() == expected
+        assert ri.replay_probe_ticks() == expected  # the memoized path
+
+
 def test_replay_pressure_can_be_disabled():
     _, ri = _server(replay_pressure=False)
     assert ri.service_ticks("acquisition") == \
@@ -130,6 +148,24 @@ def test_serve_records_latency_and_replay_growth():
     counters = ri.metrics.to_dict()["counters"]
     assert counters["ri.served"] == 3
     assert counters["ri.served.hello"] == 1
+
+
+def test_latency_is_the_merge_of_per_kind_latencies():
+    _, ri = _server(SW_PROFILE, capacity=RICapacity(signing_units=2,
+                                                    queue_limit=9))
+    kinds = [REQUEST_KINDS[index % 3] for index in range(14)]
+    outcomes = _drive(ri, kinds)
+    served = [outcome for outcome in outcomes if outcome.served]
+    assert 0 < len(served) < len(outcomes)
+    assert ri.latency == merge_all(ri.latency_by_kind.values())
+    expected = StreamingStats()
+    expected.extend(outcome.latency for outcome in served)
+    assert ri.latency.summary() == expected.summary()
+    assert ri.latency.count == ri.served == len(served)
+    # Built on read: the view is a fresh accumulator each time.
+    view = ri.latency
+    view.add(1)
+    assert ri.latency == expected
 
 
 def test_bounded_queue_refuses_and_counts():
