@@ -6,14 +6,28 @@ DCF and AES Key Wrap for the two-layer key chain (``K_CEK`` under ``K_REK``,
 under the device key ``K_DEV``).
 
 The S-box is derived from first principles (GF(2^8) inversion plus the
-affine transform) rather than pasted as a constant table, and the round
-function is realized with the classic 32-bit T-table formulation: each
-T-table entry combines SubBytes, ShiftRows and MixColumns for one byte
-position, so a round is 16 table lookups and a handful of XORs. This keeps
-a from-scratch implementation fast enough to run multi-kilobyte DCF
-payloads functionally. 192- and 256-bit keys are supported as well (the
-ROAP registration phase lets peers negotiate non-default algorithms), but
-all DRM defaults use 128-bit keys.
+affine transform) rather than pasted as a constant table. There are two
+cipher cores:
+
+* The per-block core uses the classic 32-bit T-table formulation: each
+  T-table entry combines SubBytes, ShiftRows and MixColumns for one byte
+  position, so a round is 16 table lookups and a handful of XORs. It
+  runs CBC encryption and key wrap, which are chains, and is the
+  reference every other path is checked against.
+* :meth:`AES.decrypt_blocks` decrypts any number of independent blocks
+  in whole-buffer steps, which is what CBC decryption needs: there no
+  block depends on another block's result. Each round of the equivalent
+  inverse cipher is one InvShiftRows permutation (strided slices with a
+  16-octet period), four ``bytes.translate`` lookups through tables of
+  InvSBox∘{14, 11, 13, 9}·x, each on a copy of the state whose columns
+  are rotated by 0-3 rows (the InvMixColumns rotations, done as octet
+  moves before the lookup), and the XOR of the four results with the
+  round key repeated once per block. Its cost per round is a fixed
+  number of buffer operations, whatever the block count.
+
+192- and 256-bit keys are supported as well (the ROAP registration phase
+lets peers negotiate non-default algorithms), but all DRM defaults use
+128-bit keys.
 """
 
 import struct
@@ -108,6 +122,44 @@ _D0, _D1, _D2, _D3 = _build_decrypt_tables()
 _INV_MIX = tuple(
     _D0[_SBOX[byte]] for byte in range(256)
 )
+
+
+#: ``bytes.translate`` tables for the whole-buffer inverse cipher: the
+#: inverse S-box fused with each InvMixColumns coefficient, in the order
+#: (14, 11, 13, 9) in which a column's row r takes them from rows
+#: r, r+1, r+2, r+3.
+_INV_ROUND_TABLES = tuple(
+    bytes(_gf_mul(s, factor) for s in _INV_SBOX) for factor in (14, 11, 13, 9)
+)
+_INV_SBOX_TABLE = bytes(_INV_SBOX)
+
+#: InvShiftRows on a column-major block (octet 4c + r holds row r of
+#: column c): row r moves r columns right. Each pair is (destination,
+#: source); row 0 stays put and is left out.
+_INV_SHIFT_ROWS = tuple(
+    (4 * column + row, 4 * ((column - row) % 4) + row)
+    for column in range(4) for row in range(1, 4)
+)
+
+
+def _inv_shift_rows(data: bytes) -> bytearray:
+    """InvShiftRows on every block of ``data`` at once."""
+    out = bytearray(data)
+    for destination, source in _INV_SHIFT_ROWS:
+        out[destination::BLOCK_SIZE] = data[source::BLOCK_SIZE]
+    return out
+
+
+def _rotate_columns(data: bytearray, rows: int) -> bytearray:
+    """Move every 4-octet column of ``data`` up by ``rows`` rows.
+
+    Row r of each column takes row r + rows (mod 4): one copy shifted by
+    ``rows`` octets, then the rows that wrap around taken one stride each.
+    """
+    out = data[rows:] + data[:rows]
+    for row in range(4 - rows, 4):
+        out[row::4] = data[row + rows - 4::4]
+    return out
 
 
 def _inv_mix_word(word: int) -> int:
@@ -248,3 +300,37 @@ class AES:
               | (_INV_SBOX[(s1 >> 8) & 0xFF] << 8)
               | _INV_SBOX[s0 & 0xFF]) ^ k[3]
         return struct.pack(">4L", b0, b1, b2, b3)
+
+    def decrypt_blocks(self, data: bytes) -> bytes:
+        """Decrypt every 16-octet block of ``data`` independently (ECB).
+
+        Runs the equivalent inverse cipher (FIPS-197 §5.3.5) on the whole
+        buffer at once: the octets of all blocks go through each step
+        together, so a round costs a fixed number of buffer operations.
+        Equal to :meth:`decrypt_block` applied block by block.
+        """
+        size = len(data)
+        if size % BLOCK_SIZE != 0:
+            raise InvalidBlockError(
+                "AES input must be a multiple of 16 octets, got %d" % size
+            )
+        blocks = size // BLOCK_SIZE
+        keys = self._dec_keys
+
+        def round_key(r: int) -> int:
+            return int.from_bytes(struct.pack(">4L", *keys[r]) * blocks,
+                                  "big")
+
+        state = (int.from_bytes(data, "big") ^ round_key(0)).to_bytes(
+            size, "big")
+        for r in range(1, self.rounds):
+            shifted = _inv_shift_rows(state)
+            mixed = round_key(r)
+            for rows, table in enumerate(_INV_ROUND_TABLES):
+                mixed ^= int.from_bytes(
+                    _rotate_columns(shifted, rows).translate(table), "big")
+            state = mixed.to_bytes(size, "big")
+        shifted = _inv_shift_rows(state)
+        state = (int.from_bytes(shifted.translate(_INV_SBOX_TABLE), "big")
+                 ^ round_key(self.rounds))
+        return state.to_bytes(size, "big")

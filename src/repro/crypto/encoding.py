@@ -39,10 +39,11 @@ def byte_length(x: int) -> int:
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
-    """XOR two equal-length byte strings."""
+    """XOR two equal-length byte strings (as one integer XOR)."""
     if len(a) != len(b):
         raise ValueError("xor_bytes requires equal-length inputs")
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "big")
+            ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 def constant_time_equal(a: bytes, b: bytes) -> bool:

@@ -15,8 +15,6 @@ implementation follows RFC 3394 §2.2 exactly rather than using the
 alternative indexing formulation.
 """
 
-import struct
-
 from .aes import AES
 from .encoding import constant_time_equal
 from .errors import InvalidKeyError, UnwrapError
@@ -51,7 +49,7 @@ def wrap(kek: bytes, plaintext_key: bytes, iv: bytes = DEFAULT_IV) -> bytes:
         for i in range(n):
             block = cipher.encrypt_block(a + r[i])
             t = n * j + i + 1
-            a = bytes(x ^ y for x, y in zip(block[:8], struct.pack(">Q", t)))
+            a = (int.from_bytes(block[:8], "big") ^ t).to_bytes(8, "big")
             r[i] = block[8:]
     return a + b"".join(r)
 
@@ -76,9 +74,7 @@ def unwrap(kek: bytes, wrapped_key: bytes, iv: bytes = DEFAULT_IV) -> bytes:
     for j in range(5, -1, -1):
         for i in range(n - 1, -1, -1):
             t = n * j + i + 1
-            a_xored = bytes(
-                x ^ y for x, y in zip(a, struct.pack(">Q", t))
-            )
+            a_xored = (int.from_bytes(a, "big") ^ t).to_bytes(8, "big")
             block = cipher.decrypt_block(a_xored + r[i])
             a = block[:8]
             r[i] = block[8:]

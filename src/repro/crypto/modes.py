@@ -4,6 +4,14 @@ OMA DRM 2 mandates 128-bit AES in CBC mode for content encryption
 (``AES_128_CBC`` in the DCF's encryption-method box). We implement CBC with
 PKCS#7 padding plus a raw (unpadded) variant used by tests and by callers
 that manage padding themselves.
+
+Encryption is a chain (each block's input depends on the previous
+ciphertext block), so it runs block by block on the T-table core.
+Decryption is not: every ciphertext block is known up front, so
+``cbc_decrypt_raw`` decrypts the whole buffer with
+:meth:`~repro.crypto.aes.AES.decrypt_blocks` and applies the chaining as
+one XOR. Each DCF access (the paper's per-access AES-CBC decryption of
+the content) takes that path.
 """
 
 from .aes import AES, BLOCK_SIZE
@@ -33,18 +41,18 @@ def cbc_encrypt_raw(key: bytes, iv: bytes, plaintext: bytes) -> bytes:
 
 
 def cbc_decrypt_raw(key: bytes, iv: bytes, ciphertext: bytes) -> bytes:
-    """AES-CBC decrypt without padding; input must be block-aligned."""
+    """AES-CBC decrypt without padding; input must be block-aligned.
+
+    Plaintext block i is D(C_i) XOR C_(i-1), with C_(-1) the IV, so every
+    block is decrypted at once and the chaining is one XOR of the whole
+    buffer with ``IV ‖ C[:-16]``.
+    """
     _check_iv(iv)
     if len(ciphertext) % BLOCK_SIZE != 0:
         raise InvalidBlockError("raw CBC input must be a block multiple")
     cipher = AES(key)
-    blocks = []
-    previous = iv
-    for offset in range(0, len(ciphertext), BLOCK_SIZE):
-        block = ciphertext[offset:offset + BLOCK_SIZE]
-        blocks.append(xor_bytes(cipher.decrypt_block(block), previous))
-        previous = block
-    return b"".join(blocks)
+    return xor_bytes(cipher.decrypt_blocks(ciphertext),
+                     (iv + ciphertext)[:len(ciphertext)])
 
 
 def cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes) -> bytes:

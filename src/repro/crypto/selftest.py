@@ -21,7 +21,7 @@ from .aes import AES
 from .hmac import HMACSHA1, hmac_sha1
 from .kdf import kdf2
 from .keywrap import unwrap, wrap
-from .modes import cbc_encrypt_raw
+from .modes import cbc_decrypt_raw, cbc_encrypt_raw
 from .sha1 import SHA1, sha1
 
 _SHA1_ABC = "a9993e364706816aba3e25717850c26c9cd0d89d"
@@ -59,12 +59,29 @@ def _check_aes_decrypt() -> bool:
     return out.hex() == "00112233445566778899aabbccddeeff"
 
 
+# SP 800-38A F.2.1/F.2.2: AES-128-CBC, four blocks.
+_CBC_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
+_CBC_IV = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
+_CBC_PLAIN = ("6bc1bee22e409f96e93d7e117393172a"
+              "ae2d8a571e03ac9c9eb76fac45af8e51"
+              "30c81c46a35ce411e5fbc1191a0a52ef"
+              "f69f2445df4f9b17ad2b417be66c3710")
+_CBC_CIPHER = ("7649abac8119b246cee98e9b12e9197d"
+               "5086cb9b507219ee95db113a917678b2"
+               "73bed6b8e3c1743b7116e69e22229516"
+               "3ff1caa1681fac09120eca307586e1a7")
+
+
 def _check_cbc() -> bool:
-    key = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
-    iv = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
-    plain = bytes.fromhex("6bc1bee22e409f96e93d7e117393172a")
-    return cbc_encrypt_raw(key, iv, plain).hex() \
-        == "7649abac8119b246cee98e9b12e9197d"
+    plain = bytes.fromhex(_CBC_PLAIN)
+    return cbc_encrypt_raw(_CBC_KEY, _CBC_IV, plain).hex() == _CBC_CIPHER
+
+
+def _check_cbc_decrypt() -> bool:
+    # All four blocks, so the whole-buffer inverse cipher's tables and
+    # the chaining XOR run, not one block alone.
+    cipher = bytes.fromhex(_CBC_CIPHER)
+    return cbc_decrypt_raw(_CBC_KEY, _CBC_IV, cipher).hex() == _CBC_PLAIN
 
 
 def _check_keywrap() -> bool:
@@ -93,6 +110,7 @@ SELF_TESTS: Dict[str, Callable[[], bool]] = {
     "aes-encrypt": _check_aes_encrypt,
     "aes-decrypt": _check_aes_decrypt,
     "aes-cbc": _check_cbc,
+    "aes-cbc-decrypt": _check_cbc_decrypt,
     "aes-keywrap": _check_keywrap,
     "kdf2": _check_kdf2,
 }

@@ -18,7 +18,8 @@ from .base import RawFinding, Rule
 #: Calls that evidently return bytes (digest/MAC/codec outputs).
 _BYTES_RETURNING = frozenset({
     "sha1", "hmac_sha1", "mgf1", "kdf2", "wrap", "unwrap", "bytes",
-    "bytearray", "encrypt_block", "decrypt_block", "i2osp",
+    "bytearray", "encrypt_block", "decrypt_block", "decrypt_blocks",
+    "i2osp",
 })
 
 #: Names that conventionally hold digest/tag/IV byte strings.

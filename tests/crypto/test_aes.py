@@ -33,6 +33,7 @@ def test_fips197_encrypt(key_hex, cipher_hex):
 def test_fips197_decrypt(key_hex, cipher_hex):
     cipher = AES(bytes.fromhex(key_hex))
     assert cipher.decrypt_block(bytes.fromhex(cipher_hex)) == PLAIN
+    assert cipher.decrypt_blocks(bytes.fromhex(cipher_hex)) == PLAIN
 
 
 def test_fips197_appendix_b_vector():
@@ -66,6 +67,14 @@ def test_rejects_bad_block_sizes(bad_size):
         cipher.encrypt_block(b"\x00" * bad_size)
     with pytest.raises(InvalidBlockError):
         cipher.decrypt_block(b"\x00" * bad_size)
+
+
+@pytest.mark.parametrize("bad_size", [1, 15, 17, 33])
+def test_decrypt_blocks_rejects_partial_blocks(bad_size):
+    cipher = AES(b"k" * 16)
+    with pytest.raises(InvalidBlockError):
+        cipher.decrypt_blocks(b"\x00" * bad_size)
+    assert cipher.decrypt_blocks(b"") == b""
 
 
 def test_encryption_is_not_identity():

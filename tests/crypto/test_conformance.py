@@ -217,33 +217,45 @@ def test_cbc_roundtrip_with_padding(key, iv, plaintext):
 
 
 def _cryptography_oracle():
+    """(encrypt, decrypt) for raw AES-CBC through OpenSSL, or None."""
     try:
         from cryptography.hazmat.primitives.ciphers import (
             Cipher, algorithms, modes as crypto_modes)
     except ImportError:  # pragma: no cover - optional oracle
         return None
 
-    def oracle(key, iv, plaintext):
-        encryptor = Cipher(algorithms.AES(key),
-                           crypto_modes.CBC(iv)).encryptor()
-        return encryptor.update(plaintext) + encryptor.finalize()
-    return oracle
+    def run(context, data):
+        return context.update(data) + context.finalize()
+
+    def encrypt(key, iv, plaintext):
+        return run(Cipher(algorithms.AES(key),
+                          crypto_modes.CBC(iv)).encryptor(), plaintext)
+
+    def decrypt(key, iv, ciphertext):
+        return run(Cipher(algorithms.AES(key),
+                          crypto_modes.CBC(iv)).decryptor(), ciphertext)
+    return encrypt, decrypt
 
 
 @pytest.mark.skipif(_cryptography_oracle() is None,
                     reason="the 'cryptography' package is not installed"
                            " (stdlib has no AES oracle)")
-@given(key=st.binary(min_size=16, max_size=16),
+@given(key_size=st.sampled_from([16, 24, 32]),
        iv=st.binary(min_size=16, max_size=16),
        blocks=st.integers(min_value=0, max_value=8),
        data=st.data())
-@settings(max_examples=100, deadline=None)
-def test_cbc_differential_vs_cryptography(key, iv, blocks, data):
-    oracle = _cryptography_oracle()
+@settings(max_examples=150, deadline=None)
+def test_cbc_differential_vs_cryptography(key_size, iv, blocks, data):
+    encrypt, decrypt = _cryptography_oracle()
+    key = data.draw(st.binary(min_size=key_size, max_size=key_size))
     plaintext = data.draw(st.binary(min_size=16 * blocks,
                                     max_size=16 * blocks))
+    ciphertext = data.draw(st.binary(min_size=16 * blocks,
+                                     max_size=16 * blocks))
     assert cbc_encrypt_raw(key, iv, plaintext) \
-        == oracle(key, iv, plaintext)
+        == encrypt(key, iv, plaintext)
+    assert cbc_decrypt_raw(key, iv, ciphertext) \
+        == decrypt(key, iv, ciphertext)
 
 
 # ---------------------------------------------------------------------------

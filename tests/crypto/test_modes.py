@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.errors import InvalidBlockError, PaddingError
+from repro.crypto.aes import AES
+from repro.crypto.errors import (InvalidBlockError, InvalidKeyError,
+                                 PaddingError)
 from repro.crypto.modes import (cbc_decrypt, cbc_decrypt_raw, cbc_encrypt,
                                 cbc_encrypt_raw)
 
@@ -58,6 +60,12 @@ def test_raw_rejects_unaligned_input():
         cbc_decrypt_raw(b"k" * 16, b"i" * 16, b"x" * 17)
 
 
+def test_raw_decrypt_of_nothing_still_checks_the_key():
+    assert cbc_decrypt_raw(b"k" * 16, b"i" * 16, b"") == b""
+    with pytest.raises(InvalidKeyError):
+        cbc_decrypt_raw(b"k" * 15, b"i" * 16, b"")
+
+
 @pytest.mark.parametrize("iv_len", [0, 8, 15, 17, 32])
 def test_rejects_bad_iv(iv_len):
     with pytest.raises(InvalidBlockError):
@@ -97,3 +105,38 @@ def test_roundtrip_property(key, iv, plaintext):
     assert len(ct) % 16 == 0
     assert len(ct) == (len(plaintext) // 16 + 1) * 16
     assert cbc_decrypt(key, iv, ct) == plaintext
+
+
+def _reference_cbc_decrypt(key, iv, ciphertext):
+    """CBC decryption chained block by block on the per-block cipher."""
+    cipher = AES(key)
+    previous, plaintext = iv, []
+    for offset in range(0, len(ciphertext), 16):
+        block = ciphertext[offset:offset + 16]
+        plaintext.append(bytes(
+            x ^ y for x, y in zip(cipher.decrypt_block(block), previous)))
+        previous = block
+    return b"".join(plaintext)
+
+
+@given(key_size=st.sampled_from([16, 24, 32]),
+       blocks=st.integers(min_value=0, max_value=64),
+       data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_decrypt_matches_per_block_reference(key_size, blocks, data):
+    key = data.draw(st.binary(min_size=key_size, max_size=key_size))
+    iv = data.draw(st.binary(min_size=16, max_size=16))
+    ciphertext = data.draw(st.binary(min_size=16 * blocks,
+                                     max_size=16 * blocks))
+    assert cbc_decrypt_raw(key, iv, ciphertext) \
+        == _reference_cbc_decrypt(key, iv, ciphertext)
+
+
+@pytest.mark.parametrize("key_size", [16, 24, 32])
+def test_decrypt_matches_per_block_reference_at_dcf_size(key_size):
+    """1921 blocks: a 30 KiB DCF payload plus its PKCS#7 block."""
+    key = bytes(range(key_size))
+    iv = bytes(range(100, 116))
+    ciphertext = bytes((7 * i + (i >> 8)) & 0xFF for i in range(1921 * 16))
+    assert cbc_decrypt_raw(key, iv, ciphertext) \
+        == _reference_cbc_decrypt(key, iv, ciphertext)

@@ -1,14 +1,15 @@
 """Additional published test vectors across the substrate.
 
 Beyond each module's own KATs: NIST CAVP-style SHA-1 short messages,
-the remaining SP 800-38A CBC vectors (192/256-bit keys), and SP 800-38A
+the remaining SP 800-38A CBC vectors (192/256-bit keys, both
+directions), and SP 800-38A
 ECB single blocks exercised through the raw block interface.
 """
 
 import pytest
 
 from repro.crypto.aes import AES
-from repro.crypto.modes import cbc_encrypt_raw
+from repro.crypto.modes import cbc_decrypt_raw, cbc_encrypt_raw
 from repro.crypto.sha1 import sha1
 
 # NIST CAVP SHA1ShortMsg.rsp selections (length in octets, msg, digest).
@@ -25,17 +26,24 @@ SHA1_SHORT_VECTORS = [
     ("9777cf90dd7c7e863506", "05c915b5ed4e4c4afffc202961f3174371e90b5c"),
 ]
 
-# SP 800-38A F.2.3 / F.2.5: CBC with 192- and 256-bit keys.
+# SP 800-38A F.2.3-F.2.6: CBC with 192- and 256-bit keys. The decrypt
+# vectors (F.2.4/F.2.6) are the encrypt vectors (F.2.3/F.2.5) reversed.
 CBC_192_KEY = "8e73b0f7da0e6452c810f32b809079e562f8ead2522c6b7b"
 CBC_256_KEY = ("603deb1015ca71be2b73aef0857d7781"
                "1f352c073b6108d72d9810a30914dff4")
 CBC_IV = "000102030405060708090a0b0c0d0e0f"
 CBC_PLAIN = ("6bc1bee22e409f96e93d7e117393172a"
-             "ae2d8a571e03ac9c9eb76fac45af8e51")
+             "ae2d8a571e03ac9c9eb76fac45af8e51"
+             "30c81c46a35ce411e5fbc1191a0a52ef"
+             "f69f2445df4f9b17ad2b417be66c3710")
 CBC_192_CIPHER = ("4f021db243bc633d7178183a9fa071e8"
-                  "b4d9ada9ad7dedf4e5e738763f69145a")
+                  "b4d9ada9ad7dedf4e5e738763f69145a"
+                  "571b242012fb7ae07fa9baac3df102e0"
+                  "08b0e27988598881d920a9e64f5615cd")
 CBC_256_CIPHER = ("f58c4c04d6e5f1ba779eabfb5f7bfbd6"
-                  "9cfc4e967edb808d679f777bc6702c7d")
+                  "9cfc4e967edb808d679f777bc6702c7d"
+                  "39f23369a9d9bacfa530e26304231461"
+                  "b2eb05e2c39be9fcda6c19078c6a9d1b")
 
 # SP 800-38A ECB single-block vectors (first block of F.1.1/F.1.3/F.1.5).
 ECB_VECTORS = [
@@ -59,18 +67,20 @@ def test_sha1_cavp_short_messages(message_hex, digest_hex):
     assert sha1(bytes.fromhex(message_hex)).hex() == digest_hex
 
 
+def _check_cbc_vector(key_hex, cipher_hex):
+    key, iv = bytes.fromhex(key_hex), bytes.fromhex(CBC_IV)
+    assert cbc_encrypt_raw(key, iv, bytes.fromhex(CBC_PLAIN)).hex() \
+        == cipher_hex
+    assert cbc_decrypt_raw(key, iv, bytes.fromhex(cipher_hex)).hex() \
+        == CBC_PLAIN
+
+
 def test_cbc_192_vector():
-    out = cbc_encrypt_raw(bytes.fromhex(CBC_192_KEY),
-                          bytes.fromhex(CBC_IV),
-                          bytes.fromhex(CBC_PLAIN))
-    assert out.hex() == CBC_192_CIPHER
+    _check_cbc_vector(CBC_192_KEY, CBC_192_CIPHER)
 
 
 def test_cbc_256_vector():
-    out = cbc_encrypt_raw(bytes.fromhex(CBC_256_KEY),
-                          bytes.fromhex(CBC_IV),
-                          bytes.fromhex(CBC_PLAIN))
-    assert out.hex() == CBC_256_CIPHER
+    _check_cbc_vector(CBC_256_KEY, CBC_256_CIPHER)
 
 
 @pytest.mark.parametrize("key_hex,plain_hex,cipher_hex", ECB_VECTORS,
