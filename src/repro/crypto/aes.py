@@ -31,6 +31,7 @@ lets peers negotiate non-default algorithms), but all DRM defaults use
 """
 
 import struct
+from functools import cached_property
 
 from .errors import InvalidBlockError, InvalidKeyError
 
@@ -192,7 +193,6 @@ class AES:
         self.key_size = len(key)
         self.rounds = _KEY_ROUNDS[len(key)]
         self._enc_keys = self._expand_key(key)
-        self._dec_keys = self._derive_decrypt_keys(self._enc_keys)
 
     def _expand_key(self, key: bytes) -> list:
         """Rijndael key expansion into 32-bit words, 4 per round key."""
@@ -216,9 +216,14 @@ class AES:
             words.append(words[i - nk] ^ temp)
         return [words[4 * r:4 * r + 4] for r in range(self.rounds + 1)]
 
-    def _derive_decrypt_keys(self, enc_keys: list) -> list:
-        """Equivalent-inverse-cipher round keys (FIPS-197 §5.3.5)."""
-        dec_keys = [list(rk) for rk in reversed(enc_keys)]
+    @cached_property
+    def _dec_keys(self) -> list:
+        """Equivalent-inverse-cipher round keys (FIPS-197 §5.3.5).
+
+        Derived on the first decryption, so an encrypt-only instance
+        (CBC encryption, key wrap) never pays for them.
+        """
+        dec_keys = [list(rk) for rk in reversed(self._enc_keys)]
         for r in range(1, self.rounds):
             dec_keys[r] = [_inv_mix_word(w) for w in dec_keys[r]]
         return dec_keys

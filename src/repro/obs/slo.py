@@ -23,7 +23,7 @@ few breaching observations as :class:`Exemplar` records — the exact
 seeded requests to replay when debugging a breach.
 """
 
-from collections import deque
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -110,41 +110,22 @@ DEFAULT_OBJECTIVES: Tuple[Objective, ...] = (
 )
 
 
-class _WindowCounts:
-    """Sliding (total, bad) counts over the trailing ``width`` ticks."""
-
-    __slots__ = ("width", "events", "total", "bad")
-
-    def __init__(self, width: int) -> None:
-        self.width = width
-        self.events: deque = deque()
-        self.total = 0
-        self.bad = 0
-
-    def push(self, tick: int, good: bool) -> None:
-        events = self.events
-        events.append((tick, good))
-        self.total += 1
-        if not good:
-            self.bad += 1
-        horizon = tick - self.width
-        # The event just pushed is inside the window (width >= 1), so
-        # the scan stops before the deque empties.
-        while events[0][0] <= horizon:
-            _old, was_good = events.popleft()
-            self.total -= 1
-            if not was_good:
-                self.bad -= 1
-
-    def burn_rate(self, budget: float) -> float:
-        """Error-budget burn multiple over the current window."""
-        if not self.total:
-            return 0.0
-        return (self.bad / self.total) / budget
+#: Stale observations an objective's tick log may hold past its slow
+#: window before the log is compacted.
+LOG_SLACK = 256
 
 
 class _ObjectiveState:
-    """Mutable evaluation state for one bound objective."""
+    """Mutable evaluation state for one bound objective.
+
+    One log of observation ticks and one of breaching ticks serve both
+    burn-rate windows: a window of width ``w`` at tick ``now`` is
+    (now - w, now], read off the sorted logs with ``bisect_right``. A
+    good request in a quiet window costs one append; burn rates are
+    computed only when the fast window holds a breach, since otherwise
+    the fast burn is exactly 0.0, which opens no alert (thresholds are
+    positive) and closes an open one.
+    """
 
     def __init__(self, objective: Objective, slot_ticks: int) -> None:
         self.objective = objective
@@ -152,12 +133,13 @@ class _ObjectiveState:
             None if objective.threshold_units is None
             else int(round(objective.threshold_units * slot_ticks)))
         self.budget = 1.0 - objective.target
-        self.fast = _WindowCounts(objective.fast_window_units
-                                  * slot_ticks)
-        self.slow = _WindowCounts(objective.slow_window_units
-                                  * slot_ticks)
-        self.total = 0
-        self.bad = 0
+        self.fast_width = objective.fast_window_units * slot_ticks
+        self.slow_width = objective.slow_window_units * slot_ticks
+        self.ticks: List[int] = []
+        self.bad_ticks: List[int] = []
+        #: Observations (and breaches) compacted out of the logs.
+        self.dropped = 0
+        self.dropped_bad = 0
         self.alerts: List[Alert] = []
         self.exemplars: List[Exemplar] = []
         self._open: Optional[Alert] = None
@@ -165,39 +147,76 @@ class _ObjectiveState:
     def observe(self, kind: str, now: int, completed: bool,
                 latency_ticks: int, label: str,
                 arrived: Optional[int]) -> None:
-        good = completed and (self.threshold_ticks is None
-                              or latency_ticks <= self.threshold_ticks)
-        self.total += 1
-        if not good:
-            self.bad += 1
+        ticks = self.ticks
+        bad_ticks = self.bad_ticks
+        ticks.append(now)
+        if not completed or (self.threshold_ticks is not None
+                             and latency_ticks > self.threshold_ticks):
+            bad_ticks.append(now)
             if len(self.exemplars) < self.objective.max_exemplars:
                 if not label and arrived is not None:
                     label = "%s@%d" % (kind, arrived)
                 self.exemplars.append(Exemplar(
                     objective=self.objective.name, tick=now, kind=kind,
                     latency_ticks=latency_ticks, label=label))
-        self.fast.push(now, good)
-        self.slow.push(now, good)
-        budget = self.budget
-        fast_burn = self.fast.burn_rate(budget)
-        slow_burn = self.slow.burn_rate(budget)
+        # More than LOG_SLACK logged ticks have left the slow window.
+        if len(ticks) > LOG_SLACK and \
+                ticks[LOG_SLACK] <= now - self.slow_width:
+            self._compact(now - self.slow_width)
+        fast_horizon = now - self.fast_width
+        if not bad_ticks or bad_ticks[-1] <= fast_horizon:
+            if self._open is not None:
+                self._close(now)
+            return
+        # The tick just logged keeps every window non-empty.
+        fast_total = len(ticks) - bisect_right(ticks, fast_horizon)
+        fast_bad = len(bad_ticks) - bisect_right(bad_ticks, fast_horizon)
+        fast_burn = (fast_bad / fast_total) / self.budget
         threshold = self.objective.burn_threshold
-        if self._open is None:
-            if (fast_burn >= threshold and slow_burn >= threshold
-                    and self.fast.total >= MIN_WINDOW_EVENTS
-                    and self.slow.total >= MIN_WINDOW_EVENTS):
-                self._open = Alert(objective=self.objective.name,
-                                   opened=now, closed=None,
-                                   fast_burn=fast_burn,
-                                   slow_burn=slow_burn)
-                self.alerts.append(self._open)
-        elif fast_burn < threshold:
-            closed = Alert(objective=self._open.objective,
-                           opened=self._open.opened, closed=now,
-                           fast_burn=self._open.fast_burn,
-                           slow_burn=self._open.slow_burn)
-            self.alerts[-1] = closed
-            self._open = None
+        if self._open is not None:
+            if fast_burn < threshold:
+                self._close(now)
+            return
+        if fast_burn < threshold or fast_total < MIN_WINDOW_EVENTS:
+            return
+        # The slow window holds the fast one, so it holds at least
+        # MIN_WINDOW_EVENTS observations too.
+        slow_horizon = now - self.slow_width
+        slow_total = len(ticks) - bisect_right(ticks, slow_horizon)
+        slow_bad = len(bad_ticks) - bisect_right(bad_ticks, slow_horizon)
+        slow_burn = (slow_bad / slow_total) / self.budget
+        if slow_burn >= threshold:
+            self._open = Alert(objective=self.objective.name, opened=now,
+                               closed=None, fast_burn=fast_burn,
+                               slow_burn=slow_burn)
+            self.alerts.append(self._open)
+
+    def _compact(self, horizon: int) -> None:
+        """Drop the logged ticks at or before ``horizon``."""
+        cut = bisect_right(self.ticks, horizon)
+        del self.ticks[:cut]
+        self.dropped += cut
+        cut = bisect_right(self.bad_ticks, horizon)
+        del self.bad_ticks[:cut]
+        self.dropped_bad += cut
+
+    def _close(self, now: int) -> None:
+        alert = self._open
+        self.alerts[-1] = Alert(objective=alert.objective,
+                                opened=alert.opened, closed=now,
+                                fast_burn=alert.fast_burn,
+                                slow_burn=alert.slow_burn)
+        self._open = None
+
+    @property
+    def total(self) -> int:
+        """Lifetime observations."""
+        return self.dropped + len(self.ticks)
+
+    @property
+    def bad(self) -> int:
+        """Lifetime breaching observations."""
+        return self.dropped_bad + len(self.bad_ticks)
 
     @property
     def compliance(self) -> float:
@@ -317,6 +336,7 @@ class SLOMonitor:
         #: kind -> the states whose objective scores it, in
         #: declaration order; routed on a kind's first observation.
         self._routes: Dict[str, Tuple[_ObjectiveState, ...]] = {}
+        self._last_tick: float = float("-inf")
 
     def observe(self, kind: str, now: int, completed: bool,
                 latency_ticks: int, label: str = "",
@@ -325,7 +345,13 @@ class SLOMonitor:
 
         An exemplar is labelled ``label``, or ``kind@arrived`` when no
         label is given — built only for the few exemplars captured.
+        Observations arrive in time order: ``now`` earlier than the
+        last observed tick raises :class:`ValueError`.
         """
+        if now < self._last_tick:
+            raise ValueError("observations must not move backwards in "
+                             "time")
+        self._last_tick = now
         states = self._routes.get(kind)
         if states is None:
             states = self._routes[kind] = tuple(
@@ -337,8 +363,10 @@ class SLOMonitor:
 
     def observe_outcome(self, outcome: Any) -> None:
         """Score a :class:`~repro.sim.ri.ServeOutcome` (duck-typed)."""
-        self.observe(outcome.kind, outcome.finished, outcome.served,
-                     outcome.latency, arrived=outcome.arrived)
+        self.observe(outcome.kind, outcome.finished,
+                     outcome.status == "served",
+                     outcome.finished - outcome.arrived,
+                     arrived=outcome.arrived)
 
     def report(self) -> SLOReport:
         """Freeze the current evaluation into an :class:`SLOReport`."""

@@ -341,8 +341,11 @@ class Kernel:
         an ignored ``RuntimeError`` whenever a ``finally: yield
         Release`` fires during close. Closing explicitly (and
         swallowing that structurally-inevitable yield) tears a stopped
-        simulation down without noise. Idempotent; do not ``run`` the
-        kernel afterwards.
+        simulation down without noise. The kernel then drops its
+        processes, pending events and resources, so the stopped
+        simulation is freed by reference counting as soon as its
+        caller lets go of it, not at the next full garbage collection.
+        Idempotent; do not ``run`` the kernel afterwards.
         """
         for process in self._processes.values():
             close = getattr(process.body, "close", None)
@@ -355,6 +358,10 @@ class Kernel:
                 # closing — the release it would have issued had it
                 # finished. There is no scheduler left to hand it to.
                 pass
+        self._heap.clear()
+        self._pending.clear()
+        self._processes.clear()
+        self._resources.clear()
 
     # -- snapshots --------------------------------------------------------
     def state_digest(self) -> str:

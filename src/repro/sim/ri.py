@@ -187,7 +187,6 @@ def _ledger_total(row: str) -> property:
                     doc="Requests in the ledger's %r row." % row)
 
 
-@dataclass(frozen=True)
 class ServeOutcome:
     """What happened to one request driven through ``serve_request``.
 
@@ -202,15 +201,23 @@ class ServeOutcome:
     * ``timed-out`` — its deadline/timeout expired while still queued
       (:data:`~repro.sim.kernel.TIMED_OUT`): it consumed queue space
       but zero service.
+
+    A slotted record: one is built per resolved request.
     """
 
-    kind: str
-    status: str
-    arrived: int
-    finished: int
-    waited: int = 0
-    service_ticks: int = 0
-    shed_reason: str = ""
+    __slots__ = ("kind", "status", "arrived", "finished", "waited",
+                 "service_ticks", "shed_reason")
+
+    def __init__(self, kind: str, status: str, arrived: int,
+                 finished: int, waited: int = 0, service_ticks: int = 0,
+                 shed_reason: str = "") -> None:
+        self.kind = kind
+        self.status = status
+        self.arrived = arrived
+        self.finished = finished
+        self.waited = waited
+        self.service_ticks = service_ticks
+        self.shed_reason = shed_reason
 
     @property
     def served(self) -> bool:

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import aes as aes_module
 from repro.crypto.aes import AES, BLOCK_SIZE
 from repro.crypto.errors import InvalidBlockError, InvalidKeyError
+from repro.crypto.keywrap import wrap
+from repro.crypto.modes import cbc_encrypt_raw
 
 PLAIN = bytes.fromhex("00112233445566778899aabbccddeeff")
 
@@ -115,3 +118,23 @@ def test_instance_is_reusable(block):
     first = cipher.encrypt_block(block)
     second = cipher.encrypt_block(block)
     assert first == second
+
+
+def test_decryption_round_keys_are_derived_on_first_decryption(
+        monkeypatch):
+    calls = []
+    inv_mix_word = aes_module._inv_mix_word
+    monkeypatch.setattr(aes_module, "_inv_mix_word",
+                        lambda word: calls.append(word)
+                        or inv_mix_word(word))
+    key = bytes(range(16))
+    cbc_encrypt_raw(key, bytes(16), bytes(64))
+    wrap(key, bytes(16))
+    cipher = AES(key)
+    ciphertext = cipher.encrypt_block(PLAIN)
+    assert calls == []
+    assert cipher.decrypt_block(ciphertext) == PLAIN
+    # InvMixColumns on the four words of each inner round key, once.
+    assert len(calls) == 4 * (cipher.rounds - 1)
+    assert cipher.decrypt_blocks(ciphertext * 2) == PLAIN * 2
+    assert len(calls) == 4 * (cipher.rounds - 1)

@@ -77,6 +77,19 @@ def test_goodput_objective_scores_any_completion():
     assert report.total == 2 and report.bad == 1
 
 
+def test_observations_must_not_move_backwards_in_time():
+    slo = monitor()
+    slo.observe("req", now=5, completed=True, latency_ticks=0)
+    slo.observe("req", now=5, completed=True, latency_ticks=0)
+    with pytest.raises(ValueError):
+        slo.observe("req", now=4, completed=False, latency_ticks=0)
+    # The order holds across kinds, scored or not.
+    slo.observe("other", now=9, completed=True, latency_ticks=0)
+    with pytest.raises(ValueError):
+        slo.observe("req", now=8, completed=True, latency_ticks=0)
+    assert slo.report().objective("lat").total == 2
+
+
 # -- burn-rate alert mechanics ----------------------------------------------
 
 def burn_storm(slo, bad_from, bad_to, total=400, gap=10):

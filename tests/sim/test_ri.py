@@ -19,7 +19,7 @@ from repro.core.trace import Algorithm
 from repro.obs.tracer import Tracer
 from repro.sim.kernel import Kernel
 from repro.sim.ri import (REQUEST_KINDS, RICapacity, RIServer,
-                          service_records)
+                          ServeOutcome, service_records)
 
 HW = HW_PROFILE
 
@@ -261,3 +261,18 @@ def test_capacity_validation():
         RICapacity(signing_units=0)
     with pytest.raises(ValueError):
         RICapacity(queue_limit=-1)
+
+
+def test_serve_outcome_is_a_slotted_keyword_record():
+    outcome = ServeOutcome(kind="hello", status="served", arrived=3,
+                           finished=10)
+    assert (outcome.waited, outcome.service_ticks,
+            outcome.shed_reason) == (0, 0, "")
+    assert outcome.served and outcome.latency == 7
+    shed = ServeOutcome(kind="acquisition", status="shed", arrived=4,
+                        finished=4, waited=1, service_ticks=2,
+                        shed_reason="bucket-empty")
+    assert not shed.served and shed.latency == 0
+    assert (shed.waited, shed.service_ticks, shed.shed_reason) == \
+        (1, 2, "bucket-empty")
+    assert not hasattr(outcome, "__dict__")

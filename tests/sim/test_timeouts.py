@@ -11,6 +11,9 @@ schedules no hand-written case would try, plus the determinism
 contract with expiry timers in the heap.
 """
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -188,6 +191,34 @@ def test_close_silences_suspended_processes():
     # ``finally: yield Release`` fires during the close.
     kernel.close()
     kernel.close()  # idempotent
+
+
+def test_close_frees_a_stopped_simulation_by_reference_counting():
+    kernel = Kernel(seed="unit")
+    resource = Resource(kernel, "r")
+
+    def holder():
+        yield Acquire(resource)
+        try:
+            yield Wait(100)
+        finally:
+            yield Release(resource)
+
+    bodies = [holder() for _ in range(3)]
+    for index, body in enumerate(bodies):
+        kernel.spawn("p%d" % index, body)
+    kernel.run(until=10)
+    refs = [weakref.ref(body) for body in bodies]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        kernel.close()
+        del kernel, resource, body, bodies
+        # Without the cycle collector: nothing of the run is left.
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- properties -------------------------------------------------------------
