@@ -6,24 +6,24 @@ This module is the one schema they all emit now (``schema: 1``,
 ``kind: "bench-report"``):
 
 * a :class:`Metric` is one measured number with a ``direction``
-  ("higher" or "lower" is better) and an optional ``tolerance_pct``.
-  Metrics with a tolerance are *gated* — the trajectory aggregator
-  (:mod:`repro.perf.trajectory`) fails the build when they drift
-  outside the band relative to their reference. Metrics without one
-  (wall-clock timings, events/s) are informational: tracked across
-  PRs, never load-bearing, because CI hosts are noisy.
+  ("higher" or "lower" is better) and a required ``tolerance_pct``.
+  Every metric is *gated*: the trajectory aggregator
+  (:mod:`repro.perf.trajectory`) fails the build when it drifts
+  outside the band relative to its reference. A host-clock number
+  that no band can hold on a noisy CI host does not belong in a
+  report.
 * a :class:`BenchReport` is one script's run: its pinned seed, the git
   revision, its metrics, and its ``verdicts`` — the script's own
   pass/fail gates (replay determinism, smoke contracts), all of which
   must be true.
 
-Deterministic metrics (event counts, goodput ratios, collapse
-durations — anything derived from the virtual timebase) should be
-gated with ``tolerance_pct=0.0``: they are bit-exact per seed, so any
-drift is a real behavior change, not noise.
+Deterministic metrics (call counts, modeled cycles — anything derived
+from the virtual timebase or the metered model) should be gated with
+``tolerance_pct=0.0``: they are bit-exact per seed, so any drift is a
+real behavior change, not noise.
 
 The module lives in ``benchmarks/`` (not the package) because the
-bench scripts are standalone: ``python benchmarks/bench_kernel.py``
+bench scripts are standalone: ``python benchmarks/bench_obs_overhead.py``
 puts this directory on ``sys.path``.
 """
 
@@ -31,7 +31,7 @@ import json
 import pathlib
 import subprocess
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 #: Artifact schema version; bump on incompatible shape changes.
 SCHEMA = 1
@@ -62,20 +62,21 @@ class Metric:
     name: str
     value: float
     unit: str
+    #: Regression band in percent of the reference value. ``0.0``
+    #: means the value must match its reference exactly — the right
+    #: setting for anything deterministic per seed.
+    tolerance_pct: float
     #: Which way is good: "higher" (throughput) or "lower" (latency).
     direction: str = "higher"
-    #: Regression band in percent of the reference value; ``None``
-    #: means informational (tracked, never gated). ``0.0`` means the
-    #: value must match its reference exactly — the right setting for
-    #: anything deterministic per seed.
-    tolerance_pct: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.direction not in DIRECTIONS:
             raise ValueError("direction must be one of %r, got %r"
                              % (DIRECTIONS, self.direction))
-        if self.tolerance_pct is not None and self.tolerance_pct < 0:
-            raise ValueError("tolerance_pct must be >= 0")
+        if not isinstance(self.tolerance_pct, (int, float)) \
+                or self.tolerance_pct < 0:
+            raise ValueError("tolerance_pct must be a number >= 0, "
+                             "got %r" % (self.tolerance_pct,))
 
     def to_dict(self) -> Dict[str, object]:
         return {

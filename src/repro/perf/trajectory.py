@@ -2,8 +2,8 @@
 
 The bench scripts under ``benchmarks/`` each emit one
 ``BENCH_<name>.json`` in the shared ``bench-report`` schema
-(``benchmarks/harness.py``): metrics stamped with a direction and an
-optional tolerance band, plus the script's own gate verdicts. This
+(``benchmarks/harness.py``): metrics stamped with a direction and a
+tolerance band, plus the script's own gate verdicts. This
 module folds those into one ``BENCH_trajectory.json`` — the repo's
 performance trajectory across PRs — and detects regressions against
 it:
@@ -14,18 +14,18 @@ it:
   value itself. A first-seen metric therefore never regresses; a
   metric that disappears from a bench simply drops out.
 * :func:`Trajectory.regressions` applies the direction-aware tolerance
-  band to every gated metric (``tolerance_pct`` not ``None``): a
-  "higher"-is-better metric regresses when it falls more than the band
-  below its reference, a "lower"-is-better one when it rises more than
-  the band above. Informational metrics (wall-clock) are carried but
-  never gated. Failed in-script verdicts always fail validation.
+  band to every metric: a "higher"-is-better metric regresses when it
+  falls more than the band below its reference, a "lower"-is-better
+  one when it rises more than the band above. A metric without a band
+  is rejected at load time, so every number carried is gated. Failed
+  in-script verdicts always fail validation.
 
 The committed ``BENCH_trajectory.json`` is self-contained — its
 references are the values it was merged against — so
 ``python -m repro perfdiff BENCH_trajectory.json`` validates it on any
 machine and exits zero. CI regenerates the bench artifacts, merges
 them with ``--previous`` pointing at the committed trajectory, and
-fails the build when a gated metric drifted.
+fails the build when a metric drifted.
 """
 
 import json
@@ -54,18 +54,13 @@ class MetricPoint:
     value: float
     unit: str
     direction: str
-    tolerance_pct: Optional[float]
+    tolerance_pct: float
     reference: float
-
-    @property
-    def gated(self) -> bool:
-        """Whether this metric participates in regression detection."""
-        return self.tolerance_pct is not None
 
     @property
     def allowed(self) -> float:
         """The worst acceptable value given reference and band."""
-        band = abs(self.reference) * (self.tolerance_pct or 0.0) / 100.0
+        band = abs(self.reference) * self.tolerance_pct / 100.0
         if self.direction == "higher":
             return self.reference - band
         return self.reference + band
@@ -73,8 +68,6 @@ class MetricPoint:
     @property
     def regressed(self) -> bool:
         """Direction-aware drift outside the tolerance band."""
-        if not self.gated:
-            return False
         if self.direction == "higher":
             return self.value < self.allowed
         return self.value > self.allowed
@@ -125,7 +118,7 @@ class Trajectory:
         return None
 
     def regressions(self) -> List[MetricPoint]:
-        """Every gated metric outside its tolerance band."""
+        """Every metric outside its tolerance band."""
         found = []
         for bench in sorted(self.entries):
             for point in self.entries[bench].metrics:
@@ -159,18 +152,14 @@ class Trajectory:
 
     def render(self) -> str:
         """The trajectory table plus regression/verdict findings."""
-        lines = ["%-14s %-34s %14s %14s %9s %-6s" % (
+        lines = ["%-14s %-42s %14s %14s %9s %-6s" % (
             "bench", "metric", "value", "reference", "band", "state")]
         for bench in sorted(self.entries):
             for point in self.entries[bench].metrics:
-                if not point.gated:
-                    state, band = "info", "-"
-                else:
-                    state = "REGRESSED" if point.regressed else "ok"
-                    band = "%.1f%%" % point.tolerance_pct
-                lines.append("%-14s %-34s %14.6g %14.6g %9s %-6s" % (
+                lines.append("%-14s %-42s %14.6g %14.6g %8.1f%% %-6s" % (
                     bench, point.name, point.value, point.reference,
-                    band, state))
+                    point.tolerance_pct,
+                    "REGRESSED" if point.regressed else "ok"))
         for bench, verdict in self.failed_verdicts():
             lines.append("FAIL: %s verdict %r did not hold"
                          % (bench, verdict))
@@ -193,16 +182,14 @@ def _validated_metric(bench: str, raw: Dict[str, object],
              "%s/%s: direction must be one of %r"
              % (bench, raw["name"], DIRECTIONS))
     tolerance = raw.get("tolerance_pct")
-    _require(tolerance is None
-             or (isinstance(tolerance, (int, float))
-                 and tolerance >= 0),
-             "%s/%s: tolerance_pct must be null or >= 0"
-             % (bench, raw["name"]))
+    _require(isinstance(tolerance, (int, float)) and tolerance >= 0,
+             "%s/%s: tolerance_pct must be a number >= 0, got %r"
+             % (bench, raw["name"], tolerance))
     value = float(raw["value"])
     return MetricPoint(
         bench=bench, name=str(raw["name"]), value=value,
         unit=str(raw["unit"]), direction=str(raw["direction"]),
-        tolerance_pct=None if tolerance is None else float(tolerance),
+        tolerance_pct=float(tolerance),
         reference=value if reference is None else reference)
 
 

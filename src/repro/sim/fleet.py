@@ -180,6 +180,7 @@ def run_fleet_kernel(config: FleetConfig, workers: int = 1,
         kernel.run()
         architectures[profile.name] = _load_result(ri, kernel,
                                                    profile.name)
+        kernel.close()
     return KernelFleetResult(base=base, capacity=capacity,
                              architectures=architectures)
 
@@ -235,7 +236,11 @@ def run_open_load(seed: str, profile: ArchitectureProfile,
 
     kernel.spawn("source", source())
     kernel.run()
+    load = _load_result(ri, kernel, profile.name)
+    # Break the kernel <-> process cycles so reference counting frees
+    # the run now, not at the next full garbage collection.
+    kernel.close()
     return OpenLoadResult(
         architecture=profile.name,
         offered_per_second=arrivals_per_second, requests=requests,
-        load=_load_result(ri, kernel, profile.name))
+        load=load)

@@ -46,20 +46,20 @@ def test_harness_report_round_trips_through_loader(tmp_path):
         metrics=(harness.Metric("a.events", 123, "events",
                                 direction="higher", tolerance_pct=0.0),
                  harness.Metric("a.wall", 0.5, "s",
-                                direction="lower")),
+                                direction="lower", tolerance_pct=10.0)),
         verdicts={"replay": True})
     report.write(str(path))
     loaded = load_report(str(path))
     trajectory = merge([loaded])
     point = trajectory.metric("kernel", "a.events")
     assert point.value == 123 and point.reference == 123
-    assert point.gated
-    assert not trajectory.metric("kernel", "a.wall").gated
+    assert trajectory.metric("kernel", "a.wall").tolerance_pct == 10.0
 
 
 def test_metric_validation():
     with pytest.raises(ValueError):
-        harness.Metric("m", 1.0, "u", direction="sideways")
+        harness.Metric("m", 1.0, "u", direction="sideways",
+                       tolerance_pct=0.0)
     with pytest.raises(ValueError):
         harness.Metric("m", 1.0, "u", tolerance_pct=-1.0)
 
@@ -130,12 +130,19 @@ def test_failed_verdict_fails_validation():
     assert trajectory.failed_verdicts() == [("kernel", "gate")]
 
 
-def test_informational_metric_never_gates():
-    previous = merge([report_dict(value=100.0, tolerance_pct=None)])
-    slower = merge([report_dict(value=1.0, tolerance_pct=None)],
-                   previous=previous)
-    ok, _text = validate(slower)
-    assert ok
+def test_null_band_is_rejected(tmp_path):
+    with pytest.raises(ValueError):
+        harness.Metric("m", 1.0, "u", tolerance_pct=None)
+    raw = report_dict()
+    raw["metrics"][0]["tolerance_pct"] = None
+    with pytest.raises(TrajectoryError):
+        merge([raw])
+    doc = merge([report_dict()]).to_dict()
+    doc["benches"]["kernel"]["metrics"][0]["tolerance_pct"] = None
+    path = tmp_path / "BENCH_trajectory.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(TrajectoryError):
+        load_trajectory(str(path))
 
 
 # -- the CLI gate -----------------------------------------------------------
@@ -154,13 +161,20 @@ def test_perfdiff_exits_zero_on_clean_trajectory(tmp_path, capsys):
 
 def test_perfdiff_exits_nonzero_on_injected_regression(tmp_path,
                                                        capsys):
-    path = write_trajectory(tmp_path, merge([report_dict()]))
-    doc = json.loads(pathlib.Path(path).read_text())
-    doc["benches"]["kernel"]["metrics"][0]["value"] = 1.0
-    pathlib.Path(path).write_text(json.dumps(doc))
-    assert main(["perfdiff", path]) == 1
-    out = capsys.readouterr().out
-    assert "REGRESSED" in out and "FAILED" in out
+    # A zero-band count, and drmbench's throughput halved at its band.
+    for bench, name, tolerance_pct in (
+            ("kernel", "m", 0.0),
+            ("drmbench", "playback.ops_per_s", 10.0)):
+        raw = report_dict(bench=bench, tolerance_pct=tolerance_pct)
+        raw["metrics"][0]["name"] = name
+        path = write_trajectory(tmp_path, merge([raw]))
+        doc = json.loads(pathlib.Path(path).read_text())
+        metric = doc["benches"][bench]["metrics"][0]
+        metric["value"] = metric["reference"] / 2
+        pathlib.Path(path).write_text(json.dumps(doc))
+        assert main(["perfdiff", path]) == 1
+        out = capsys.readouterr().out
+        assert "REGRESSED" in out and "FAILED" in out
 
 
 def test_perfdiff_merge_writes_trajectory(tmp_path, capsys):
@@ -190,5 +204,4 @@ def test_committed_trajectory_validates_self_contained(capsys):
     ok, _text = validate(trajectory)
     assert ok
     assert main(["perfdiff", str(COMMITTED_TRAJECTORY)]) == 0
-    assert {"kernel", "overload", "lint", "obs_overhead"} \
-        <= set(trajectory.entries)
+    assert set(trajectory.entries) == {"drmbench", "obs_overhead"}

@@ -22,6 +22,7 @@ produces survives the kernel unchanged:
 """
 
 import difflib
+import gc
 import os
 import pathlib
 
@@ -30,6 +31,7 @@ import pytest
 from repro.core.architecture import PAPER_PROFILES
 from repro.analysis.saturation import SaturationAnalysis, sweep
 from repro.sim.fleet import run_fleet_kernel
+from repro.sim.kernel import Process
 from repro.sim.ri import RICapacity
 from repro.sim.roap import EpisodeSpec, run_episode, run_kernel_episode
 from repro.usecases.fleet import FleetConfig
@@ -186,6 +188,27 @@ def test_open_load_validation():
                       requests=0)
     with pytest.raises(ValueError):
         nominal_service_ticks(HW_PROFILE, mix={"hello": 0.0})
+
+
+def test_open_load_is_freed_by_reference_counting():
+    """The finished run leaves no process for the cyclic collector."""
+    from repro.core.architecture import HW_PROFILE
+    from repro.sim.fleet import run_open_load
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run_open_load("eq-gc", HW_PROFILE, arrivals_per_second=500.0,
+                      requests=50)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [obj for obj in gc.garbage if isinstance(obj, Process)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert not leaked
 
 
 def test_sweep_validation():

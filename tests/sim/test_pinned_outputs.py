@@ -14,10 +14,11 @@ import json
 import pytest
 
 from repro.analysis.overload import DEFAULT_COMBOS
-from repro.core.architecture import SW_PROFILE
+from repro.core.architecture import HW_PROFILE, SW_PROFILE
 from repro.core.stats import StatsSummary
 from repro.sim.fleet import run_open_load
 from repro.sim.overload import StormSpec, run_storm
+from repro.sim.queueing import exponential_draw, simulate_queue
 from repro.sim.ri import RICapacity, nominal_service_ticks
 
 STORM_SHAPE = {"spike_start": 60, "spike_end": 120, "horizon": 240}
@@ -113,3 +114,28 @@ def test_open_load_signature_is_pinned():
     document = json.dumps(load.slo.to_dict(), sort_keys=True)
     assert hashlib.sha1(document.encode("utf-8")).hexdigest() \
         == "71e0addaf40b601892ef3dcb15f500d14b9105e6"
+
+
+def test_ten_thousand_session_event_counts_are_pinned():
+    """A 10^4-request open load on the HW RI at 60% of its nominal
+    capacity, and a 10^4-job M/M/1 queue at rho = 2/3."""
+    load = run_open_load("bench-kernel", HW_PROFILE, 730.0,
+                         requests=10_000).load
+    queue = simulate_queue("bench-kernel", 10_000,
+                           interarrival=exponential_draw(1500),
+                           service=exponential_draw(1000))
+    assert (load.events, queue.events) == (50001, 50001)
+
+
+def test_default_storm_outcomes_are_pinned():
+    """The default storm shape, unmitigated and fully mitigated."""
+    seed = "bench-overload"
+    storms = (StormSpec(seed=seed),
+              StormSpec(seed=seed, admission="token-bucket",
+                        retry="backoff-jitter", deadlines=True))
+    assert [(result.events, result.goodput_ratio,
+             result.collapse_duration, result.wasted_share)
+            for result in map(run_storm, storms)] == [
+        (51726, 0.11652542372881355, 660, 0.8782015807831615),
+        (15704, 0.7203389830508474, 0, 0.06275400010633989),
+    ]
