@@ -29,7 +29,6 @@ from ..crypto.rsa import generate_keypair
 from ..core.meter import PlainCrypto
 from ..drm.certificates import CertificationAuthority
 from ..drm.clock import DAY
-from ..drm.ocsp import OCSPResponse
 from ..drm.rel import play_count
 from ..drm.roap.messages import NONCE_LENGTH
 from ..drm.roap.wire import WireChannel, encode_message
@@ -242,14 +241,10 @@ class AdversaryChannel(WireChannel):
     def _future_ocsp(self, response):
         crypto, _, ri_keys = self._attacker_pki()
         genuine = response.ocsp_response
-        unsigned = OCSPResponse(
-            serial=genuine.serial, status=genuine.status,
-            produced_at=genuine.produced_at + 30 * DAY,
-            next_update=genuine.next_update + 60 * DAY,
-            responder=genuine.responder, signature=b"")
         forged = dataclasses.replace(
-            unsigned,
-            signature=crypto.pss_sign(ri_keys, unsigned.tbs_bytes()))
+            genuine, produced_at=genuine.produced_at + 30 * DAY,
+            next_update=genuine.next_update + 60 * DAY,
+        ).signed(crypto, ri_keys)
         return dataclasses.replace(response, ocsp_response=forged)
 
     def _downgrade_version(self, response):
@@ -266,12 +261,8 @@ class AdversaryChannel(WireChannel):
         certificate = ca.issue(response.ri_certificate.subject,
                                ri_keys.public_key,
                                response.ri_certificate.not_before)
-        unsigned = dataclasses.replace(response,
-                                       ri_certificate=certificate,
-                                       signature=b"")
         return dataclasses.replace(
-            unsigned,
-            signature=crypto.pss_sign(ri_keys, unsigned.tbs_bytes()))
+            response, ri_certificate=certificate).signed(crypto, ri_keys)
 
     def _time_rollback(self, response):
         return dataclasses.replace(

@@ -447,33 +447,22 @@ def _build_trace(args: argparse.Namespace) -> CommandOutput:
 
 
 def _profile_tree(arch: str, scenario: str, seed: str,
-                  rsa_bits: int) -> Tuple[ProfileTree, Any]:
-    """Trace one profiling scenario and fold it, with its breakdown.
+                  rsa_bits: int) -> ProfileTree:
+    """Trace one profiling scenario and fold it.
 
-    The returned tree reconciles bit-exactly against the cost model:
-    the root's cumulative cycles equal the
-    :class:`~repro.core.model.CostBreakdown` total of the same trace
-    under the same architecture. A mismatch is a bug in the tracer or
-    profiler, so it raises instead of printing a wrong profile.
+    :func:`~repro.usecases.tracing.run_profile_scenario` has already
+    checked that the tree's root cycles equal the cost model's
+    breakdown of the same trace, so the tree is reconciled exactly.
     """
-    profile = _PROFILES[arch]
-    tracer = Tracer(profile=profile, actor="terminal")
-    trace = run_profile_scenario(scenario, tracer, seed=seed,
-                                 rsa_bits=rsa_bits)
-    breakdown = PerformanceModel().evaluate(trace, profile)
-    tree = ProfileTree.from_tracer(tracer, architecture=arch,
+    tracer = Tracer(profile=_PROFILES[arch], actor="terminal")
+    run_profile_scenario(scenario, tracer, seed=seed, rsa_bits=rsa_bits)
+    return ProfileTree.from_tracer(tracer, architecture=arch,
                                    scenario=scenario, seed=seed)
-    if tree.total_cycles != breakdown.total_cycles:
-        raise AssertionError(
-            "profile tree does not reconcile with the cost model: "
-            "tree %d cycles != breakdown %d cycles"
-            % (tree.total_cycles, breakdown.total_cycles))
-    return tree, breakdown
 
 
 def _build_profile(args: argparse.Namespace) -> CommandOutput:
-    tree, breakdown = _profile_tree(args.arch, args.scenario,
-                                    args.seed, args.rsa_bits)
+    tree = _profile_tree(args.arch, args.scenario, args.seed,
+                         args.rsa_bits)
     profile = _PROFILES[args.arch]
     lines = [
         "%s scenario (seed %r, arch %s): %d cycles (%.1f ms), "
@@ -495,14 +484,15 @@ def _build_profile(args: argparse.Namespace) -> CommandOutput:
         "scenario": args.scenario, "arch": args.arch,
         "seed": args.seed, "rsa_bits": args.rsa_bits,
         "total_cycles": tree.total_cycles,
-        "breakdown_total_cycles": breakdown.total_cycles,
+        # Equal by run_profile_scenario's reconciliation check.
+        "breakdown_total_cycles": tree.total_cycles,
         "tree": tree.root.to_dict(),
     }
     if args.diff_arch or args.diff_scenario:
         after_arch = args.diff_arch or args.arch
         after_scenario = args.diff_scenario or args.scenario
-        after, _ = _profile_tree(after_arch, after_scenario,
-                                 args.seed, args.rsa_bits)
+        after = _profile_tree(after_arch, after_scenario, args.seed,
+                              args.rsa_bits)
         delta = profile_diff(tree, after)
         lines.extend([
             "",

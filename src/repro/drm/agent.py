@@ -230,21 +230,13 @@ class DRMAgent:
                 )
 
             device_nonce = new_nonce(self.crypto)
-            unsigned = RegistrationRequest(
+            request = RegistrationRequest(
                 session_id=ri_hello.session_id,
                 device_nonce=device_nonce,
                 request_time=self.drm_time(),
                 certificate=self.certificate,
-            )
-            request = RegistrationRequest(
-                session_id=unsigned.session_id,
-                device_nonce=unsigned.device_nonce,
-                request_time=unsigned.request_time,
-                certificate=unsigned.certificate,
-                signature=self.crypto.pss_sign(
-                    self.secure.device_private_key, unsigned.tbs_bytes(),
-                    label="sign-registration-request"),
-            )
+            ).signed(self.crypto, self.secure.device_private_key,
+                     label="sign-registration-request")
 
             response = rights_issuer.register(request)
             if response.status != ROAP_STATUS_OK:
@@ -267,10 +259,8 @@ class DRMAgent:
                     response.ri_time)
             # The paper's three registration-phase public-key operations:
             # message signature, RI certificate, OCSP response.
-            self.crypto.pss_verify(
-                response.ri_certificate.public_key,
-                response.tbs_bytes(), response.signature,
-                label="verify-registration-response")
+            response.verify(self.crypto, response.ri_certificate.public_key,
+                            label="verify-registration-response")
             verify_certificate(response.ri_certificate,
                                self.trust_anchors, verification_time,
                                self.crypto)
@@ -329,20 +319,12 @@ class DRMAgent:
             context = self.storage.get_ri_context(rights_issuer.ri_id,
                                                   self.drm_time())
             device_nonce = new_nonce(self.crypto)
-            unsigned = RORequest(
+            request = RORequest(
                 device_id=self.device_id, ri_id=context.ri_id,
                 ro_id=ro_id, device_nonce=device_nonce,
                 request_time=self.drm_time(), domain_id=domain_id,
-            )
-            request = RORequest(
-                device_id=unsigned.device_id, ri_id=unsigned.ri_id,
-                ro_id=unsigned.ro_id, device_nonce=unsigned.device_nonce,
-                request_time=unsigned.request_time,
-                domain_id=unsigned.domain_id,
-                signature=self.crypto.pss_sign(
-                    self.secure.device_private_key, unsigned.tbs_bytes(),
-                    label="sign-ro-request"),
-            )
+            ).signed(self.crypto, self.secure.device_private_key,
+                     label="sign-ro-request")
             response = rights_issuer.request_ro(request)
             if response.status != ROAP_STATUS_OK:
                 raise AcquisitionError(
@@ -352,10 +334,8 @@ class DRMAgent:
                 raise NonceMismatchError(
                     "ROResponse does not echo our nonce"
                 )
-            self.crypto.pss_verify(context.ri_certificate.public_key,
-                                   response.tbs_bytes(),
-                                   response.signature,
-                                   label="verify-ro-response")
+            response.verify(self.crypto, context.ri_certificate.public_key,
+                            label="verify-ro-response")
             return response.protected_ro
 
     # ------------------------------------------------------------------
@@ -479,6 +459,38 @@ class DRMAgent:
     # ------------------------------------------------------------------
     # Phase 4: Consumption — steps for every access (paper §2.4.4)
     # ------------------------------------------------------------------
+    def _unlock(self, installed: InstalledRightsObject, dcf: DCF,
+                content_id: str) -> bytes:
+        """The per-access key chain; returns ``K_CEK`` for ``content_id``.
+
+        Shared by :meth:`consume`, :meth:`consume_streaming` and
+        :meth:`export`, which differ only in what they do with the key.
+        """
+        # Step 1: decrypt C2dev using K_DEV (or, in the no-K_DEV
+        # ablation, redo the full PKI unwrap of Figure 3).
+        if installed.c2dev is not None:
+            key_material = self.crypto.aes_unwrap(
+                self.secure.kdev, installed.c2dev, label="c2dev-unwrap")
+        else:
+            key_material = self.crypto.kem_decrypt(
+                self.secure.device_private_key,
+                installed.kem_ciphertext, label="c-unwrap-per-access")
+        kmac, krek = key_material[:16], key_material[16:32]
+
+        # Step 2: verify RO integrity via its MAC.
+        if not self.crypto.hmac_verify(
+                kmac, installed.ro.payload_bytes(), installed.mac,
+                label="ro-mac"):
+            raise IntegrityError("Rights Object MAC check failed")
+
+        # Step 3: verify DCF integrity against the hash in the RO.
+        asset = installed.ro.asset_for(content_id)
+        self._verify_dcf_hash(asset.dcf_hash, dcf)
+
+        # Step 4: K_CEK from K_REK; the caller decrypts the content.
+        return self.crypto.aes_unwrap(krek, asset.wrapped_kcek,
+                                      label="kcek-unwrap")
+
     def consume(self, content_id: str,
                 permission: PermissionType = PermissionType.PLAY
                 ) -> ConsumptionResult:
@@ -501,32 +513,7 @@ class DRMAgent:
             evaluator = RightsEvaluator(installed.ro.rights)
             evaluator.check(permission, installed.state,
                             self.drm_time())
-
-            # Step 1: decrypt C2dev using K_DEV (or, in the no-K_DEV
-            # ablation, redo the full PKI unwrap of Figure 3).
-            if installed.c2dev is not None:
-                key_material = self.crypto.aes_unwrap(
-                    self.secure.kdev, installed.c2dev,
-                    label="c2dev-unwrap")
-            else:
-                key_material = self.crypto.kem_decrypt(
-                    self.secure.device_private_key,
-                    installed.kem_ciphertext, label="c-unwrap-per-access")
-            kmac, krek = key_material[:16], key_material[16:32]
-
-            # Step 2: verify RO integrity via its MAC.
-            if not self.crypto.hmac_verify(
-                    kmac, installed.ro.payload_bytes(), installed.mac,
-                    label="ro-mac"):
-                raise IntegrityError("Rights Object MAC check failed")
-
-            # Step 3: verify DCF integrity against the hash in the RO.
-            asset = installed.ro.asset_for(content_id)
-            self._verify_dcf_hash(asset.dcf_hash, dcf)
-
-            # Unlock the content: K_CEK from K_REK, then bulk decryption.
-            kcek = self.crypto.aes_unwrap(krek, asset.wrapped_kcek,
-                                          label="kcek-unwrap")
+            kcek = self._unlock(installed, dcf, content_id)
             clear = self.crypto.aes_cbc_decrypt(kcek, dcf.iv,
                                                 dcf.encrypted_data,
                                                 label="content-decrypt")
@@ -562,24 +549,7 @@ class DRMAgent:
             evaluator = RightsEvaluator(installed.ro.rights)
             evaluator.check(permission, installed.state,
                             self.drm_time())
-            if installed.c2dev is not None:
-                key_material = self.crypto.aes_unwrap(
-                    self.secure.kdev, installed.c2dev,
-                    label="c2dev-unwrap")
-            else:
-                key_material = self.crypto.kem_decrypt(
-                    self.secure.device_private_key,
-                    installed.kem_ciphertext,
-                    label="c-unwrap-per-access")
-            kmac, krek = key_material[:16], key_material[16:32]
-            if not self.crypto.hmac_verify(
-                    kmac, installed.ro.payload_bytes(), installed.mac,
-                    label="ro-mac"):
-                raise IntegrityError("Rights Object MAC check failed")
-            asset = installed.ro.asset_for(content_id)
-            self._verify_dcf_hash(asset.dcf_hash, dcf)
-            kcek = self.crypto.aes_unwrap(krek, asset.wrapped_kcek,
-                                          label="kcek-unwrap")
+            kcek = self._unlock(installed, dcf, content_id)
             state = installed.state.snapshot()
             evaluator.consume(permission, state, self.drm_time())
             self.storage.set_ro_state(installed.ro_id, state)
@@ -633,24 +603,7 @@ class DRMAgent:
                 mode = constraint.mode
 
             dcf = self.storage.get_dcf(content_id)
-            if installed.c2dev is not None:
-                key_material = self.crypto.aes_unwrap(
-                    self.secure.kdev, installed.c2dev,
-                    label="c2dev-unwrap")
-            else:
-                key_material = self.crypto.kem_decrypt(
-                    self.secure.device_private_key,
-                    installed.kem_ciphertext,
-                    label="c-unwrap-per-access")
-            kmac, krek = key_material[:16], key_material[16:32]
-            if not self.crypto.hmac_verify(
-                    kmac, installed.ro.payload_bytes(), installed.mac,
-                    label="ro-mac"):
-                raise IntegrityError("Rights Object MAC check failed")
-            asset = installed.ro.asset_for(content_id)
-            self._verify_dcf_hash(asset.dcf_hash, dcf)
-            kcek = self.crypto.aes_unwrap(krek, asset.wrapped_kcek,
-                                          label="kcek-unwrap")
+            kcek = self._unlock(installed, dcf, content_id)
             clear = self.crypto.aes_cbc_decrypt(kcek, dcf.iv,
                                                 dcf.encrypted_data,
                                                 label="content-decrypt")
@@ -681,19 +634,11 @@ class DRMAgent:
             context = self.storage.get_ri_context(rights_issuer.ri_id,
                                                   self.drm_time())
             device_nonce = new_nonce(self.crypto)
-            unsigned = JoinDomainRequest(
+            request = JoinDomainRequest(
                 device_id=self.device_id, ri_id=context.ri_id,
                 domain_id=domain_id, device_nonce=device_nonce,
                 request_time=self.drm_time(),
-            )
-            request = JoinDomainRequest(
-                device_id=unsigned.device_id, ri_id=unsigned.ri_id,
-                domain_id=unsigned.domain_id,
-                device_nonce=unsigned.device_nonce,
-                request_time=unsigned.request_time,
-                signature=self.crypto.pss_sign(
-                    self.secure.device_private_key, unsigned.tbs_bytes()),
-            )
+            ).signed(self.crypto, self.secure.device_private_key)
             response = rights_issuer.join_domain(request)
             if response.status != ROAP_STATUS_OK:
                 raise RegistrationError(
@@ -703,9 +648,7 @@ class DRMAgent:
                 raise NonceMismatchError(
                     "JoinDomainResponse does not echo our nonce"
                 )
-            self.crypto.pss_verify(context.ri_certificate.public_key,
-                                   response.tbs_bytes(),
-                                   response.signature)
+            response.verify(self.crypto, context.ri_certificate.public_key)
             modulus_octets = \
                 self.secure.device_private_key.modulus_octets
             kem_ciphertext = KemCiphertext.split(
@@ -733,20 +676,12 @@ class DRMAgent:
                                                   self.drm_time())
             self.storage.get_domain_context(domain_id)  # must be member
             device_nonce = new_nonce(self.crypto)
-            unsigned = LeaveDomainRequest(
+            request = LeaveDomainRequest(
                 device_id=self.device_id, ri_id=context.ri_id,
                 domain_id=domain_id, device_nonce=device_nonce,
                 request_time=self.drm_time(),
-            )
-            request = LeaveDomainRequest(
-                device_id=unsigned.device_id, ri_id=unsigned.ri_id,
-                domain_id=unsigned.domain_id,
-                device_nonce=unsigned.device_nonce,
-                request_time=unsigned.request_time,
-                signature=self.crypto.pss_sign(
-                    self.secure.device_private_key, unsigned.tbs_bytes(),
-                    label="sign-leave-domain"),
-            )
+            ).signed(self.crypto, self.secure.device_private_key,
+                     label="sign-leave-domain")
             response = rights_issuer.leave_domain(request)
             if response.status != ROAP_STATUS_OK:
                 raise RegistrationError(
@@ -756,10 +691,8 @@ class DRMAgent:
                 raise NonceMismatchError(
                     "LeaveDomainResponse does not echo our nonce"
                 )
-            self.crypto.pss_verify(context.ri_certificate.public_key,
-                                   response.tbs_bytes(),
-                                   response.signature,
-                                   label="verify-leave-domain")
+            response.verify(self.crypto, context.ri_certificate.public_key,
+                            label="verify-leave-domain")
             self.storage.remove_domain_context(domain_id)
 
     # ------------------------------------------------------------------
@@ -775,10 +708,8 @@ class DRMAgent:
         """
         context = self.storage.ri_contexts.get(trigger.ri_id)
         if context is not None:
-            self.crypto.pss_verify(context.ri_certificate.public_key,
-                                   trigger.tbs_bytes(),
-                                   trigger.signature,
-                                   label="verify-trigger")
+            trigger.verify(self.crypto, context.ri_certificate.public_key,
+                           label="verify-trigger")
         elif trigger.type is not TriggerType.REGISTRATION:
             raise RegistrationError(
                 "trigger %r requires an existing RI Context"

@@ -22,7 +22,7 @@ from .errors import (CertificateExpiredError, CertificateRevokedError,
 
 
 @dataclass(frozen=True)
-class Certificate:
+class Certificate(serialize.Signed):
     """A signed binding of a subject name to an RSA public key."""
 
     serial: int
@@ -45,13 +45,6 @@ class Certificate:
             "not_before": self.not_before,
             "not_after": self.not_after,
             "is_ca": self.is_ca,
-        })
-
-    def to_bytes(self) -> bytes:
-        """The full certificate (TBS + signature) for transport/hashing."""
-        return serialize.encode({
-            "tbs": self.tbs_bytes(),
-            "signature": self.signature,
         })
 
     def check_window(self, now: int) -> None:
@@ -82,22 +75,15 @@ class CertificationAuthority:
         self._revoked: Dict[int, int] = {}
         self.root_certificate = self._issue_root(now)
 
-    def _sign(self, tbs: bytes) -> bytes:
-        return self._crypto.pss_sign(self._keypair, tbs)
-
     def _issue_root(self, now: int) -> Certificate:
         serial = self._next_serial
         self._next_serial += 1
-        unsigned = Certificate(
+        return Certificate(
             serial=serial, subject=self.name, issuer=self.name,
             public_key=self._keypair.public_key,
             not_before=now, not_after=now + 20 * YEAR,
             is_ca=True, signature=b"",
-        )
-        return Certificate(
-            **{**unsigned.__dict__, "signature": self._sign(
-                unsigned.tbs_bytes())}
-        )
+        ).signed(self._crypto, self._keypair)
 
     @property
     def public_key(self) -> RSAPublicKey:
@@ -110,15 +96,11 @@ class CertificationAuthority:
         """Issue a certificate for ``subject`` binding ``public_key``."""
         serial = self._next_serial
         self._next_serial += 1
-        unsigned = Certificate(
+        return Certificate(
             serial=serial, subject=subject, issuer=self.name,
             public_key=public_key, not_before=now,
             not_after=now + validity_seconds, is_ca=is_ca, signature=b"",
-        )
-        return Certificate(
-            **{**unsigned.__dict__, "signature": self._sign(
-                unsigned.tbs_bytes())}
-        )
+        ).signed(self._crypto, self._keypair)
 
     def revoke(self, serial: int, now: int) -> None:
         """Revoke the certificate with ``serial`` effective at ``now``."""
@@ -169,8 +151,7 @@ def verify_certificate(certificate: Certificate,
         )
     anchor.check_window(now)
     try:
-        crypto.pss_verify(anchor.public_key, certificate.tbs_bytes(),
-                          certificate.signature)
+        certificate.verify(crypto, anchor.public_key)
     except SignatureError as exc:
         raise TrustError(
             "certificate %d signature invalid: %s"

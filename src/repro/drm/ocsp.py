@@ -33,7 +33,7 @@ class CertStatus(enum.Enum):
 
 
 @dataclass(frozen=True)
-class OCSPResponse:
+class OCSPResponse(serialize.Signed):
     """A signed status assertion for one certificate serial."""
 
     serial: int
@@ -53,12 +53,6 @@ class OCSPResponse:
             "responder": self.responder,
         })
 
-    def to_bytes(self) -> bytes:
-        """Full response bytes for transport."""
-        return serialize.encode({
-            "tbs": self.tbs_bytes(),
-            "signature": self.signature,
-        })
 
 
 def ocsp_response_from_bytes(blob: bytes) -> OCSPResponse:
@@ -103,16 +97,11 @@ class OCSPResponder:
         """Produce a signed status response for ``serial`` at time ``now``."""
         status = (CertStatus.REVOKED if self._ca.is_revoked(serial)
                   else CertStatus.GOOD)
-        unsigned = OCSPResponse(
+        return OCSPResponse(
             serial=serial, status=status, produced_at=now,
             next_update=now + self._validity, responder=self.name,
             signature=b"",
-        )
-        signature = self._crypto.pss_sign(self._keypair,
-                                          unsigned.tbs_bytes())
-        return OCSPResponse(
-            **{**unsigned.__dict__, "signature": signature}
-        )
+        ).signed(self._crypto, self._keypair)
 
 
 def verify_ocsp_response(response: OCSPResponse, serial: int,
@@ -148,8 +137,7 @@ def verify_ocsp_response(response: OCSPResponse, serial: int,
             % (response.produced_at, now, tolerance_seconds)
         )
     try:
-        crypto.pss_verify(responder_certificate.public_key,
-                          response.tbs_bytes(), response.signature)
+        response.verify(crypto, responder_certificate.public_key)
     except SignatureError as exc:
         raise TrustError("OCSP response signature invalid") from exc
     if response.status is CertStatus.REVOKED:

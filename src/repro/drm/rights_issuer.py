@@ -153,11 +153,14 @@ class RightsIssuer:
         """The cached response for a request nonce seen before, or None."""
         return self._replay_cache.get(device_nonce)
 
-    def _remember_response(self, device_nonce: bytes, response) -> None:
+    def _answer(self, request, unsigned):
+        """Sign ``unsigned`` and cache it as the answer to ``request``."""
+        response = unsigned.signed(self._crypto, self._keypair)
         if len(self._replay_cache) >= REPLAY_CACHE_LIMIT:
             oldest = next(iter(self._replay_cache))
             del self._replay_cache[oldest]
-        self._replay_cache[device_nonce] = response
+        self._replay_cache[request.device_nonce] = response
+        return response
 
     # -- ROAP: registration -------------------------------------------------
     def hello(self, device_hello: DeviceHello) -> RIHello:
@@ -209,8 +212,7 @@ class RightsIssuer:
                 "unknown session %r" % request.session_id
             )
         certificate = request.certificate
-        self._crypto.pss_verify(certificate.public_key,
-                                request.tbs_bytes(), request.signature)
+        request.verify(self._crypto, certificate.public_key)
         verify_certificate(certificate, [self._ca.root_certificate],
                            self._clock.now, self._crypto)
         if self._ca.is_revoked(certificate.serial):
@@ -228,25 +230,14 @@ class RightsIssuer:
         self.context_log.append(context)
         ocsp_response = self._ocsp.respond(self.certificate.serial,
                                            self._clock.now)
-        unsigned = RegistrationResponse(
+        return self._answer(request, RegistrationResponse(
             status=ROAP_STATUS_OK,
             session_id=request.session_id,
             device_nonce=request.device_nonce,
             ri_certificate=self.certificate,
             ocsp_response=ocsp_response,
             ri_time=self._clock.now,
-        )
-        signature = self._crypto.pss_sign(self._keypair,
-                                          unsigned.tbs_bytes())
-        response = RegistrationResponse(
-            status=unsigned.status, session_id=unsigned.session_id,
-            device_nonce=unsigned.device_nonce,
-            ri_certificate=unsigned.ri_certificate,
-            ocsp_response=unsigned.ocsp_response,
-            ri_time=unsigned.ri_time, signature=signature,
-        )
-        self._remember_response(request.device_nonce, response)
-        return response
+        ))
 
     # -- ROAP: RO acquisition -----------------------------------------------
     def request_ro(self, request: RORequest) -> ROResponse:
@@ -265,8 +256,7 @@ class RightsIssuer:
                 "device %r holds no registration with %r"
                 % (request.device_id, self.ri_id)
             )
-        self._crypto.pss_verify(certificate.public_key,
-                                request.tbs_bytes(), request.signature)
+        request.verify(self._crypto, certificate.public_key)
         offer = self._offers.get(request.ro_id)
         if offer is None:
             raise AcquisitionError("no license %r on offer" % request.ro_id)
@@ -278,18 +268,10 @@ class RightsIssuer:
             protected = self._mint_device_ro(offer,
                                              certificate.public_key)
 
-        unsigned = ROResponse(
+        return self._answer(request, ROResponse(
             status=ROAP_STATUS_OK, device_nonce=request.device_nonce,
             protected_ro=protected,
-        )
-        signature = self._crypto.pss_sign(self._keypair,
-                                          unsigned.tbs_bytes())
-        response = ROResponse(
-            status=unsigned.status, device_nonce=unsigned.device_nonce,
-            protected_ro=unsigned.protected_ro, signature=signature,
-        )
-        self._remember_response(request.device_nonce, response)
-        return response
+        ))
 
     def _build_ro(self, offer: LicenseOffer, krek: bytes,
                   domain_id: Optional[str]) -> RightsObject:
@@ -372,27 +354,16 @@ class RightsIssuer:
                 "device %r must register before joining a domain"
                 % request.device_id
             )
-        self._crypto.pss_verify(certificate.public_key,
-                                request.tbs_bytes(), request.signature)
+        request.verify(self._crypto, certificate.public_key)
         domain = self.domains.join(request.domain_id, request.device_id)
         kem_ciphertext = self._crypto.kem_encrypt(
             certificate.public_key, domain.key
         )
-        unsigned = JoinDomainResponse(
+        return self._answer(request, JoinDomainResponse(
             status=ROAP_STATUS_OK, domain_id=domain.domain_id,
             device_nonce=request.device_nonce,
             protected_domain_key=kem_ciphertext.concatenation(),
-        )
-        signature = self._crypto.pss_sign(self._keypair,
-                                          unsigned.tbs_bytes())
-        response = JoinDomainResponse(
-            status=unsigned.status, domain_id=unsigned.domain_id,
-            device_nonce=unsigned.device_nonce,
-            protected_domain_key=unsigned.protected_domain_key,
-            signature=signature,
-        )
-        self._remember_response(request.device_nonce, response)
-        return response
+        ))
 
     def leave_domain(self,
                      request: LeaveDomainRequest) -> LeaveDomainResponse:
@@ -411,8 +382,7 @@ class RightsIssuer:
                 "unknown device %r cannot leave a domain"
                 % request.device_id
             )
-        self._crypto.pss_verify(certificate.public_key,
-                                request.tbs_bytes(), request.signature)
+        request.verify(self._crypto, certificate.public_key)
         if not self.domains.is_member(request.domain_id,
                                       request.device_id):
             raise DomainError(
@@ -420,18 +390,10 @@ class RightsIssuer:
                 % (request.device_id, request.domain_id)
             )
         self.domains.leave(request.domain_id, request.device_id)
-        unsigned = LeaveDomainResponse(
+        return self._answer(request, LeaveDomainResponse(
             status=ROAP_STATUS_OK, domain_id=request.domain_id,
             device_nonce=request.device_nonce,
-        )
-        signature = self._crypto.pss_sign(self._keypair,
-                                          unsigned.tbs_bytes())
-        response = LeaveDomainResponse(
-            status=unsigned.status, domain_id=unsigned.domain_id,
-            device_nonce=unsigned.device_nonce, signature=signature,
-        )
-        self._remember_response(request.device_nonce, response)
-        return response
+        ))
 
     # -- ROAP: triggers -------------------------------------------------------
     def trigger(self, trigger_type: TriggerType,

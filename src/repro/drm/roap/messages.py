@@ -1,10 +1,12 @@
 """ROAP message types with canonical serialization.
 
-Every message provides ``tbs_bytes()`` (the to-be-signed body) and
-``to_bytes()`` (the transport form). Messages are real byte strings, so the
-"ROAP message file sizes" the paper extracted from its Java model arise
-here as genuine serialized lengths — the hashes the PSS signatures compute
-run over exactly these bytes.
+Every message provides ``to_bytes()`` (the transport form). The signed
+ones define ``tbs_bytes()`` (the to-be-signed body) and inherit the
+envelope, ``signed`` and ``verify`` from
+:class:`~repro.drm.serialize.Signed`. Messages are real byte strings, so
+the "ROAP message file sizes" the paper extracted from its Java model
+arise here as genuine serialized lengths — the hashes the PSS signatures
+compute run over exactly these bytes.
 
 Nonces bind responses to requests (replay protection); the standard uses
 at least 14 octets of entropy, which :func:`new_nonce` follows.
@@ -71,7 +73,7 @@ class RIHello:
 
 
 @dataclass(frozen=True)
-class RegistrationRequest:
+class RegistrationRequest(serialize.Signed):
     """ROAP-RegistrationRequest: signed, carries the device certificate."""
 
     session_id: str
@@ -90,16 +92,9 @@ class RegistrationRequest:
             "certificate": self.certificate.to_bytes(),
         })
 
-    def to_bytes(self) -> bytes:
-        """Transport bytes."""
-        return serialize.encode({
-            "tbs": self.tbs_bytes(),
-            "signature": self.signature,
-        })
-
 
 @dataclass(frozen=True)
-class RegistrationResponse:
+class RegistrationResponse(serialize.Signed):
     """ROAP-RegistrationResponse: signed, carries RI cert + OCSP response.
 
     ``ri_time`` is the RI's current DRM Time: devices resynchronize
@@ -128,16 +123,9 @@ class RegistrationResponse:
             "ri_time": self.ri_time,
         })
 
-    def to_bytes(self) -> bytes:
-        """Transport bytes."""
-        return serialize.encode({
-            "tbs": self.tbs_bytes(),
-            "signature": self.signature,
-        })
-
 
 @dataclass(frozen=True)
-class RORequest:
+class RORequest(serialize.Signed):
     """ROAP-RORequest: signed request for one Rights Object."""
 
     device_id: str
@@ -160,16 +148,9 @@ class RORequest:
             "domain_id": self.domain_id,
         })
 
-    def to_bytes(self) -> bytes:
-        """Transport bytes."""
-        return serialize.encode({
-            "tbs": self.tbs_bytes(),
-            "signature": self.signature,
-        })
-
 
 @dataclass(frozen=True)
-class ROResponse:
+class ROResponse(serialize.Signed):
     """ROAP-ROResponse: signed, carries the protected Rights Object."""
 
     status: str
@@ -186,16 +167,9 @@ class ROResponse:
             "protected_ro": self.protected_ro.to_bytes(),
         })
 
-    def to_bytes(self) -> bytes:
-        """Transport bytes."""
-        return serialize.encode({
-            "tbs": self.tbs_bytes(),
-            "signature": self.signature,
-        })
-
 
 @dataclass(frozen=True)
-class JoinDomainRequest:
+class JoinDomainRequest(serialize.Signed):
     """ROAP-JoinDomainRequest: signed request to join a device domain."""
 
     device_id: str
@@ -216,16 +190,9 @@ class JoinDomainRequest:
             "request_time": self.request_time,
         })
 
-    def to_bytes(self) -> bytes:
-        """Transport bytes."""
-        return serialize.encode({
-            "tbs": self.tbs_bytes(),
-            "signature": self.signature,
-        })
-
 
 @dataclass(frozen=True)
-class LeaveDomainRequest:
+class LeaveDomainRequest(serialize.Signed):
     """ROAP-LeaveDomainRequest: signed request to leave a domain.
 
     The signature proves to the RI that the device itself asked to
@@ -251,16 +218,9 @@ class LeaveDomainRequest:
             "request_time": self.request_time,
         })
 
-    def to_bytes(self) -> bytes:
-        """Transport bytes."""
-        return serialize.encode({
-            "tbs": self.tbs_bytes(),
-            "signature": self.signature,
-        })
-
 
 @dataclass(frozen=True)
-class LeaveDomainResponse:
+class LeaveDomainResponse(serialize.Signed):
     """ROAP-LeaveDomainResponse: the RI acknowledges the departure."""
 
     status: str
@@ -277,16 +237,9 @@ class LeaveDomainResponse:
             "device_nonce": self.device_nonce,
         })
 
-    def to_bytes(self) -> bytes:
-        """Transport bytes."""
-        return serialize.encode({
-            "tbs": self.tbs_bytes(),
-            "signature": self.signature,
-        })
-
 
 @dataclass(frozen=True)
-class JoinDomainResponse:
+class JoinDomainResponse(serialize.Signed):
     """ROAP-JoinDomainResponse: carries the KEM-protected domain key.
 
     The RI delivers the symmetric domain key to each trusted member device
@@ -309,11 +262,4 @@ class JoinDomainResponse:
             "domain_id": self.domain_id,
             "device_nonce": self.device_nonce,
             "protected_domain_key": self.protected_domain_key,
-        })
-
-    def to_bytes(self) -> bytes:
-        """Transport bytes."""
-        return serialize.encode({
-            "tbs": self.tbs_bytes(),
-            "signature": self.signature,
         })

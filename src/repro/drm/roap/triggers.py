@@ -27,7 +27,7 @@ class TriggerType(enum.Enum):
 
 
 @dataclass(frozen=True)
-class RoapTrigger:
+class RoapTrigger(serialize.Signed):
     """A signed invitation from the RI to start a ROAP exchange."""
 
     type: TriggerType
@@ -56,24 +56,12 @@ class RoapTrigger:
             "nonce": self.nonce,
         })
 
-    def to_bytes(self) -> bytes:
-        """Transport bytes."""
-        return serialize.encode({
-            "tbs": self.tbs_bytes(),
-            "signature": self.signature,
-        })
-
 
 def make_trigger(trigger_type: TriggerType, ri_id: str, keypair, crypto,
                  ro_id: Optional[str] = None,
                  domain_id: Optional[str] = None) -> RoapTrigger:
     """Build and sign a trigger (RI side)."""
-    unsigned = RoapTrigger(
+    return RoapTrigger(
         type=trigger_type, ri_id=ri_id, ro_id=ro_id,
         domain_id=domain_id, nonce=crypto.random_bytes(14),
-    )
-    return RoapTrigger(
-        type=unsigned.type, ri_id=unsigned.ri_id, ro_id=unsigned.ro_id,
-        domain_id=unsigned.domain_id, nonce=unsigned.nonce,
-        signature=crypto.pss_sign(keypair, unsigned.tbs_bytes()),
-    )
+    ).signed(crypto, keypair)

@@ -20,6 +20,11 @@ The encoding is a typed netstring format:
 Mappings serialize with sorted keys, so two structurally equal objects
 always produce identical bytes — the property signatures and MACs need.
 
+Every signed object (certificate, OCSP response, signed ROAP message,
+trigger) is a frozen dataclass with a ``tbs_bytes()`` body and a
+``signature`` field; :class:`Signed` gives all of them one transport
+envelope and one way to sign and verify that body.
+
 Decoding is hardened against hostile input: a blob arriving off a lossy
 or adversarial bearer may be truncated, bit-flipped, over-length or
 arbitrarily garbled, and every such failure raises the single typed
@@ -28,6 +33,7 @@ arbitrarily garbled, and every such failure raises the single typed
 into protocol logic.
 """
 
+import dataclasses
 from typing import Any
 
 from .errors import WireDecodeError
@@ -68,6 +74,33 @@ def encode(value: Any) -> bytes:
             parts.append(encode(value[key]))
         return _frame("d", b"".join(parts))
     raise TypeError("cannot canonically encode %r" % type(value).__name__)
+
+
+class Signed:
+    """Mixin for a frozen dataclass signed over its ``tbs_bytes()`` body.
+
+    The class provides ``tbs_bytes()`` and a ``signature`` field; this
+    mixin adds the ``{tbs, signature}`` transport envelope and the
+    RSASSA-PSS sign/verify pair over that body. ``label`` tags the
+    metered records, so each caller keeps the label it is priced under.
+    """
+
+    def to_bytes(self) -> bytes:
+        """Transport bytes: the signed body plus its signature."""
+        return encode({"tbs": self.tbs_bytes(),
+                       "signature": self.signature})
+
+    def signed(self, crypto, key, label: str = "pss-sign"):
+        """A copy carrying a signature by ``key`` over ``tbs_bytes()``."""
+        return dataclasses.replace(
+            self, signature=crypto.pss_sign(key, self.tbs_bytes(),
+                                            label=label))
+
+    def verify(self, crypto, public_key,
+               label: str = "pss-verify") -> None:
+        """Check the signature; raises ``SignatureError`` on failure."""
+        crypto.pss_verify(public_key, self.tbs_bytes(), self.signature,
+                          label=label)
 
 
 class _Reader:

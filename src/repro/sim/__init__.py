@@ -24,7 +24,7 @@ from .ri import (DEFAULT_OCSP_FETCH_MS, DEFAULT_OCSP_VALIDITY_SECONDS,
                  DEFAULT_REQUEST_MIX, REQUEST_KINDS, SERVE_STATUSES,
                  RICapacity, RIServer, ServeOutcome, nominal_service_ticks,
                  service_records)
-from .admission import (ADMISSION_POLICIES, PRIORITY_CLASSES, AdmitAll,
+from .admission import (ADMISSION_POLICIES, PRIORITY_CLASSES,
                         AdmissionPolicy, CoDelShedder,
                         PriorityAdmission, TokenBucket, make_admission)
 from .fleet import (ArchitectureLoadResult, KernelFleetResult,
@@ -46,9 +46,8 @@ __all__ = [
     "DEFAULT_REQUEST_MIX", "REQUEST_KINDS", "SERVE_STATUSES",
     "RICapacity", "RIServer", "ServeOutcome", "nominal_service_ticks",
     "service_records",
-    "ADMISSION_POLICIES", "PRIORITY_CLASSES", "AdmitAll",
-    "AdmissionPolicy", "CoDelShedder", "PriorityAdmission",
-    "TokenBucket", "make_admission",
+    "ADMISSION_POLICIES", "PRIORITY_CLASSES", "AdmissionPolicy",
+    "CoDelShedder", "PriorityAdmission", "TokenBucket", "make_admission",
     "ArchitectureLoadResult", "KernelFleetResult", "OpenLoadResult",
     "run_fleet_kernel", "run_open_load",
     "RETRY_DISCIPLINES", "RETRY_POLICIES", "BinStat", "RetryBudget",

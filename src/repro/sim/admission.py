@@ -81,10 +81,6 @@ class AdmissionPolicy:
         """An admitted request left the queue (granted or not)."""
 
 
-class AdmitAll(AdmissionPolicy):
-    """The explicit no-op policy, for sweep tables and CLI spellings."""
-
-
 class TokenBucket(AdmissionPolicy):
     """Rate-limit admissions to a fraction of nominal capacity.
 

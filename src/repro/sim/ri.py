@@ -244,7 +244,6 @@ class RIServer:
                  ocsp_fetch_ms: float = DEFAULT_OCSP_FETCH_MS,
                  ocsp_validity_seconds: int =
                  DEFAULT_OCSP_VALIDITY_SECONDS,
-                 replay_pressure: bool = True,
                  admission=None,
                  tracer=NULL_TRACER,
                  slo=None) -> None:
@@ -261,7 +260,6 @@ class RIServer:
             ocsp_fetch_ms / 1000.0 * self.ticks_per_second))
         self.ocsp_validity_ticks = (ocsp_validity_seconds
                                     * self.ticks_per_second)
-        self.replay_pressure = replay_pressure
         self._ocsp_fetched_at: Optional[int] = None
         self._base_ticks = {
             kind: sum(cost_table.cycles(record,
@@ -333,7 +331,7 @@ class RIServer:
         population. Pure Table 1 pricing otherwise.
         """
         ticks = self._base_ticks[kind]
-        if self.replay_pressure and kind != "hello":
+        if kind != "hello":
             ticks += self.replay_probe_ticks()
         if kind == "registration":
             now = self.kernel.now

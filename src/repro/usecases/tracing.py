@@ -15,10 +15,12 @@ the same seed always produces byte-identical exports.
 
 from typing import Callable, Dict, List, Tuple
 
+from ..core.model import PerformanceModel
 from ..core.trace import OperationTrace, Phase
 from ..drm.rel import play_count
 from ..drm.roap.faults import FaultPlan, FaultyChannel
 from ..drm.session import RetryPolicy, RoapSession
+from ..obs.profile import ProfileTree
 from ..obs.tracer import Tracer
 from .catalog import music_player, ringtone
 from .scenario import KIB, UseCase
@@ -177,12 +179,26 @@ def run_profile_scenario(name: str, tracer: Tracer,
     paper-scale trace; every other name runs the real protocol stack
     via :func:`run_scenario`. Either way the returned
     :class:`~repro.core.trace.OperationTrace` prices to exactly the
-    cycles the tracer recorded.
+    cycles the tracer recorded: the tracer's folded
+    :class:`~repro.obs.profile.ProfileTree` and the cost model's
+    breakdown of the trace must agree to the cycle. A mismatch is a bug
+    in the tracer or profiler, so it raises instead of handing back a
+    wrong profile.
     """
     if name in MODELED_SCENARIOS:
-        return replay_modeled(name, tracer, seed=seed)
-    world = run_scenario(name, tracer, seed=seed, rsa_bits=rsa_bits)
-    return world.agent_crypto.trace
+        trace = replay_modeled(name, tracer, seed=seed)
+    else:
+        trace = run_scenario(name, tracer, seed=seed,
+                             rsa_bits=rsa_bits).agent_crypto.trace
+    tree_cycles = ProfileTree.from_tracer(tracer).total_cycles
+    breakdown = PerformanceModel(tracer.cost_table).evaluate(
+        trace, tracer.profile)
+    if tree_cycles != breakdown.total_cycles:
+        raise AssertionError(
+            "profile tree does not reconcile with the cost model: "
+            "tree %d cycles != breakdown %d cycles"
+            % (tree_cycles, breakdown.total_cycles))
+    return trace
 
 
 def run_scenario(name: str, tracer: Tracer,

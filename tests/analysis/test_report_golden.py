@@ -9,8 +9,9 @@ The comparison is *normalized* — trailing whitespace and line-ending
 differences are ignored, so the snapshot does not break on editor or
 platform noise — but every character of content must match.
 
-The report is built once per module and shared by the three tests; the
-CLI path is covered separately by ``tests/test_cli.py::test_report``.
+The report is built once per session (the ``report_document`` fixture
+in ``tests/conftest.py``) and shared by these three tests and the CLI
+path, ``tests/test_cli.py::test_report``.
 
 To regenerate after an intentional change::
 
@@ -20,11 +21,6 @@ To regenerate after an intentional change::
 import difflib
 import os
 import pathlib
-
-import pytest
-
-from repro.analysis import report
-from repro.analysis.common import DEFAULT_SEED
 
 GOLDEN_PATH = (pathlib.Path(__file__).resolve().parent
                / "golden" / "report.md")
@@ -48,12 +44,6 @@ EXPECTED_SECTIONS = (
 )
 
 
-@pytest.fixture(scope="module")
-def document():
-    """The default-seed report, generated once for this module."""
-    return report.generate(seed=DEFAULT_SEED)
-
-
 def normalize(text):
     """Content-only form: universal newlines, no trailing whitespace."""
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -63,8 +53,8 @@ def normalize(text):
     return "\n".join(stripped) + "\n"
 
 
-def test_report_matches_golden_snapshot(document):
-    generated = normalize(document.markdown)
+def test_report_matches_golden_snapshot(report_document):
+    generated = normalize(report_document.markdown)
     if os.environ.get("UPDATE_GOLDEN"):
         GOLDEN_PATH.write_text(generated, encoding="utf-8")
     golden = normalize(GOLDEN_PATH.read_text(encoding="utf-8"))
@@ -78,8 +68,8 @@ def test_report_matches_golden_snapshot(document):
             "intentional, regenerate with UPDATE_GOLDEN=1.\n" + diff)
 
 
-def test_report_sections_in_order(document):
-    markdown = document.markdown
+def test_report_sections_in_order(report_document):
+    markdown = report_document.markdown
     position = -1
     for heading in EXPECTED_SECTIONS:
         found = markdown.find(heading)
@@ -87,7 +77,7 @@ def test_report_sections_in_order(document):
         position = found
 
 
-def test_report_write_roundtrip(document, tmp_path):
+def test_report_write_roundtrip(report_document, tmp_path):
     path = tmp_path / "report.md"
-    document.write(str(path))
-    assert path.read_text(encoding="utf-8") == document.markdown
+    report_document.write(str(path))
+    assert path.read_text(encoding="utf-8") == report_document.markdown

@@ -11,6 +11,8 @@ import copy
 
 import pytest
 
+from repro.analysis import report
+from repro.analysis.common import DEFAULT_SEED
 from repro.core.costs import CostOptions
 from repro.usecases.catalog import ringtone
 from repro.usecases.runner import run_functional
@@ -47,6 +49,16 @@ def fast_world_factory():
 def paper_world():
     """One shared 1024-bit world for read-only size checks."""
     return DRMWorld.create(seed="fixture-paper")
+
+
+@pytest.fixture(scope="session")
+def report_document():
+    """The default-seed reproduction report, built once per session.
+
+    A full build takes tens of seconds, so the golden snapshot and the
+    ``report`` CLI test share this one.
+    """
+    return report.generate(seed=DEFAULT_SEED)
 
 
 @pytest.fixture(scope="session")

@@ -18,11 +18,13 @@ import json
 import os
 import pathlib
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.architecture import HW_PROFILE, SW_PROFILE
 from repro.core.model import PerformanceModel
+from repro.core.trace import Algorithm, OperationRecord, Phase
 from repro.obs.profile import (ProfileTree, diff, paths_from_collapsed,
                                paths_from_speedscope)
 from repro.obs.tracer import Tracer
@@ -61,6 +63,19 @@ def test_protocol_stack_tree_reconciles_with_cost_breakdown():
     tree = ProfileTree.from_tracer(tracer)
     breakdown = PerformanceModel().evaluate(trace, SW_PROFILE)
     assert tree.total_cycles == breakdown.total_cycles
+
+
+def test_unreconciled_tracer_raises_from_the_library():
+    """A tracer that priced one record the trace lacks cannot fold into
+    a profile: ``run_profile_scenario`` itself refuses it."""
+    tracer = Tracer(profile=SW_PROFILE, actor="terminal")
+    tracer.on_record(OperationRecord(Algorithm.SHA1, Phase.REGISTRATION,
+                                     1, 1, "stray"))
+    with pytest.raises(AssertionError,
+                       match="profile tree does not reconcile with the "
+                             "cost model"):
+        run_profile_scenario("registration", tracer, seed=SEED,
+                             rsa_bits=512)
 
 
 def test_tree_folds_siblings_and_counts_calls():

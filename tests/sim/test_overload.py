@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 from repro.core.architecture import HW_PROFILE, SW_PROFILE
 from repro.sim import overload
-from repro.sim.admission import (ADMISSION_POLICIES, AdmitAll,
-                                 CoDelShedder, PriorityAdmission,
-                                 TokenBucket, make_admission)
+from repro.sim.admission import (ADMISSION_POLICIES, CoDelShedder,
+                                 PriorityAdmission, TokenBucket,
+                                 make_admission)
 from repro.sim.kernel import Kernel, drain
 from repro.sim.overload import (RETRY_DISCIPLINES, RETRY_POLICIES,
                                 RetryBudget, StormSpec, run_storm)
@@ -140,14 +140,6 @@ def test_priority_classes_order_registration_first():
     assert policy.priority("acquisition") == 2
     # Unknown kinds rank below every configured class.
     assert policy.priority("mystery") == 3
-
-
-def test_admit_all_is_a_no_op():
-    _kernel, ri = _server()
-    policy = AdmitAll()
-    policy.bind(ri)
-    assert policy.admit(ri, "acquisition", 0) is None
-    assert policy.priority("registration") == 0
 
 
 # -- serve_request terminal statuses ----------------------------------------

@@ -115,12 +115,6 @@ def test_replay_probe_is_priced_per_cache_depth():
         assert ri.replay_probe_ticks() == expected  # the memoized path
 
 
-def test_replay_pressure_can_be_disabled():
-    _, ri = _server(replay_pressure=False)
-    assert ri.service_ticks("acquisition") == \
-        ri.base_ticks("acquisition")
-
-
 # -- the serving protocol ---------------------------------------------------
 
 def _drive(ri, kinds, until=None):

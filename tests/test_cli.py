@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.analysis import report
+from repro.analysis.common import DEFAULT_SEED
 from repro.cli import main
 
 
@@ -184,16 +186,23 @@ def test_selftest(capsys):
 
 
 @pytest.mark.slow
-def test_report(capsys, tmp_path):
+def test_report(capsys, tmp_path, monkeypatch, report_document):
+    """The command writes what the library generates, at the seed asked
+    for; the content itself is pinned by the report golden."""
+    seeds = []
+
+    def generate(seed):
+        seeds.append(seed)
+        return report_document
+
+    monkeypatch.setattr(report, "generate", generate)
     path = str(tmp_path / "REPORT.md")
     code, out = run_cli(capsys, "report", "--output", path)
     assert code == 0
-    with open(path) as handle:
-        text = handle.read()
-    assert "# Reproduction report" in text
-    assert "Figure 6" in text and "Figure 7" in text
-    assert "Retry overhead under loss" in text
-    assert "## Verdict" in text
+    assert seeds == [DEFAULT_SEED]
+    with open(path, encoding="utf-8") as handle:
+        assert handle.read() == report_document.markdown
+    assert "report written to %s" % path in out
 
 
 def test_json_flag_on_artifact(capsys):
