@@ -22,6 +22,7 @@ with the CA root (verified once at manufacture), so a registration costs
 exactly the paper's three public-key verifications.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -105,10 +106,7 @@ class DRMAgent:
                  verify_dcf_on_install: bool = False,
                  kdev_optimization: bool = True,
                  clock_skew_seconds: int = 0,
-                 max_time_rollback_seconds: int =
-                 MAX_TIME_ROLLBACK_SECONDS,
                  durable: bool = False,
-                 storage_flash=None,
                  storage_injector=None) -> None:
         self.device_id = device_id
         self.certificate = certificate
@@ -120,19 +118,16 @@ class DRMAgent:
         self.kdev_optimization = kdev_optimization
         self._time_offset = clock_skew_seconds
         self._time_synced = False
-        self.max_time_rollback_seconds = max_time_rollback_seconds
         self.secure = SecureStorage(
             device_private_key=keypair,
             kdev=crypto.random_bytes(KDEV_LENGTH),
         )
-        if durable or storage_flash is not None \
-                or storage_injector is not None:
+        if durable or storage_injector is not None:
             # Journaled flash-backed storage: every record HMAC runs
             # through this agent's (possibly metered) crypto provider.
             # Opt-in, so the paper-baseline cost traces stay untouched.
             self.storage = TransactionalStorage(
-                crypto, self.secure.kdev, flash=storage_flash,
-                injector=storage_injector)
+                crypto, self.secure.kdev, injector=storage_injector)
         else:
             self.storage = DeviceStorage()
         self.storage.tracer = self.tracer
@@ -186,8 +181,8 @@ class DRMAgent:
 
         Once the device has synced DRM Time from a trusted RI, a
         correction that would move it *backward* by more than
-        ``max_time_rollback_seconds`` is refused — resync cures drift,
-        it must never become a rollback channel for stretched datetime
+        :data:`MAX_TIME_ROLLBACK_SECONDS` is refused — resync cures
+        drift, it must never become a rollback channel for stretched datetime
         constraints (a forged RI time fails the signature check anyway;
         this bounds even a compromised-but-certified RI). Before the
         first sync there is nothing trustworthy to protect: the factory
@@ -199,12 +194,20 @@ class DRMAgent:
         """
         correction = ri_time - self.drm_time()
         if self._time_synced \
-                and correction < -self.max_time_rollback_seconds:
+                and correction < -MAX_TIME_ROLLBACK_SECONDS:
             raise TrustError(
                 "refusing DRM time rollback of %d s (bound %d s)"
-                % (-correction, self.max_time_rollback_seconds)
+                % (-correction, MAX_TIME_ROLLBACK_SECONDS)
             )
         return ri_time
+
+    @contextmanager
+    def _phase(self, name: str, phase: Phase, **attrs):
+        """Tag crypto with ``phase`` inside one ``agent.<name>`` span."""
+        with self.crypto.in_phase(phase), \
+                self.tracer.span("agent." + name, track=phase.value,
+                                 **attrs):
+            yield
 
     # ------------------------------------------------------------------
     # Phase 1: Registration — establishing trust (paper §2.4.1)
@@ -215,12 +218,10 @@ class DRMAgent:
         Returns the RI Context that later phases require. All terminal
         crypto is tagged ``Phase.REGISTRATION``.
         """
-        with self.crypto.in_phase(Phase.REGISTRATION), \
-                self.tracer.span("agent.register",
-                                 track=Phase.REGISTRATION.value):
+        with self._phase("register", Phase.REGISTRATION):
             hello = DeviceHello(
                 version=ROAP_VERSION, device_id=self.device_id,
-                supported_algorithms=DEFAULT_ALGORITHMS,
+                algorithms=DEFAULT_ALGORITHMS,
             )
             ri_hello = rights_issuer.hello(hello)
             if ri_hello.version != ROAP_VERSION:
@@ -280,7 +281,7 @@ class DRMAgent:
                 session_id=ri_hello.session_id,
                 registered_at=self.drm_time(),
                 expires_at=self.drm_time() + RI_CONTEXT_LIFETIME,
-                selected_algorithms=ri_hello.selected_algorithms,
+                selected_algorithms=ri_hello.algorithms,
             )
             self.storage.store_ri_context(context)
             return context
@@ -312,10 +313,7 @@ class DRMAgent:
         a session layer re-register and retry instead of failing
         opaquely. All terminal crypto is tagged ``Phase.ACQUISITION``.
         """
-        with self.crypto.in_phase(Phase.ACQUISITION), \
-                self.tracer.span("agent.acquire",
-                                 track=Phase.ACQUISITION.value,
-                                 ro_id=ro_id):
+        with self._phase("acquire", Phase.ACQUISITION, ro_id=ro_id):
             context = self.storage.get_ri_context(rights_issuer.ri_id,
                                                   self.drm_time())
             device_nonce = new_nonce(self.crypto)
@@ -357,10 +355,8 @@ class DRMAgent:
             dcfs = list(dcf.containers)
         else:
             dcfs = list(dcf)
-        with self.crypto.in_phase(Phase.INSTALLATION), \
-                self.tracer.span("agent.install",
-                                 track=Phase.INSTALLATION.value,
-                                 ro_id=protected_ro.ro.ro_id):
+        with self._phase("install", Phase.INSTALLATION,
+                         ro_id=protected_ro.ro.ro_id):
             ro = protected_ro.ro
             by_content = {d.content_id: d for d in dcfs}
             missing = [a.content_id for a in ro.assets
@@ -503,11 +499,9 @@ class DRMAgent:
         consumed (count decrement, first-use timestamps). All terminal
         crypto is tagged ``Phase.CONSUMPTION``.
         """
-        with self.crypto.in_phase(Phase.CONSUMPTION), \
-                self.tracer.span("agent.consume",
-                                 track=Phase.CONSUMPTION.value,
-                                 content_id=content_id,
-                                 permission=permission.value):
+        with self._phase("consume", Phase.CONSUMPTION,
+                         content_id=content_id,
+                         permission=permission.value):
             installed = self.storage.find_ro_for_content(content_id)
             dcf = self.storage.get_dcf(content_id)
             evaluator = RightsEvaluator(installed.ro.rights)
@@ -543,7 +537,9 @@ class DRMAgent:
         if chunk_octets <= 0 or chunk_octets % 16 != 0:
             raise ValueError("chunk size must be a positive multiple "
                              "of 16 octets")
-        with self.crypto.in_phase(Phase.CONSUMPTION):
+        with self._phase("consume_streaming", Phase.CONSUMPTION,
+                         content_id=content_id,
+                         permission=permission.value):
             installed = self.storage.find_ro_for_content(content_id)
             dcf = self.storage.get_dcf(content_id)
             evaluator = RightsEvaluator(installed.ro.rights)
@@ -555,11 +551,14 @@ class DRMAgent:
             self.storage.set_ro_state(installed.ro_id, state)
 
         def stream():
+            # No phase or span stays open across a yield: the caller's
+            # own work between chunks is not this agent's.
             ciphertext = dcf.encrypted_data
             previous_block = dcf.iv
-            with self.crypto.in_phase(Phase.CONSUMPTION):
-                for offset in range(0, len(ciphertext), chunk_octets):
-                    chunk = ciphertext[offset:offset + chunk_octets]
+            for offset in range(0, len(ciphertext), chunk_octets):
+                chunk = ciphertext[offset:offset + chunk_octets]
+                with self._phase("stream_chunk", Phase.CONSUMPTION,
+                                 content_id=content_id, offset=offset):
                     if offset + chunk_octets >= len(ciphertext):
                         # Final chunk: the provider's padded decrypt
                         # strips PKCS#7 and meters the same AES blocks
@@ -572,7 +571,7 @@ class DRMAgent:
                             kcek, previous_block, chunk,
                             label="content-decrypt-chunk")
                         previous_block = chunk[-16:]
-                    yield clear
+                yield clear
 
         return stream()
 
@@ -585,7 +584,9 @@ class DRMAgent:
         constraint, and — for *move* exports — deletes the local rights
         afterwards, per the REL semantics.
         """
-        with self.crypto.in_phase(Phase.CONSUMPTION):
+        with self._phase("export", Phase.CONSUMPTION,
+                         content_id=content_id,
+                         target_system=target_system):
             installed = self.storage.find_ro_for_content(content_id)
             evaluator = RightsEvaluator(installed.ro.rights)
             permission = evaluator.check(PermissionType.EXPORT,
@@ -630,7 +631,8 @@ class DRMAgent:
         The domain key is immediately re-wrapped under ``K_DEV`` for
         storage, mirroring the C2dev optimization.
         """
-        with self.crypto.in_phase(Phase.REGISTRATION):
+        with self._phase("join_domain", Phase.REGISTRATION,
+                         domain_id=domain_id):
             context = self.storage.get_ri_context(rights_issuer.ri_id,
                                                   self.drm_time())
             device_nonce = new_nonce(self.crypto)
@@ -671,7 +673,8 @@ class DRMAgent:
         After this the device can no longer install or consume Domain
         ROs of that domain (its wrapped domain key is erased).
         """
-        with self.crypto.in_phase(Phase.REGISTRATION):
+        with self._phase("leave_domain", Phase.REGISTRATION,
+                         domain_id=domain_id):
             context = self.storage.get_ri_context(rights_issuer.ri_id,
                                                   self.drm_time())
             self.storage.get_domain_context(domain_id)  # must be member

@@ -106,9 +106,7 @@ class OCSPResponder:
 
 def verify_ocsp_response(response: OCSPResponse, serial: int,
                          responder_certificate: Certificate,
-                         now: int, crypto,
-                         tolerance_seconds: int =
-                         DEFAULT_FRESHNESS_TOLERANCE) -> None:
+                         now: int, crypto) -> None:
     """Verify an OCSP response: signature, serial, freshness, status.
 
     The signature check is one RSA public-key operation — the third PKI
@@ -117,9 +115,9 @@ def verify_ocsp_response(response: OCSPResponse, serial: int,
 
     Freshness is checked in both directions: a response past its
     ``next_update`` is stale, and one produced more than
-    ``tolerance_seconds`` in the *future* is rejected too — otherwise a
-    pre-signed response combined with a rolled-back terminal clock would
-    verify indefinitely.
+    :data:`DEFAULT_FRESHNESS_TOLERANCE` in the *future* is rejected too —
+    otherwise a pre-signed response combined with a rolled-back terminal
+    clock would verify indefinitely.
     """
     if response.serial != serial:
         raise TrustError(
@@ -130,11 +128,11 @@ def verify_ocsp_response(response: OCSPResponse, serial: int,
         raise TrustError("OCSP responder name does not match certificate")
     if now > response.next_update:
         raise TrustError("OCSP response is stale")
-    if response.produced_at > now + tolerance_seconds:
+    if response.produced_at > now + DEFAULT_FRESHNESS_TOLERANCE:
         raise TrustError(
             "OCSP response is future-dated (produced_at %d, now %d, "
             "tolerance %d s)"
-            % (response.produced_at, now, tolerance_seconds)
+            % (response.produced_at, now, DEFAULT_FRESHNESS_TOLERANCE)
         )
     try:
         response.verify(crypto, responder_certificate.public_key)

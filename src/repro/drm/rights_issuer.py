@@ -172,7 +172,7 @@ class RightsIssuer:
         # Intersect capabilities, preferring the mandated defaults.
         selected = tuple(
             a for a in DEFAULT_ALGORITHMS
-            if a in device_hello.supported_algorithms
+            if a in device_hello.algorithms
         )
         if len(selected) != len(DEFAULT_ALGORITHMS):
             raise RegistrationError(
@@ -188,7 +188,7 @@ class RightsIssuer:
         return RIHello(
             version=ROAP_VERSION, ri_id=self.ri_id,
             session_id=session_id, ri_nonce=session.ri_nonce,
-            selected_algorithms=selected,
+            algorithms=selected,
         )
 
     def register(self, request: RegistrationRequest) -> RegistrationResponse:

@@ -1,18 +1,22 @@
 """ROAP message types with canonical serialization.
 
-Every message provides ``to_bytes()`` (the transport form). The signed
-ones define ``tbs_bytes()`` (the to-be-signed body) and inherit the
-envelope, ``signed`` and ``verify`` from
-:class:`~repro.drm.serialize.Signed`. Messages are real byte strings, so
-the "ROAP message file sizes" the paper extracted from its Java model
-arise here as genuine serialized lengths — the hashes the PSS signatures
-compute run over exactly these bytes.
+Each message is a frozen dataclass whose fields are its whole schema:
+:class:`RoapMessage` derives the body from them, and so does the codec in
+:mod:`~repro.drm.roap.wire`, so adding a field is one edit. Unsigned
+messages send the body as is; signed ones list
+:class:`~repro.drm.serialize.Signed` first and sign it. Messages are real
+byte strings, so the "ROAP message file sizes" the paper extracted from
+its Java model arise here as genuine serialized lengths — the hashes the
+PSS signatures compute run over exactly these bytes.
 
 Nonces bind responses to requests (replay protection); the standard uses
 at least 14 octets of entropy, which :func:`new_nonce` follows.
 """
 
-from dataclasses import dataclass
+import enum
+import functools
+import operator
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 from .. import serialize
@@ -32,48 +36,61 @@ def new_nonce(crypto) -> bytes:
     return crypto.random_bytes(NONCE_LENGTH)
 
 
+def _body_form(field_type):
+    """Nested objects enter a body as bytes, enums as their value."""
+    if field_type in (Certificate, OCSPResponse, ProtectedRightsObject):
+        return field_type.to_bytes
+    if isinstance(field_type, enum.EnumMeta):
+        return operator.attrgetter("value")
+    return None  # as is
+
+
+@functools.lru_cache(maxsize=None)
+def _body_plan(cls) -> tuple:
+    """``(name, form)`` for every field of ``cls`` but its signature."""
+    return tuple((f.name, _body_form(f.type))
+                 for f in fields(cls) if f.name != "signature")
+
+
+class RoapMessage:
+    """Mixin for a frozen dataclass whose body derives from its fields."""
+
+    def tbs_bytes(self) -> bytes:
+        """``{"message": <class name>}`` plus every field but the
+        signature, each under its own name."""
+        body = {"message": type(self).__name__}
+        for name, form in _body_plan(type(self)):
+            value = getattr(self, name)
+            body[name] = value if form is None else form(value)
+        return serialize.encode(body)
+
+    def to_bytes(self) -> bytes:
+        """Transport bytes of an unsigned message: its body."""
+        return self.tbs_bytes()
+
+
 @dataclass(frozen=True)
-class DeviceHello:
+class DeviceHello(RoapMessage):
     """ROAP-DeviceHello: the device advertises itself and its algorithms."""
 
     version: str
     device_id: str
-    supported_algorithms: Tuple[str, ...]
-
-    def to_bytes(self) -> bytes:
-        """Transport bytes."""
-        return serialize.encode({
-            "message": "DeviceHello",
-            "version": self.version,
-            "device_id": self.device_id,
-            "algorithms": list(self.supported_algorithms),
-        })
+    algorithms: Tuple[str, ...]
 
 
 @dataclass(frozen=True)
-class RIHello:
+class RIHello(RoapMessage):
     """ROAP-RIHello: the RI answers with its identity and a session."""
 
     version: str
     ri_id: str
     session_id: str
     ri_nonce: bytes
-    selected_algorithms: Tuple[str, ...]
-
-    def to_bytes(self) -> bytes:
-        """Transport bytes."""
-        return serialize.encode({
-            "message": "RIHello",
-            "version": self.version,
-            "ri_id": self.ri_id,
-            "session_id": self.session_id,
-            "ri_nonce": self.ri_nonce,
-            "algorithms": list(self.selected_algorithms),
-        })
+    algorithms: Tuple[str, ...]
 
 
 @dataclass(frozen=True)
-class RegistrationRequest(serialize.Signed):
+class RegistrationRequest(serialize.Signed, RoapMessage):
     """ROAP-RegistrationRequest: signed, carries the device certificate."""
 
     session_id: str
@@ -82,19 +99,9 @@ class RegistrationRequest(serialize.Signed):
     certificate: Certificate
     signature: bytes = b""
 
-    def tbs_bytes(self) -> bytes:
-        """The signed body (everything but the signature)."""
-        return serialize.encode({
-            "message": "RegistrationRequest",
-            "session_id": self.session_id,
-            "device_nonce": self.device_nonce,
-            "request_time": self.request_time,
-            "certificate": self.certificate.to_bytes(),
-        })
-
 
 @dataclass(frozen=True)
-class RegistrationResponse(serialize.Signed):
+class RegistrationResponse(serialize.Signed, RoapMessage):
     """ROAP-RegistrationResponse: signed, carries RI cert + OCSP response.
 
     ``ri_time`` is the RI's current DRM Time: devices resynchronize
@@ -111,21 +118,9 @@ class RegistrationResponse(serialize.Signed):
     ri_time: int = 0
     signature: bytes = b""
 
-    def tbs_bytes(self) -> bytes:
-        """The signed body (everything but the signature)."""
-        return serialize.encode({
-            "message": "RegistrationResponse",
-            "status": self.status,
-            "session_id": self.session_id,
-            "device_nonce": self.device_nonce,
-            "ri_certificate": self.ri_certificate.to_bytes(),
-            "ocsp_response": self.ocsp_response.to_bytes(),
-            "ri_time": self.ri_time,
-        })
-
 
 @dataclass(frozen=True)
-class RORequest(serialize.Signed):
+class RORequest(serialize.Signed, RoapMessage):
     """ROAP-RORequest: signed request for one Rights Object."""
 
     device_id: str
@@ -136,21 +131,9 @@ class RORequest(serialize.Signed):
     domain_id: Optional[str] = None
     signature: bytes = b""
 
-    def tbs_bytes(self) -> bytes:
-        """The signed body (everything but the signature)."""
-        return serialize.encode({
-            "message": "RORequest",
-            "device_id": self.device_id,
-            "ri_id": self.ri_id,
-            "ro_id": self.ro_id,
-            "device_nonce": self.device_nonce,
-            "request_time": self.request_time,
-            "domain_id": self.domain_id,
-        })
-
 
 @dataclass(frozen=True)
-class ROResponse(serialize.Signed):
+class ROResponse(serialize.Signed, RoapMessage):
     """ROAP-ROResponse: signed, carries the protected Rights Object."""
 
     status: str
@@ -158,18 +141,9 @@ class ROResponse(serialize.Signed):
     protected_ro: ProtectedRightsObject
     signature: bytes = b""
 
-    def tbs_bytes(self) -> bytes:
-        """The signed body (everything but the signature)."""
-        return serialize.encode({
-            "message": "ROResponse",
-            "status": self.status,
-            "device_nonce": self.device_nonce,
-            "protected_ro": self.protected_ro.to_bytes(),
-        })
-
 
 @dataclass(frozen=True)
-class JoinDomainRequest(serialize.Signed):
+class JoinDomainRequest(serialize.Signed, RoapMessage):
     """ROAP-JoinDomainRequest: signed request to join a device domain."""
 
     device_id: str
@@ -179,20 +153,9 @@ class JoinDomainRequest(serialize.Signed):
     request_time: int
     signature: bytes = b""
 
-    def tbs_bytes(self) -> bytes:
-        """The signed body (everything but the signature)."""
-        return serialize.encode({
-            "message": "JoinDomainRequest",
-            "device_id": self.device_id,
-            "ri_id": self.ri_id,
-            "domain_id": self.domain_id,
-            "device_nonce": self.device_nonce,
-            "request_time": self.request_time,
-        })
-
 
 @dataclass(frozen=True)
-class LeaveDomainRequest(serialize.Signed):
+class LeaveDomainRequest(serialize.Signed, RoapMessage):
     """ROAP-LeaveDomainRequest: signed request to leave a domain.
 
     The signature proves to the RI that the device itself asked to
@@ -207,20 +170,9 @@ class LeaveDomainRequest(serialize.Signed):
     request_time: int
     signature: bytes = b""
 
-    def tbs_bytes(self) -> bytes:
-        """The signed body (everything but the signature)."""
-        return serialize.encode({
-            "message": "LeaveDomainRequest",
-            "device_id": self.device_id,
-            "ri_id": self.ri_id,
-            "domain_id": self.domain_id,
-            "device_nonce": self.device_nonce,
-            "request_time": self.request_time,
-        })
-
 
 @dataclass(frozen=True)
-class LeaveDomainResponse(serialize.Signed):
+class LeaveDomainResponse(serialize.Signed, RoapMessage):
     """ROAP-LeaveDomainResponse: the RI acknowledges the departure."""
 
     status: str
@@ -228,18 +180,9 @@ class LeaveDomainResponse(serialize.Signed):
     device_nonce: bytes
     signature: bytes = b""
 
-    def tbs_bytes(self) -> bytes:
-        """The signed body (everything but the signature)."""
-        return serialize.encode({
-            "message": "LeaveDomainResponse",
-            "status": self.status,
-            "domain_id": self.domain_id,
-            "device_nonce": self.device_nonce,
-        })
-
 
 @dataclass(frozen=True)
-class JoinDomainResponse(serialize.Signed):
+class JoinDomainResponse(serialize.Signed, RoapMessage):
     """ROAP-JoinDomainResponse: carries the KEM-protected domain key.
 
     The RI delivers the symmetric domain key to each trusted member device
@@ -253,13 +196,3 @@ class JoinDomainResponse(serialize.Signed):
     device_nonce: bytes
     protected_domain_key: bytes  # C1 || C2 of the KEM encapsulation
     signature: bytes = b""
-
-    def tbs_bytes(self) -> bytes:
-        """The signed body (everything but the signature)."""
-        return serialize.encode({
-            "message": "JoinDomainResponse",
-            "status": self.status,
-            "domain_id": self.domain_id,
-            "device_nonce": self.device_nonce,
-            "protected_domain_key": self.protected_domain_key,
-        })

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .. import serialize
+from .messages import RoapMessage
 
 
 class TriggerType(enum.Enum):
@@ -27,7 +28,7 @@ class TriggerType(enum.Enum):
 
 
 @dataclass(frozen=True)
-class RoapTrigger(serialize.Signed):
+class RoapTrigger(serialize.Signed, RoapMessage):
     """A signed invitation from the RI to start a ROAP exchange."""
 
     type: TriggerType
@@ -44,17 +45,6 @@ class RoapTrigger(serialize.Signed):
                          TriggerType.LEAVE_DOMAIN) \
                 and self.domain_id is None:
             raise ValueError("domain triggers name a domain")
-
-    def tbs_bytes(self) -> bytes:
-        """The signed body (everything but the signature)."""
-        return serialize.encode({
-            "message": "RoapTrigger",
-            "type": self.type.value,
-            "ri_id": self.ri_id,
-            "ro_id": self.ro_id,
-            "domain_id": self.domain_id,
-            "nonce": self.nonce,
-        })
 
 
 def make_trigger(trigger_type: TriggerType, ri_id: str, keypair, crypto,

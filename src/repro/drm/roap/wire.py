@@ -1,10 +1,11 @@
 """Wire codecs: every ROAP message to bytes and back.
 
 The rest of the protocol stack passes message *objects*; this module
-provides the byte-level transport layer: each message type gets a tagged
-encoding and a decoder that reconstructs an object whose canonical bytes
-are identical to the original's — so signatures made before transport
-verify after it.
+provides the byte-level transport layer, derived from the message
+dataclasses: :data:`MESSAGE_TYPES` lists every wire type once, each field
+travels under its own name, and its type picks its ``(to_wire,
+from_wire)`` pair. A decoded object's canonical bytes are identical to
+the original's — so signatures made before transport verify after it.
 
 :class:`WireChannel` wraps a Rights Issuer behind a byte pipe: every
 request and response is round-tripped through ``encode``/``decode`` and
@@ -14,14 +15,15 @@ running an agent against a ``WireChannel`` produces the same artifact
 here.
 """
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Tuple
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ...crypto.kem import KemCiphertext
 from .. import serialize
 from ..errors import WireDecodeError
-from ..certificates import certificate_from_bytes
-from ..ocsp import ocsp_response_from_bytes
+from ..certificates import Certificate, certificate_from_bytes
+from ..ocsp import OCSPResponse, ocsp_response_from_bytes
 from ..rel import rights_from_bytes
 from ..ro import Asset, ProtectedRightsObject, RightsObject
 from . import messages
@@ -78,16 +80,48 @@ def protected_ro_from_wire(data: dict) -> ProtectedRightsObject:
 
 # -- message codecs ----------------------------------------------------------
 
-def _encode(name: str, body: dict) -> bytes:
-    return serialize.encode({"roap": name, "body": body})
+#: Every type that crosses the wire, keyed by its tag (the class name).
+MESSAGE_TYPES: Dict[str, type] = {cls.__name__: cls for cls in (
+    messages.DeviceHello, messages.RIHello,
+    messages.RegistrationRequest, messages.RegistrationResponse,
+    messages.RORequest, messages.ROResponse,
+    messages.JoinDomainRequest, messages.JoinDomainResponse,
+    messages.LeaveDomainRequest, messages.LeaveDomainResponse,
+    RoapTrigger,
+)}
+
+#: Field type -> ``(to_wire, from_wire)``; ``None`` carries the value as
+#: is, and so does every field type not listed here.
+_FIELD_CODECS: Dict[Any, Tuple[Optional[Callable], Optional[Callable]]] = {
+    int: (None, int),
+    Tuple[str, ...]: (None, tuple),
+    Certificate: (Certificate.to_bytes, certificate_from_bytes),
+    OCSPResponse: (OCSPResponse.to_bytes, ocsp_response_from_bytes),
+    ProtectedRightsObject: (protected_ro_to_wire, protected_ro_from_wire),
+    TriggerType: (attrgetter("value"), TriggerType),
+}
+
+
+def _field_plan(cls) -> tuple:
+    """``(name, to_wire, from_wire)`` for every field of ``cls``."""
+    return tuple((f.name,) + _FIELD_CODECS.get(f.type, (None, None))
+                 for f in fields(cls))
+
+
+#: Tag -> field plan, built once at import.
+_PLANS = {name: _field_plan(cls) for name, cls in MESSAGE_TYPES.items()}
 
 
 def encode_message(message: Any) -> bytes:
     """Serialize any ROAP message (or trigger) to transport bytes."""
     name = type(message).__name__
-    if name not in _ENCODERS:
+    if name not in _PLANS:
         raise TypeError("no wire encoding for %s" % name)
-    return _encode(name, _ENCODERS[name](message))
+    body = {}
+    for field_name, to_wire, _ in _PLANS[name]:
+        value = getattr(message, field_name)
+        body[field_name] = value if to_wire is None else to_wire(value)
+    return serialize.encode({"roap": name, "body": body})
 
 
 def decode_message(blob: bytes) -> Any:
@@ -103,115 +137,21 @@ def decode_message(blob: bytes) -> Any:
     if not isinstance(data, dict) or "roap" not in data:
         raise WireDecodeError("not a ROAP wire message")
     name = data["roap"]
-    if not isinstance(name, str) or name not in _DECODERS:
+    if not isinstance(name, str) or name not in _PLANS:
         raise WireDecodeError("unknown ROAP message %r" % (name,))
     try:
-        return _DECODERS[name](data["body"])
+        body = data["body"]
+        kwargs = {}
+        for field_name, _, from_wire in _PLANS[name]:
+            value = body[field_name]
+            kwargs[field_name] = \
+                value if from_wire is None else from_wire(value)
+        return MESSAGE_TYPES[name](**kwargs)
     except WireDecodeError:
         raise
     except (KeyError, TypeError, ValueError, IndexError, AttributeError,
             OverflowError) as exc:
         raise WireDecodeError("malformed %s body" % name) from exc
-
-
-_ENCODERS: Dict[str, Callable[[Any], dict]] = {
-    "DeviceHello": lambda m: {
-        "version": m.version, "device_id": m.device_id,
-        "algorithms": list(m.supported_algorithms)},
-    "RIHello": lambda m: {
-        "version": m.version, "ri_id": m.ri_id,
-        "session_id": m.session_id, "ri_nonce": m.ri_nonce,
-        "algorithms": list(m.selected_algorithms)},
-    "RegistrationRequest": lambda m: {
-        "session_id": m.session_id, "device_nonce": m.device_nonce,
-        "request_time": m.request_time,
-        "certificate": m.certificate.to_bytes(),
-        "signature": m.signature},
-    "RegistrationResponse": lambda m: {
-        "status": m.status, "session_id": m.session_id,
-        "device_nonce": m.device_nonce,
-        "ri_certificate": m.ri_certificate.to_bytes(),
-        "ocsp_response": m.ocsp_response.to_bytes(),
-        "ri_time": m.ri_time, "signature": m.signature},
-    "RORequest": lambda m: {
-        "device_id": m.device_id, "ri_id": m.ri_id, "ro_id": m.ro_id,
-        "device_nonce": m.device_nonce, "request_time": m.request_time,
-        "domain_id": m.domain_id, "signature": m.signature},
-    "ROResponse": lambda m: {
-        "status": m.status, "device_nonce": m.device_nonce,
-        "protected_ro": protected_ro_to_wire(m.protected_ro),
-        "signature": m.signature},
-    "JoinDomainRequest": lambda m: {
-        "device_id": m.device_id, "ri_id": m.ri_id,
-        "domain_id": m.domain_id, "device_nonce": m.device_nonce,
-        "request_time": m.request_time, "signature": m.signature},
-    "JoinDomainResponse": lambda m: {
-        "status": m.status, "domain_id": m.domain_id,
-        "device_nonce": m.device_nonce,
-        "protected_domain_key": m.protected_domain_key,
-        "signature": m.signature},
-    "LeaveDomainRequest": lambda m: {
-        "device_id": m.device_id, "ri_id": m.ri_id,
-        "domain_id": m.domain_id, "device_nonce": m.device_nonce,
-        "request_time": m.request_time, "signature": m.signature},
-    "LeaveDomainResponse": lambda m: {
-        "status": m.status, "domain_id": m.domain_id,
-        "device_nonce": m.device_nonce, "signature": m.signature},
-    "RoapTrigger": lambda m: {
-        "type": m.type.value, "ri_id": m.ri_id, "ro_id": m.ro_id,
-        "domain_id": m.domain_id, "nonce": m.nonce,
-        "signature": m.signature},
-}
-
-_DECODERS: Dict[str, Callable[[dict], Any]] = {
-    "DeviceHello": lambda b: messages.DeviceHello(
-        version=b["version"], device_id=b["device_id"],
-        supported_algorithms=tuple(b["algorithms"])),
-    "RIHello": lambda b: messages.RIHello(
-        version=b["version"], ri_id=b["ri_id"],
-        session_id=b["session_id"], ri_nonce=b["ri_nonce"],
-        selected_algorithms=tuple(b["algorithms"])),
-    "RegistrationRequest": lambda b: messages.RegistrationRequest(
-        session_id=b["session_id"], device_nonce=b["device_nonce"],
-        request_time=int(b["request_time"]),
-        certificate=certificate_from_bytes(b["certificate"]),
-        signature=b["signature"]),
-    "RegistrationResponse": lambda b: messages.RegistrationResponse(
-        status=b["status"], session_id=b["session_id"],
-        device_nonce=b["device_nonce"],
-        ri_certificate=certificate_from_bytes(b["ri_certificate"]),
-        ocsp_response=ocsp_response_from_bytes(b["ocsp_response"]),
-        ri_time=int(b["ri_time"]), signature=b["signature"]),
-    "RORequest": lambda b: messages.RORequest(
-        device_id=b["device_id"], ri_id=b["ri_id"], ro_id=b["ro_id"],
-        device_nonce=b["device_nonce"],
-        request_time=int(b["request_time"]),
-        domain_id=b["domain_id"], signature=b["signature"]),
-    "ROResponse": lambda b: messages.ROResponse(
-        status=b["status"], device_nonce=b["device_nonce"],
-        protected_ro=protected_ro_from_wire(b["protected_ro"]),
-        signature=b["signature"]),
-    "JoinDomainRequest": lambda b: messages.JoinDomainRequest(
-        device_id=b["device_id"], ri_id=b["ri_id"],
-        domain_id=b["domain_id"], device_nonce=b["device_nonce"],
-        request_time=int(b["request_time"]), signature=b["signature"]),
-    "JoinDomainResponse": lambda b: messages.JoinDomainResponse(
-        status=b["status"], domain_id=b["domain_id"],
-        device_nonce=b["device_nonce"],
-        protected_domain_key=b["protected_domain_key"],
-        signature=b["signature"]),
-    "LeaveDomainRequest": lambda b: messages.LeaveDomainRequest(
-        device_id=b["device_id"], ri_id=b["ri_id"],
-        domain_id=b["domain_id"], device_nonce=b["device_nonce"],
-        request_time=int(b["request_time"]), signature=b["signature"]),
-    "LeaveDomainResponse": lambda b: messages.LeaveDomainResponse(
-        status=b["status"], domain_id=b["domain_id"],
-        device_nonce=b["device_nonce"], signature=b["signature"]),
-    "RoapTrigger": lambda b: RoapTrigger(
-        type=TriggerType(b["type"]), ri_id=b["ri_id"],
-        ro_id=b["ro_id"], domain_id=b["domain_id"], nonce=b["nonce"],
-        signature=b["signature"]),
-}
 
 
 # -- logged transport ---------------------------------------------------------

@@ -153,7 +153,7 @@ def test_hello_unaffected_on_clean_channel(fast_world):
     channel = make_channel(fast_world)
     hello = DeviceHello(version=ROAP_VERSION,
                         device_id=fast_world.agent.device_id,
-                        supported_algorithms=DEFAULT_ALGORITHMS)
+                        algorithms=DEFAULT_ALGORITHMS)
     ri_hello = channel.hello(hello)
     assert ri_hello.ri_id == fast_world.ri.ri_id
     assert len(channel.faults) == 0

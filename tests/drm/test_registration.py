@@ -35,7 +35,7 @@ def test_unregistered_acquisition_fails(fast_world):
 def test_ri_rejects_unsupported_version(fast_world):
     hello = DeviceHello(version="1.0",
                         device_id=fast_world.agent.device_id,
-                        supported_algorithms=("SHA-1",))
+                        algorithms=("SHA-1",))
     with pytest.raises(RegistrationError):
         fast_world.ri.hello(hello)
 
@@ -43,7 +43,7 @@ def test_ri_rejects_unsupported_version(fast_world):
 def test_ri_rejects_incapable_device(fast_world):
     hello = DeviceHello(version=ROAP_VERSION,
                         device_id=fast_world.agent.device_id,
-                        supported_algorithms=("SHA-1",))  # missing suite
+                        algorithms=("SHA-1",))  # missing suite
     with pytest.raises(RegistrationError):
         fast_world.ri.hello(hello)
 

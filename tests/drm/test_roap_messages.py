@@ -18,7 +18,7 @@ def test_nonce_length_and_freshness():
 
 def test_device_hello_bytes():
     hello = DeviceHello(version="2.0", device_id="device:x",
-                        supported_algorithms=("SHA-1", "AES-128-CBC"))
+                        algorithms=("SHA-1", "AES-128-CBC"))
     blob = hello.to_bytes()
     assert blob == hello.to_bytes()
     assert b"DeviceHello" in blob
@@ -27,9 +27,9 @@ def test_device_hello_bytes():
 
 def test_ri_hello_bytes_cover_nonce():
     a = RIHello(version="2.0", ri_id="ri:x", session_id="s1",
-                ri_nonce=b"\x01" * 14, selected_algorithms=("SHA-1",))
+                ri_nonce=b"\x01" * 14, algorithms=("SHA-1",))
     b = RIHello(version="2.0", ri_id="ri:x", session_id="s1",
-                ri_nonce=b"\x02" * 14, selected_algorithms=("SHA-1",))
+                ri_nonce=b"\x02" * 14, algorithms=("SHA-1",))
     assert a.to_bytes() != b.to_bytes()
 
 
@@ -60,7 +60,7 @@ def test_message_sizes_are_realistic(paper_world):
     """
     hello = DeviceHello(
         version="2.0", device_id=paper_world.agent.device_id,
-        supported_algorithms=("SHA-1", "HMAC-SHA1", "AES-128-WRAP",
+        algorithms=("SHA-1", "HMAC-SHA1", "AES-128-WRAP",
                               "AES-128-CBC", "RSA-PSS", "KDF2",
                               "RSA-1024"))
     assert 50 <= len(hello.to_bytes()) <= 400

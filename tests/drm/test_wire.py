@@ -27,7 +27,7 @@ def offer(world, count=5):
 
 def test_device_hello_roundtrip():
     hello = DeviceHello(version="2.0", device_id="device:x",
-                        supported_algorithms=("SHA-1", "RSA-1024"))
+                        algorithms=("SHA-1", "RSA-1024"))
     assert decode_message(encode_message(hello)) == hello
 
 
@@ -166,7 +166,7 @@ def test_bitflipped_wire_never_decodes_to_valid_other_message(index,
     content differs — it can never silently decode back to the original.
     """
     hello = DeviceHello(version="2.0", device_id="device:x",
-                        supported_algorithms=("SHA-1", "RSA-1024"))
+                        algorithms=("SHA-1", "RSA-1024"))
     blob = encode_message(hello)
     mutated = bytearray(blob)
     mutated[index % len(blob)] ^= flip

@@ -7,6 +7,7 @@ import pytest
 from repro.core.architecture import HW_PROFILE, PAPER_PROFILES, SW_PROFILE
 from repro.core.model import PerformanceModel
 from repro.core.trace import Algorithm, OperationRecord, Phase
+from repro.drm.rel import ExportMode, export_rights, play_count
 from repro.obs.tracer import (NULL_TRACER, NullTracer, OPERATION_CATEGORY,
                               Tracer, _NULL_CONTEXT, _NULL_SPAN)
 from repro.usecases.tracing import run_scenario
@@ -147,3 +148,37 @@ def test_untraced_run_matches_traced_operation_trace():
     untraced = world_trace(None)            # defaults to NULL_TRACER
     traced = world_trace(Tracer(profile=SW_PROFILE))
     assert untraced.canonical() == traced.canonical()
+
+
+def test_streaming_export_and_domain_flows_parent_their_operations():
+    """Every operation span of these flows sits under an agent span."""
+    tracer = Tracer(profile=SW_PROFILE, actor="terminal")
+    world = DRMWorld.create(seed=SEED, rsa_bits=BITS, tracer=tracer)
+    offers = (("cid:play", "ro:play", play_count(3)),
+              ("cid:export", "ro:export",
+               export_rights(("target-drm",), ExportMode.COPY)))
+    dcfs = {}
+    for content_id, ro_id, rights in offers:
+        dcfs[ro_id] = world.ci.publish(content_id, "audio/mpeg",
+                                       b"\x22" * 2048,
+                                       "http://ri.example/shop")
+        world.ri.add_offer(ro_id, world.ci.negotiate_license(content_id),
+                           rights)
+    world.ri.create_domain("domain:spans")
+    world.agent.register(world.ri)
+    for ro_id, dcf in dcfs.items():
+        world.agent.install(world.agent.acquire(world.ri, ro_id), dcf)
+
+    start = len(tracer.spans)
+    list(world.agent.consume_streaming("cid:play", chunk_octets=512))
+    world.agent.export("cid:export", "target-drm")
+    world.agent.join_domain(world.ri, "domain:spans")
+    world.agent.leave_domain(world.ri, "domain:spans")
+    spans = tracer.spans[start:]
+    operations = [s for s in spans if s.category == OPERATION_CATEGORY]
+    assert operations
+    assert [s.name for s in operations if s.parent is None] == []
+    names = {s.name for s in spans}
+    assert {"agent.consume_streaming", "agent.stream_chunk",
+            "agent.export", "agent.join_domain",
+            "agent.leave_domain"} <= names
