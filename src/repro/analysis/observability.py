@@ -3,10 +3,12 @@
 Runs the seeded ``registration`` trace scenario
 (:mod:`repro.usecases.tracing`) under each paper architecture profile
 and summarizes the tracer's view: spans and events recorded, cycles per
-track (protocol phase), and — the layer's core guarantee — that the
-per-algorithm cycle totals of the emitted operation spans reconcile
-*exactly* with pricing the run's :class:`~repro.core.trace.
-OperationTrace` through :class:`~repro.core.model.PerformanceModel`.
+track (protocol phase) and per algorithm. The layer's core guarantee —
+that the operation spans reconcile *exactly* with pricing the run's
+:class:`~repro.core.trace.OperationTrace` through
+:class:`~repro.core.model.PerformanceModel`, in total and per
+algorithm — is checked by :func:`~repro.usecases.tracing.run_scenario`
+itself, which raises on a mismatch.
 Everything is stamped on the virtual cycle timeline, so the rendered
 artifact is a pure function of the seed.
 """
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..core.architecture import PAPER_PROFILES
-from ..core.model import PerformanceModel
 from ..obs.tracer import Tracer
 from ..usecases.tracing import run_scenario
 from .common import DEFAULT_SEED
@@ -37,7 +38,6 @@ class ProfileTraceSummary:
     total_cycles: int
     cycles_by_track: Dict[str, int]
     cycles_by_algorithm: Dict[str, int]
-    reconciles: bool
 
     @property
     def total_ms(self) -> float:
@@ -54,7 +54,11 @@ class ObservabilityResult:
     summaries: List[ProfileTraceSummary]
 
     def render(self) -> str:
-        """Per-architecture tracer summaries plus the reconciliation."""
+        """Per-architecture tracer summaries.
+
+        :func:`~repro.usecases.tracing.run_scenario` raises on any
+        mismatch with the cost model, so that column reads ``exact``.
+        """
         rows: List[Tuple[str, ...]] = []
         for summary in self.summaries:
             rows.append((
@@ -64,7 +68,7 @@ class ObservabilityResult:
                 "%d" % summary.operation_spans,
                 "%d" % summary.total_cycles,
                 "%.1f" % summary.total_ms,
-                "exact" if summary.reconciles else "MISMATCH",
+                "exact",
             ))
         table = format_table(
             ("arch", "spans", "events", "op spans", "cycles", "ms",
@@ -92,19 +96,11 @@ def generate(seed: str = DEFAULT_SEED,
              scenario: str = REPORT_SCENARIO,
              rsa_bits: int = 1024) -> ObservabilityResult:
     """Trace ``scenario`` under every paper profile and summarize."""
-    model = PerformanceModel()
     summaries = []
     for profile in PAPER_PROFILES:
         tracer = Tracer(profile=profile, actor="terminal")
-        world = run_scenario(scenario, tracer, seed=seed + "/trace",
-                             rsa_bits=rsa_bits)
-        trace = world.agent_crypto.trace
-        breakdown = model.evaluate(trace, profile)
-        priced = {algorithm.value: cycles
-                  for algorithm, cycles
-                  in breakdown.cycles_by_algorithm().items()
-                  if cycles}
-        by_algorithm = tracer.cycles_by_algorithm()
+        run_scenario(scenario, tracer, seed=seed + "/trace",
+                     rsa_bits=rsa_bits)
         summaries.append(ProfileTraceSummary(
             architecture=profile.name,
             clock_hz=profile.clock_hz,
@@ -113,9 +109,7 @@ def generate(seed: str = DEFAULT_SEED,
             operation_spans=len(tracer.operation_spans()),
             total_cycles=tracer.now,
             cycles_by_track=tracer.cycles_by_track(),
-            cycles_by_algorithm=by_algorithm,
-            reconciles=(by_algorithm == priced
-                        and tracer.now == breakdown.total_cycles),
+            cycles_by_algorithm=tracer.cycles_by_algorithm(),
         ))
     return ObservabilityResult(seed=seed, scenario=scenario,
                                summaries=summaries)

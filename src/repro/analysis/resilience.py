@@ -36,28 +36,17 @@ from ..core.energy import ProportionalEnergyModel
 from ..core.model import PerformanceModel
 from ..core.trace import OperationTrace
 from ..drm.roap.wire import WireChannel
+from ..usecases.fleet import (REGISTRATION_TRANSMISSIONS,
+                              attempt_success_probability)
 from ..usecases.world import RSA_BITS, DRMWorld
 from .common import DEFAULT_SEED
 from .formatting import format_table
-
-#: Transmissions per 4-pass registration attempt (two round trips, each
-#: an uplink and a downlink — four independent loss opportunities).
-REGISTRATION_TRANSMISSIONS = 4
 
 #: Loss-rate columns the report sweeps.
 DEFAULT_LOSS_RATES = (0.0, 0.05, 0.10, 0.20, 0.40)
 
 #: Retry budget assumed by the expectation (matches RetryPolicy).
 DEFAULT_MAX_ATTEMPTS = 5
-
-
-def attempt_success_probability(loss_rate: float,
-                                transmissions: int =
-                                REGISTRATION_TRANSMISSIONS) -> float:
-    """Probability one whole attempt survives every transmission."""
-    if not 0.0 <= loss_rate <= 1.0:
-        raise ValueError("loss rate must be within [0, 1]")
-    return (1.0 - loss_rate) ** transmissions
 
 
 def expected_attempts(loss_rate: float,

@@ -5,8 +5,8 @@ Commands:
 * ``table1`` / ``figure5`` / ``figure6`` / ``figure7`` / ``claims`` —
   regenerate one paper artifact.
 * ``all`` — regenerate everything (the quickstart).
-* ``run`` — price a (possibly custom) use case under one architecture,
-  with optional JSON export of the trace/breakdown.
+* ``run`` — price a (possibly custom) use case under every
+  architecture.
 * ``pareto`` — print the gate/time Pareto frontier for a workload.
 * ``battery`` — battery-life impact of a workload per architecture.
 * ``concurrency`` — CPU-busy vs wall-clock under macro offload.
@@ -21,8 +21,9 @@ Commands:
 * ``overload`` — retry-storm metastability: goodput collapse and
   recovery across (admission policy × retry discipline × deadline
   propagation) under a load spike.
-* ``trace`` — run a named scenario with the cycle-timebase tracer and
-  export Chrome trace-event JSON plus a metrics registry.
+* ``trace`` — run a named scenario with the cycle-timebase tracer,
+  reconciled against the cost model, and export Chrome trace-event JSON
+  plus a metrics registry.
 * ``profile`` — fold a traced scenario into an exact virtual-cycle
   call tree (reconciled against the cost model), export
   collapsed-stack / speedscope profiles, and diff two profiles.
@@ -33,9 +34,8 @@ Commands:
 * ``lint`` — run the AST-based invariant analyzer (``repro.lint``).
 
 Every analysis subcommand accepts ``--json`` for machine-readable
-output; ``run``/``resilience``/``durability``/``fleet`` accept
-``--trace PATH`` to additionally export a Chrome trace of the
-command's representative scenario on the virtual cycle timeline.
+output; ``run --trace PATH`` additionally exports the priced workload
+as a Chrome trace on the virtual cycle timeline.
 """
 
 import argparse
@@ -58,8 +58,7 @@ from .lint import cli as lint_cli
 from .core.design_space import (MacroCosts, enumerate_design_points,
                                 marginal_value, pareto_frontier)
 from .core.model import PerformanceModel
-from .core.serialization import (breakdown_to_dict, dump_breakdown,
-                                 dump_trace)
+from .core.serialization import breakdown_to_dict
 from .obs.export import write_chrome, write_metrics
 from .obs.profile import ProfileTree
 from .obs.profile import diff as profile_diff
@@ -67,8 +66,7 @@ from .obs.tracer import Tracer
 from .perf import trajectory as perf_trajectory
 from .usecases.catalog import music_player, ringtone
 from .usecases.scenario import UseCase
-from .usecases.tracing import (PROFILE_SCENARIOS, SCENARIOS,
-                               run_profile_scenario, run_scenario)
+from .usecases.tracing import SCENARIOS, run_scenario
 from .usecases.workload import run_modeled
 
 _ARTIFACTS = {
@@ -143,25 +141,6 @@ def _analysis_command(args: argparse.Namespace,
     return 0
 
 
-def _export_scenario_trace(args: argparse.Namespace, scenario: str,
-                           seed: str, rsa_bits: int = 1024) -> List[str]:
-    """Trace ``scenario`` fresh and write Chrome JSON to ``args.trace``.
-
-    Returns the status lines to append to the command's text output
-    (empty when ``--trace`` was not given). The traced world is built
-    from scratch so the analysis layer's memoized runs never observe a
-    tracer.
-    """
-    if not getattr(args, "trace", None):
-        return []
-    tracer = Tracer(profile=_PROFILES[getattr(args, "arch", "SW")],
-                    actor="terminal")
-    run_scenario(scenario, tracer, seed=seed, rsa_bits=rsa_bits)
-    write_chrome(tracer, args.trace)
-    return ["cycle trace (%s scenario, %d spans) written to %s"
-            % (scenario, len(tracer.spans), args.trace)]
-
-
 def _trace_summary_payload(tracer: Tracer) -> Dict[str, Any]:
     """The tracer facts every trace-producing command reports."""
     return {
@@ -231,13 +210,6 @@ def _build_run(args: argparse.Namespace) -> CommandOutput:
         title="%s: %d octets x %d accesses"
               % (use_case.name, use_case.content_octets,
                  use_case.accesses))]
-    if args.export_trace:
-        dump_trace(run.trace, args.export_trace)
-        lines.append("trace written to %s" % args.export_trace)
-    if args.export_breakdown:
-        dump_breakdown(breakdowns[args.arch], args.export_breakdown)
-        lines.append("%s breakdown written to %s"
-                     % (args.arch, args.export_breakdown))
     if args.trace:
         # Replay the modeled trace onto the cycle timeline: each record
         # becomes one operation span priced under --arch.
@@ -356,10 +328,7 @@ def _build_resilience(args: argparse.Namespace) -> CommandOutput:
     result = resilience.generate(seed=args.seed,
                                  loss_rates=loss_rates,
                                  max_attempts=args.max_attempts)
-    lines = [result.render()]
-    lines.extend(_export_scenario_trace(args, "lossy-registration",
-                                        args.seed))
-    return "\n".join(lines), result
+    return result.render(), result
 
 
 def _build_durability(args: argparse.Namespace) -> CommandOutput:
@@ -368,10 +337,7 @@ def _build_durability(args: argparse.Namespace) -> CommandOutput:
     result = durability.generate(seed=args.seed,
                                  journal_lengths=journal_lengths,
                                  rsa_bits=args.rsa_bits)
-    lines = [result.render()]
-    lines.extend(_export_scenario_trace(args, "durable", args.seed,
-                                        rsa_bits=args.rsa_bits))
-    return "\n".join(lines), result
+    return result.render(), result
 
 
 def _build_adversary(args: argparse.Namespace) -> CommandOutput:
@@ -397,9 +363,6 @@ def _build_fleet(args: argparse.Namespace) -> CommandOutput:
     if args.metrics:
         write_metrics(analysis.result.metrics, args.metrics)
         lines.append("merged fleet metrics written to %s" % args.metrics)
-    lines.extend(_export_scenario_trace(
-        args, "durable" if args.journaled else "full",
-        args.seed + "/device", rsa_bits=args.rsa_bits))
     return "\n".join(lines), analysis
 
 
@@ -448,14 +411,14 @@ def _build_trace(args: argparse.Namespace) -> CommandOutput:
 
 def _profile_tree(arch: str, scenario: str, seed: str,
                   rsa_bits: int) -> ProfileTree:
-    """Trace one profiling scenario and fold it.
+    """Trace one scenario and fold it.
 
-    :func:`~repro.usecases.tracing.run_profile_scenario` has already
-    checked that the tree's root cycles equal the cost model's
-    breakdown of the same trace, so the tree is reconciled exactly.
+    :func:`~repro.usecases.tracing.run_scenario` has already checked
+    that the tree's root cycles equal the cost model's breakdown of the
+    same trace, so the tree is reconciled exactly.
     """
     tracer = Tracer(profile=_PROFILES[arch], actor="terminal")
-    run_profile_scenario(scenario, tracer, seed=seed, rsa_bits=rsa_bits)
+    run_scenario(scenario, tracer, seed=seed, rsa_bits=rsa_bits)
     return ProfileTree.from_tracer(tracer, architecture=arch,
                                    scenario=scenario, seed=seed)
 
@@ -484,7 +447,7 @@ def _build_profile(args: argparse.Namespace) -> CommandOutput:
         "scenario": args.scenario, "arch": args.arch,
         "seed": args.seed, "rsa_bits": args.rsa_bits,
         "total_cycles": tree.total_cycles,
-        # Equal by run_profile_scenario's reconciliation check.
+        # Equal by run_scenario's reconciliation check.
         "breakdown_total_cycles": tree.total_cycles,
         "tree": tree.root.to_dict(),
     }
@@ -589,10 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = analysis_parser("run", "price a workload", _build_run)
     _add_workload_arguments(sub)
     sub.add_argument("--arch", choices=tuple(_PROFILES),
-                     default="SW", help="architecture for "
-                                        "--export-breakdown/--trace")
-    sub.add_argument("--export-trace", metavar="PATH", default=None)
-    sub.add_argument("--export-breakdown", metavar="PATH", default=None)
+                     default="SW", help="architecture for --trace")
     sub.add_argument("--trace", metavar="PATH", default=None,
                      help="write a Chrome trace of the priced workload "
                           "on the cycle timeline")
@@ -627,9 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated per-transmission loss rates")
     sub.add_argument("--max-attempts", type=int,
                      default=resilience.DEFAULT_MAX_ATTEMPTS)
-    sub.add_argument("--trace", metavar="PATH", default=None,
-                     help="write a Chrome trace of one lossy "
-                          "registration at this seed")
 
     sub = analysis_parser("durability",
                           "write-ahead journal overhead and "
@@ -643,9 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "for the recovery projection")
     sub.add_argument("--rsa-bits", type=int, default=1024,
                      help="modulus size for the calibration run")
-    sub.add_argument("--trace", metavar="PATH", default=None,
-                     help="write a Chrome trace of one journaled "
-                          "run with recovery at this seed")
 
     sub = analysis_parser("adversary",
                           "attack sweep, forgery drain and outage "
@@ -696,9 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--metrics", metavar="PATH", default=None,
                      help="write the merged fleet metrics registry "
                           "as JSON")
-    sub.add_argument("--trace", metavar="PATH", default=None,
-                     help="write a Chrome trace of one representative "
-                          "device at this seed")
     sub.add_argument("--kernel", action="store_true",
                      help="replay the population against one shared "
                           "RI per architecture on the event kernel "
@@ -751,7 +702,9 @@ def build_parser() -> argparse.ArgumentParser:
                           _build_trace)
     sub.add_argument("--scenario", choices=tuple(SCENARIOS),
                      default="registration",
-                     help="named scenario from repro.usecases.tracing")
+                     help="named scenario from repro.usecases.tracing "
+                          "(protocol-stack names plus the modeled "
+                          "paper-scale 'music' and 'ringtone')")
     sub.add_argument("--seed", default=DEFAULT_SEED)
     sub.add_argument("--arch", choices=tuple(_PROFILES), default="SW",
                      help="architecture profile pricing the timeline")
@@ -768,11 +721,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "fold a traced scenario into an exact "
                           "virtual-cycle call tree and export/diff it",
                           _build_profile)
-    sub.add_argument("--scenario", choices=PROFILE_SCENARIOS,
+    sub.add_argument("--scenario", choices=tuple(SCENARIOS),
                      default="registration",
-                     help="profiling scenario (protocol-stack names "
-                          "plus the modeled paper-scale 'music' and "
-                          "'ringtone')")
+                     help="named scenario from repro.usecases.tracing")
     sub.add_argument("--seed", default=DEFAULT_SEED)
     sub.add_argument("--arch", choices=tuple(_PROFILES), default="SW",
                      help="architecture profile pricing the timeline")
@@ -789,7 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
                      default=None,
                      help="diff against the same scenario under "
                           "another architecture")
-    sub.add_argument("--diff-scenario", choices=PROFILE_SCENARIOS,
+    sub.add_argument("--diff-scenario", choices=tuple(SCENARIOS),
                      default=None,
                      help="diff against another scenario (same "
                           "architecture unless --diff-arch)")

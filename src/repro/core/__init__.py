@@ -23,9 +23,7 @@ from .design_space import (DesignPoint, MACRO_AES, MACRO_BLOCKS,
                            cheapest_within_budget,
                            enumerate_design_points, marginal_value,
                            pareto_frontier, profile_for_macros)
-from .serialization import (breakdown_to_dict, dump_breakdown,
-                            dump_trace, load_trace, trace_from_dict,
-                            trace_to_dict)
+from .serialization import breakdown_to_dict
 from .stats import (StatsSummary, StreamingStats, histogram, merge_all)
 from .sweep import (SweepPoint, WorkloadSweep, points_to_csv, write_csv)
 from .costs import (CostOptions, CostTable, HARDWARE_COSTS, Implementation,
@@ -45,8 +43,7 @@ __all__ = [
     "analyze_concurrency", "DesignPoint", "MACRO_AES", "MACRO_BLOCKS",
     "MACRO_RSA", "MACRO_SHA1", "MacroCosts", "cheapest_within_budget",
     "enumerate_design_points", "marginal_value", "pareto_frontier",
-    "profile_for_macros", "breakdown_to_dict", "dump_breakdown",
-    "dump_trace", "load_trace", "trace_from_dict", "trace_to_dict",
+    "profile_for_macros", "breakdown_to_dict",
     "StatsSummary", "StreamingStats", "histogram", "merge_all",
     "SweepPoint", "WorkloadSweep", "points_to_csv", "write_csv",
     "ArchitectureProfile", "DEFAULT_CLOCK_HZ", "HW_PROFILE",

@@ -1,76 +1,18 @@
-"""JSON import/export for traces and priced breakdowns.
+"""JSON export for priced breakdowns.
 
-Operation traces are the library's exchange currency: a functional run on
-one machine can be priced, re-priced and plotted elsewhere. This module
-defines a small, versioned JSON schema for traces and a flat export for
-breakdowns (for spreadsheets and external plotting).
+A flat, versioned summary of one :class:`~repro.core.model.CostBreakdown`
+for spreadsheets and external plotting; ``python -m repro run --json``
+carries one per architecture. Operation traces travel as Chrome
+trace-event JSON instead (:mod:`repro.obs.export`), which
+:func:`~repro.obs.export.trace_from_chrome` re-imports record for record.
 """
 
-import json
 from typing import Any, Dict
 
 from .model import CostBreakdown
-from .trace import Algorithm, OperationRecord, OperationTrace, Phase
 
 #: Schema version written into every export.
 SCHEMA_VERSION = 1
-
-
-def trace_to_dict(trace: OperationTrace) -> Dict[str, Any]:
-    """A JSON-ready representation of ``trace``."""
-    return {
-        "schema": SCHEMA_VERSION,
-        "kind": "operation-trace",
-        "records": [
-            {
-                "algorithm": record.algorithm.value,
-                "phase": record.phase.value,
-                "invocations": record.invocations,
-                "blocks": record.blocks,
-                "label": record.label,
-            }
-            for record in trace
-        ],
-    }
-
-
-def trace_from_dict(data: Dict[str, Any]) -> OperationTrace:
-    """Rebuild a trace from :func:`trace_to_dict` output.
-
-    Raises ``ValueError`` on wrong kind/schema or malformed records, so
-    corrupted files fail loudly instead of pricing garbage.
-    """
-    if data.get("kind") != "operation-trace":
-        raise ValueError("not an operation-trace document")
-    if data.get("schema") != SCHEMA_VERSION:
-        raise ValueError(
-            "unsupported schema version %r" % data.get("schema"))
-    records = []
-    for raw in data.get("records", []):
-        try:
-            records.append(OperationRecord(
-                algorithm=Algorithm(raw["algorithm"]),
-                phase=Phase(raw["phase"]),
-                invocations=int(raw["invocations"]),
-                blocks=int(raw["blocks"]),
-                label=str(raw.get("label", "")),
-            ))
-        except (KeyError, ValueError) as exc:
-            raise ValueError("malformed trace record %r" % (raw,)) \
-                from exc
-    return OperationTrace(records)
-
-
-def dump_trace(trace: OperationTrace, path: str) -> None:
-    """Write a trace to a JSON file."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(trace_to_dict(trace), handle, indent=2)
-
-
-def load_trace(path: str) -> OperationTrace:
-    """Read a trace from a JSON file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return trace_from_dict(json.load(handle))
 
 
 def breakdown_to_dict(breakdown: CostBreakdown) -> Dict[str, Any]:
@@ -104,9 +46,3 @@ def breakdown_to_dict(breakdown: CostBreakdown) -> Dict[str, Any]:
             for op in breakdown.operations
         ],
     }
-
-
-def dump_breakdown(breakdown: CostBreakdown, path: str) -> None:
-    """Write a breakdown summary to a JSON file."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(breakdown_to_dict(breakdown), handle, indent=2)

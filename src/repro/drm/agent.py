@@ -711,8 +711,13 @@ class DRMAgent:
         """
         context = self.storage.ri_contexts.get(trigger.ri_id)
         if context is not None:
-            trigger.verify(self.crypto, context.ri_certificate.public_key,
-                           label="verify-trigger")
+            # A span but no phase: the verify keeps the provider's
+            # current phase tag, so every metered record is unchanged.
+            with self.tracer.span("agent.handle_trigger", track="roap",
+                                  trigger=trigger.type.value):
+                trigger.verify(self.crypto,
+                               context.ri_certificate.public_key,
+                               label="verify-trigger")
         elif trigger.type is not TriggerType.REGISTRATION:
             raise RegistrationError(
                 "trigger %r requires an existing RI Context"

@@ -290,10 +290,6 @@ class SessionOutcome:
     reregistrations: int = 0
     elapsed_seconds: int = 0
     transitions: Tuple[Transition, ...] = ()
-    #: True when the flow aborted because its deadline budget ran out —
-    #: the crypto already spent on failed attempts stays on the priced
-    #: trace (abandoned work is work).
-    deadline_exceeded: bool = False
 
     @property
     def completed(self) -> bool:
@@ -316,20 +312,12 @@ class RoapSession:
     def __init__(self, agent, channel,
                  policy: RetryPolicy = RetryPolicy(),
                  name: str = "roap-session",
-                 breaker: Optional[CircuitBreaker] = None,
-                 deadline_seconds: Optional[int] = None) -> None:
-        if deadline_seconds is not None and deadline_seconds < 0:
-            raise ValueError("the deadline budget must be non-negative")
+                 breaker: Optional[CircuitBreaker] = None) -> None:
         self.agent = agent
         self.channel = channel
         self.policy = policy
         self.name = name
         self.breaker = breaker
-        #: Per-flow latency budget in simulation seconds: a driven flow
-        #: aborts (``deadline_exceeded=True``) instead of starting an
-        #: attempt — or sleeping a backoff — that cannot finish inside
-        #: it. ``None`` means unbounded, the historical behavior.
-        self.deadline_seconds = deadline_seconds
         self.tracer = getattr(agent, "tracer", NULL_TRACER)
         self.transitions: List[Transition] = []
         self.state = SessionState.IDLE
@@ -379,15 +367,6 @@ class RoapSession:
         last_trust_key: Optional[Tuple[str, str]] = None
         identical_trust_failures = 0
         while attempts < self.policy.max_attempts:
-            if self.deadline_seconds is not None \
-                    and self.clock.now - started >= self.deadline_seconds:
-                self.tracer.event("session.deadline", track="roap",
-                                  label=label, attempts=attempts)
-                return self._abort(
-                    label, started, attempts, reregistrations,
-                    "deadline budget of %d s exhausted after %d "
-                    "attempt(s)" % (self.deadline_seconds, attempts),
-                    deadline_exceeded=True)
             if self.breaker is not None \
                     and not self.breaker.allow_attempt():
                 self.tracer.event("session.fast-fail", track="roap",
@@ -460,20 +439,6 @@ class RoapSession:
                     break
                 delay = self.policy.backoff_seconds(
                     attempts, salt="%s/%s" % (self.name, label))
-                if self.deadline_seconds is not None \
-                        and self.clock.now - started + delay \
-                        > self.deadline_seconds:
-                    # Sleeping the backoff would overrun the budget:
-                    # abort now instead of waking up already late. The
-                    # crypto spent on the failed attempts stays priced.
-                    self.tracer.event("session.deadline", track="roap",
-                                      label=label, attempts=attempts)
-                    return self._abort(
-                        label, started, attempts, reregistrations,
-                        "deadline budget of %d s cannot absorb a %d s "
-                        "backoff after %d attempt(s)"
-                        % (self.deadline_seconds, delay, attempts),
-                        deadline_exceeded=True)
                 self._enter(SessionState.BACKOFF,
                             "retry in %d s after %s: %s"
                             % (delay, type(exc).__name__, exc))
@@ -502,8 +467,7 @@ class RoapSession:
             % (attempts, type(last_error).__name__, last_error))
 
     def _abort(self, label: str, started: int, attempts: int,
-               reregistrations: int, reason: str,
-               deadline_exceeded: bool = False) -> SessionOutcome:
+               reregistrations: int, reason: str) -> SessionOutcome:
         self._enter(SessionState.ABORTED, "%s: %s" % (label, reason))
         self.tracer.event("session.abort", track="roap", label=label,
                           attempts=attempts, reason=reason)
@@ -511,5 +475,4 @@ class RoapSession:
             outcome=Outcome.ABORTED, attempts=attempts, reason=reason,
             reregistrations=reregistrations,
             elapsed_seconds=self.clock.now - started,
-            transitions=tuple(self.transitions),
-            deadline_exceeded=deadline_exceeded)
+            transitions=tuple(self.transitions))

@@ -11,7 +11,7 @@ the *interior* of a run visible without giving up determinism:
 * :mod:`~repro.obs.metrics` — counters/gauges/histograms backed by the
   exact-mergeable :class:`~repro.core.stats.StreamingStats`, so
   per-shard registries merge bit-identically for any worker count.
-* :mod:`~repro.obs.export` — JSONL and Chrome trace-event JSON writers
+* :mod:`~repro.obs.export` — the Chrome trace-event JSON writer
   (loadable in Perfetto / ``chrome://tracing``), and a re-importer that
   reconstructs the :class:`~repro.core.trace.OperationTrace`.
 """
@@ -19,8 +19,8 @@ the *interior* of a run visible without giving up determinism:
 from .metrics import MetricsRegistry, merge_registries
 from .tracer import (Event, NULL_TRACER, NullTracer, OPERATION_CATEGORY,
                      Span, Tracer)
-from .export import (load_chrome, to_chrome, to_jsonl, trace_from_chrome,
-                     write_chrome, write_jsonl, write_metrics)
+from .export import (to_chrome, trace_from_chrome, write_chrome,
+                     write_metrics)
 from .profile import (ProfileDiff, ProfileNode, ProfileTree, diff,
                       paths_from_collapsed, paths_from_speedscope)
 from .slo import (Alert, DEFAULT_OBJECTIVES, Exemplar, Objective,
@@ -30,8 +30,7 @@ __all__ = [
     "MetricsRegistry", "merge_registries",
     "Event", "NULL_TRACER", "NullTracer", "OPERATION_CATEGORY",
     "Span", "Tracer",
-    "load_chrome", "to_chrome", "to_jsonl", "trace_from_chrome",
-    "write_chrome", "write_jsonl", "write_metrics",
+    "to_chrome", "trace_from_chrome", "write_chrome", "write_metrics",
     "ProfileDiff", "ProfileNode", "ProfileTree", "diff",
     "paths_from_collapsed", "paths_from_speedscope",
     "Alert", "DEFAULT_OBJECTIVES", "Exemplar", "Objective",

@@ -1,4 +1,4 @@
-"""Trace exporters: Chrome trace-event JSON and JSONL.
+"""Trace exporter: Chrome trace-event JSON.
 
 The Chrome trace-event format (the JSON Perfetto and ``chrome://tracing``
 load directly) maps cleanly onto the tracer's model: one *process* per
@@ -25,7 +25,7 @@ from typing import Any, Dict, List
 from ..core.trace import Algorithm, OperationRecord, OperationTrace, Phase
 
 from .metrics import MetricsRegistry
-from .tracer import Event, OPERATION_CATEGORY, Span, Tracer
+from .tracer import OPERATION_CATEGORY, Span, Tracer
 
 #: Schema version written into the ``otherData`` block.
 SCHEMA_VERSION = 1
@@ -94,12 +94,6 @@ def write_chrome(tracer: Tracer, path: str) -> None:
         handle.write("\n")
 
 
-def load_chrome(path: str) -> Dict[str, Any]:
-    """Read back a Chrome trace-event JSON document."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
 def trace_from_chrome(data: Dict[str, Any]) -> OperationTrace:
     """Rebuild the operation trace from an exported Chrome document.
 
@@ -131,38 +125,6 @@ def trace_from_chrome(data: Dict[str, Any]) -> OperationTrace:
             raise ValueError(
                 "malformed operation span %r" % (entry,)) from exc
     return OperationTrace(records)
-
-
-def to_jsonl(tracer: Tracer) -> List[str]:
-    """One JSON object per line: a header, then entries in order."""
-    lines = [json.dumps({
-        "type": "header", "schema": SCHEMA_VERSION,
-        "kind": "repro-cycle-trace", "timebase": "cycles",
-        "profile": tracer.profile.name,
-        "clock_hz": tracer.profile.clock_hz,
-        "actor": tracer.actor, "total_cycles": tracer.now,
-    }, sort_keys=True)]
-    for item in _ordered(tracer):
-        if isinstance(item, Span):
-            payload = {
-                "type": "span", "name": item.name, "track": item.track,
-                "cat": item.category, "start": item.start,
-                "end": item.end, "args": item.args,
-            }
-        else:
-            payload = {
-                "type": "event", "name": item.name, "track": item.track,
-                "ts": item.ts, "args": item.args,
-            }
-        lines.append(json.dumps(payload, sort_keys=True))
-    return lines
-
-
-def write_jsonl(tracer: Tracer, path: str) -> None:
-    """Write the JSONL form of a tracer to ``path``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for line in to_jsonl(tracer):
-            handle.write(line + "\n")
 
 
 def write_metrics(registry: MetricsRegistry, path: str) -> None:

@@ -8,10 +8,9 @@ seed. :mod:`repro.sim.queueing` validates it against closed-form
 queueing laws; :mod:`repro.sim.ri` puts a concurrent Rights Issuer on
 it, priced from the paper's Table 1; :mod:`repro.sim.admission` adds
 its overload-shedding policies; :mod:`repro.sim.fleet` drives the
-fleet population and open Poisson load through that RI;
+fleet population and open Poisson load through that RI; and
 :mod:`repro.sim.overload` reproduces metastable retry storms against
-it; and :mod:`repro.sim.roap` proves kernel-run protocol episodes
-price identically to sequential ones.
+it.
 """
 
 from .kernel import (REJECTED, TIMED_OUT, Acquire, Kernel, Process,
@@ -31,10 +30,6 @@ from .fleet import (ArchitectureLoadResult, KernelFleetResult,
                     OpenLoadResult, run_fleet_kernel, run_open_load)
 from .overload import (RETRY_DISCIPLINES, RETRY_POLICIES, BinStat,
                        RetryBudget, StormResult, StormSpec, run_storm)
-from .roap import (EPISODE_RETRIES, Episode, EpisodeResult, EpisodeSpec,
-                   KernelBoundClock, bind_breaker_to_kernel,
-                   build_episode, episode_process, run_episode,
-                   run_kernel_episode)
 
 __all__ = [
     "REJECTED", "TIMED_OUT", "Acquire", "Kernel", "Process", "Release",
@@ -52,7 +47,4 @@ __all__ = [
     "run_fleet_kernel", "run_open_load",
     "RETRY_DISCIPLINES", "RETRY_POLICIES", "BinStat", "RetryBudget",
     "StormResult", "StormSpec", "run_storm",
-    "EPISODE_RETRIES", "Episode", "EpisodeResult", "EpisodeSpec",
-    "KernelBoundClock", "bind_breaker_to_kernel", "build_episode",
-    "episode_process", "run_episode", "run_kernel_episode",
 ]

@@ -21,8 +21,7 @@ from .fleet import (DEFAULT_FAMILIES, CostTemplates, DeviceDraw,
 from .runner import ScenarioRun, run_functional, synthetic_content
 from .scenario import KIB, MIB, UseCase
 from .workload import (DEFAULT_CALIBRATION_OCTETS, dcf_octets_for_content,
-                       padded_payload_octets, paper_trace, run_modeled,
-                       scale_trace)
+                       padded_payload_octets, run_modeled, scale_trace)
 from .world import DRMWorld, RSA_BITS
 
 __all__ = [
@@ -30,7 +29,7 @@ __all__ = [
     "RINGTONE_CONTENT_OCTETS", "music_player", "paper_use_cases",
     "ringtone", "ScenarioRun", "run_functional", "synthetic_content",
     "KIB", "MIB", "UseCase", "DEFAULT_CALIBRATION_OCTETS",
-    "dcf_octets_for_content", "padded_payload_octets", "paper_trace",
+    "dcf_octets_for_content", "padded_payload_octets",
     "run_modeled", "scale_trace", "DRMWorld", "RSA_BITS",
     "DEFAULT_FAMILIES", "CostTemplates", "DeviceDraw",
     "FleetAccumulator", "FleetConfig", "FleetResult", "ScenarioFamily",

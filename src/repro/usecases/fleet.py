@@ -59,7 +59,9 @@ from .workload import (DEFAULT_CALIBRATION_OCTETS, dcf_octets_for_content,
                        padded_payload_octets, scale_trace)
 from .world import RSA_BITS, DRMWorld
 
-#: Transmissions per 4-pass registration attempt (paper Figure 2).
+#: Transmissions per 4-pass registration attempt (paper Figure 2): two
+#: round trips, each an uplink and a downlink — four independent loss
+#: opportunities.
 REGISTRATION_TRANSMISSIONS = 4
 
 #: Transmissions per 2-pass RO acquisition attempt.
@@ -299,8 +301,12 @@ class DeviceDraw:
     attacked: bool = False
 
 
-def _attempt_success_probability(loss_rate: float,
-                                 transmissions: int) -> float:
+def attempt_success_probability(loss_rate: float,
+                                transmissions: int =
+                                REGISTRATION_TRANSMISSIONS) -> float:
+    """Probability one whole attempt survives every transmission."""
+    if not 0.0 <= loss_rate <= 1.0:
+        raise ValueError("loss rate must be within [0, 1]")
     return (1.0 - loss_rate) ** transmissions
 
 
@@ -343,12 +349,11 @@ def draw_device(config: FleetConfig, index: int) -> DeviceDraw:
     lossy = rng.random() < config.lossy_fraction
     if lossy:
         reg_attempts, registered = _draw_attempts(
-            rng, _attempt_success_probability(
-                config.loss_rate, REGISTRATION_TRANSMISSIONS),
+            rng, attempt_success_probability(config.loss_rate),
             config.max_attempts)
         if registered:
             acq_attempts, acquired = _draw_attempts(
-                rng, _attempt_success_probability(
+                rng, attempt_success_probability(
                     config.loss_rate, ACQUISITION_TRANSMISSIONS),
                 config.max_attempts)
         else:

@@ -166,15 +166,3 @@ class WorkloadScaler:
             target_payload_octets=padded_payload_octets(content_octets),
             accesses=accesses,
         )
-
-
-def paper_trace(use_case: UseCase, seed: str = "repro-world",
-                options: CostOptions = CostOptions(),
-                calibration_octets: Optional[int] = None
-                ) -> OperationTrace:
-    """Convenience: just the paper-scale trace for ``use_case``."""
-    kwargs = {}
-    if calibration_octets is not None:
-        kwargs["calibration_octets"] = calibration_octets
-    return run_modeled(use_case, seed=seed, options=options,
-                       **kwargs).trace

@@ -1,4 +1,8 @@
-"""Trace and breakdown JSON serialization."""
+"""Trace and breakdown JSON serialization.
+
+Operation traces travel as Chrome trace-event JSON
+(:mod:`repro.obs.export`); breakdowns as a flat summary dict.
+"""
 
 import json
 
@@ -6,11 +10,11 @@ import pytest
 
 from repro.core.architecture import SW_PROFILE
 from repro.core.model import PerformanceModel
-from repro.core.serialization import (breakdown_to_dict, dump_breakdown,
-                                      dump_trace, load_trace,
-                                      trace_from_dict, trace_to_dict)
+from repro.core.serialization import breakdown_to_dict
 from repro.core.trace import (Algorithm, OperationRecord, OperationTrace,
                               Phase)
+from repro.obs.export import to_chrome, trace_from_chrome, write_chrome
+from repro.obs.tracer import OPERATION_CATEGORY, Tracer
 
 
 @pytest.fixture()
@@ -23,71 +27,84 @@ def trace():
     ])
 
 
+def traced(trace):
+    tracer = Tracer(profile=SW_PROFILE)
+    for record in trace:
+        tracer.on_record(record)
+    return tracer
+
+
+def chrome(trace):
+    return to_chrome(traced(trace))
+
+
+def first_operation_args(document):
+    return next(entry["args"] for entry in document["traceEvents"]
+                if entry.get("cat") == OPERATION_CATEGORY)
+
+
 def test_dict_roundtrip(trace):
-    rebuilt = trace_from_dict(trace_to_dict(trace))
+    rebuilt = trace_from_chrome(chrome(trace))
     assert rebuilt.records == trace.records
 
 
 def test_file_roundtrip(trace, tmp_path):
     path = str(tmp_path / "trace.json")
-    dump_trace(trace, path)
-    rebuilt = load_trace(path)
-    assert rebuilt.records == trace.records
-    # And the file is real, valid JSON.
+    write_chrome(traced(trace), path)
+    # The file is real, valid JSON.
     with open(path) as handle:
         raw = json.load(handle)
-    assert raw["kind"] == "operation-trace"
+    assert raw["otherData"]["kind"] == "repro-cycle-trace"
+    assert trace_from_chrome(raw).records == trace.records
 
 
 def test_rejects_wrong_kind(trace):
-    data = trace_to_dict(trace)
-    data["kind"] = "something-else"
+    data = chrome(trace)
+    data["otherData"]["kind"] = "something-else"
     with pytest.raises(ValueError):
-        trace_from_dict(data)
+        trace_from_chrome(data)
 
 
 def test_rejects_wrong_schema(trace):
-    data = trace_to_dict(trace)
-    data["schema"] = 99
+    data = chrome(trace)
+    data["otherData"]["schema"] = 99
     with pytest.raises(ValueError):
-        trace_from_dict(data)
+        trace_from_chrome(data)
 
 
 def test_rejects_malformed_record(trace):
-    data = trace_to_dict(trace)
-    data["records"][0]["algorithm"] = "rot13"
+    data = chrome(trace)
+    first_operation_args(data)["algorithm"] = "rot13"
     with pytest.raises(ValueError):
-        trace_from_dict(data)
-    data = trace_to_dict(trace)
-    del data["records"][0]["blocks"]
+        trace_from_chrome(data)
+    data = chrome(trace)
+    del first_operation_args(data)["blocks"]
     with pytest.raises(ValueError):
-        trace_from_dict(data)
+        trace_from_chrome(data)
 
 
 def test_empty_trace_roundtrip():
-    rebuilt = trace_from_dict(trace_to_dict(OperationTrace()))
+    rebuilt = trace_from_chrome(chrome(OperationTrace()))
     assert len(rebuilt) == 0
 
 
-def test_breakdown_export(trace, tmp_path):
+def test_breakdown_export(trace):
     breakdown = PerformanceModel().evaluate(trace, SW_PROFILE)
     data = breakdown_to_dict(breakdown)
+    assert data["kind"] == "cost-breakdown"
     assert data["profile"] == "SW"
     assert data["total_cycles"] == breakdown.total_cycles
     assert data["by_algorithm_cycles"]["rsa-1024-private"] == 37_740_000
     assert data["by_phase_cycles"]["registration"] == 37_740_000
     assert len(data["operations"]) == 2
-    path = str(tmp_path / "breakdown.json")
-    dump_breakdown(breakdown, path)
-    with open(path) as handle:
-        assert json.load(handle)["kind"] == "cost-breakdown"
+    assert json.loads(json.dumps(data)) == data
 
 
-def test_serialized_trace_reprices_identically(trace, tmp_path):
+def test_serialized_trace_reprices_identically(trace):
     """The exchange-currency property: price before == price after."""
     model = PerformanceModel()
     before = model.evaluate(trace, SW_PROFILE).total_cycles
-    path = str(tmp_path / "t.json")
-    dump_trace(trace, path)
-    after = model.evaluate(load_trace(path), SW_PROFILE).total_cycles
+    document = json.loads(json.dumps(chrome(trace)))
+    after = model.evaluate(trace_from_chrome(document),
+                           SW_PROFILE).total_cycles
     assert before == after

@@ -185,47 +185,3 @@ def test_mixed_faults_converge(fast_world):
         policy=RetryPolicy(max_attempts=12))
     outcome = session.register()
     assert outcome.completed
-
-
-# -- deadline budgets ------------------------------------------------------
-def deadline_session(world, rate, deadline, policy=FAST_RETRIES):
-    plan = FaultPlan("test-deadline", FaultPolicy.loss(rate))
-    channel = FaultyChannel(world.ri, plan, clock=world.clock)
-    return RoapSession(world.agent, channel, policy,
-                       deadline_seconds=deadline)
-
-
-def test_deadline_budget_rejects_negative_values(fast_world):
-    with pytest.raises(ValueError):
-        deadline_session(fast_world, 0.0, -1)
-
-
-def test_zero_deadline_aborts_before_the_first_attempt(fast_world):
-    outcome = deadline_session(fast_world, 0.0, 0).register()
-    assert outcome.outcome is Outcome.ABORTED
-    assert outcome.deadline_exceeded
-    assert outcome.attempts == 0
-    assert "exhausted" in outcome.reason
-
-
-def test_generous_deadline_changes_nothing(fast_world):
-    outcome = deadline_session(fast_world, 0.0, 600).register()
-    assert outcome.completed
-    assert not outcome.deadline_exceeded
-
-
-def test_deadline_aborts_instead_of_oversleeping_a_backoff(fast_world):
-    # Attempt 1 burns 30 s on a lost message; the 100 s backoff cannot
-    # fit inside the 40 s budget, so the flow aborts *now* rather than
-    # waking up already late.
-    policy = RetryPolicy(max_attempts=5, base_backoff_seconds=100,
-                         jitter_seconds=0)
-    session = deadline_session(fast_world, 1.0, 40, policy=policy)
-    before = fast_world.clock.now
-    outcome = session.register()
-    assert outcome.outcome is Outcome.ABORTED
-    assert outcome.deadline_exceeded
-    assert outcome.attempts == 1
-    assert "cannot absorb" in outcome.reason
-    # The abort costs nothing beyond the attempt already spent.
-    assert fast_world.clock.now - before == 30

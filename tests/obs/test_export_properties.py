@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.trace import Algorithm, OperationRecord, OperationTrace, Phase
-from repro.obs.export import to_chrome, to_jsonl, trace_from_chrome
+from repro.obs.export import to_chrome, trace_from_chrome
 from repro.obs.metrics import MetricsRegistry, merge_registries
 from repro.obs.tracer import Tracer
 
@@ -46,19 +46,6 @@ def test_chrome_round_trip_preserves_canonical_trace(record_list):
     document = json.loads(json.dumps(to_chrome(tracer), sort_keys=True))
     rebuilt = trace_from_chrome(document)
     assert rebuilt.canonical() == OperationTrace(record_list).canonical()
-
-
-@given(record_lists)
-@settings(max_examples=25, deadline=None)
-def test_jsonl_lines_are_valid_and_ordered(record_list):
-    tracer = traced(record_list)
-    lines = [json.loads(line) for line in to_jsonl(tracer)]
-    assert lines[0]["type"] == "header"
-    assert lines[0]["total_cycles"] == tracer.now
-    spans = [line for line in lines[1:] if line["type"] == "span"]
-    assert len(spans) == len(record_list)
-    starts = [span["start"] for span in spans]
-    assert starts == sorted(starts)
 
 
 # -- merge algebra -----------------------------------------------------------

@@ -4,7 +4,7 @@ The load-bearing invariant is *exact reconciliation*: the profile
 tree's root cumulative cycles equal the tracer's virtual clock, which
 equals the :class:`~repro.core.model.CostBreakdown` total of the same
 trace under the same architecture — bit-exactly, for real protocol
-runs, modeled paper-scale replays, and randomized kernel episodes
+runs, modeled paper-scale replays, and randomized device episodes
 (clean, lossy, and outage-scheduled channels alike).
 
 The collapsed-stack and speedscope exports are pinned as goldens
@@ -22,14 +22,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adversary.outage import (OutageRIChannel, OutageSchedule,
+                                    OutageWindow)
 from repro.core.architecture import HW_PROFILE, SW_PROFILE
 from repro.core.model import PerformanceModel
 from repro.core.trace import Algorithm, OperationRecord, Phase
+from repro.drm.rel import play_count
+from repro.drm.roap.faults import FaultPlan, FaultyChannel
+from repro.drm.roap.wire import WireChannel
+from repro.drm.session import (BreakerPolicy, CircuitBreaker, RetryPolicy,
+                               RoapSession)
 from repro.obs.profile import (ProfileTree, diff, paths_from_collapsed,
                                paths_from_speedscope)
 from repro.obs.tracer import Tracer
-from repro.sim.roap import EpisodeSpec, run_episode
-from repro.usecases.tracing import replay_modeled, run_profile_scenario
+from repro.usecases.tracing import run_scenario
+from repro.usecases.world import DRMWorld
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 GOLDEN_COLLAPSED = GOLDEN_DIR / "music.collapsed.txt"
@@ -40,7 +47,7 @@ SEED = "golden-profile"
 
 def music_tree() -> ProfileTree:
     tracer = Tracer(profile=SW_PROFILE, actor="terminal")
-    replay_modeled("music", tracer, seed=SEED)
+    run_scenario("music", tracer, seed=SEED)
     return ProfileTree.from_tracer(tracer, architecture="SW",
                                    scenario="music", seed=SEED)
 
@@ -49,7 +56,7 @@ def music_tree() -> ProfileTree:
 
 def test_modeled_tree_reconciles_with_cost_breakdown():
     tracer = Tracer(profile=SW_PROFILE, actor="terminal")
-    trace = replay_modeled("music", tracer, seed=SEED)
+    trace = run_scenario("music", tracer, seed=SEED)
     tree = ProfileTree.from_tracer(tracer)
     breakdown = PerformanceModel().evaluate(trace, SW_PROFILE)
     assert tree.total_cycles == tracer.now
@@ -58,8 +65,8 @@ def test_modeled_tree_reconciles_with_cost_breakdown():
 
 def test_protocol_stack_tree_reconciles_with_cost_breakdown():
     tracer = Tracer(profile=SW_PROFILE, actor="terminal")
-    trace = run_profile_scenario("registration", tracer, seed=SEED,
-                                 rsa_bits=512)
+    trace = run_scenario("registration", tracer, seed=SEED,
+                         rsa_bits=512)
     tree = ProfileTree.from_tracer(tracer)
     breakdown = PerformanceModel().evaluate(trace, SW_PROFILE)
     assert tree.total_cycles == breakdown.total_cycles
@@ -67,15 +74,14 @@ def test_protocol_stack_tree_reconciles_with_cost_breakdown():
 
 def test_unreconciled_tracer_raises_from_the_library():
     """A tracer that priced one record the trace lacks cannot fold into
-    a profile: ``run_profile_scenario`` itself refuses it."""
+    a profile: ``run_scenario`` itself refuses it."""
     tracer = Tracer(profile=SW_PROFILE, actor="terminal")
     tracer.on_record(OperationRecord(Algorithm.SHA1, Phase.REGISTRATION,
                                      1, 1, "stray"))
     with pytest.raises(AssertionError,
                        match="profile tree does not reconcile with the "
                              "cost model"):
-        run_profile_scenario("registration", tracer, seed=SEED,
-                             rsa_bits=512)
+        run_scenario("registration", tracer, seed=SEED, rsa_bits=512)
 
 
 def test_tree_folds_siblings_and_counts_calls():
@@ -98,23 +104,60 @@ def test_same_seed_trees_are_identical():
 
 # -- the Hypothesis property: random episodes reconcile ---------------------
 
-episode_specs = st.builds(
-    EpisodeSpec,
-    seed=st.sampled_from(["prof-a", "prof-b", "prof-c"]),
-    rsa_bits=st.just(512),
-    content_octets=st.sampled_from([1024, 4096]),
-    plays=st.just(5),
-    accesses=st.integers(min_value=0, max_value=2),
-    loss_rate=st.sampled_from([0.0, 0.3]),
-    outages=st.sampled_from([(), ((0, 30),)]),
-    breaker=st.booleans(),
-)
+def traced_episode(tracer, seed, content_octets, accesses, loss_rate,
+                   outage, breaker):
+    """Register, acquire, install and consume through a ROAP session.
+
+    The channel is clean, lossy or (with ``outage``) down for the first
+    30 simulation seconds; ``breaker`` attaches a circuit breaker.
+    Returns the terminal's metered trace.
+    """
+    world = DRMWorld.create(seed=seed, rsa_bits=512, tracer=tracer)
+    content_id, ro_id = "cid:%s" % seed, "ro:%s" % seed
+    world.ci.publish(content_id, "audio/mpeg", b"\x5a" * content_octets,
+                     "http://ri.example/shop")
+    world.ri.add_offer(ro_id, world.ci.negotiate_license(content_id),
+                       play_count(5))
+    if outage:
+        epoch = world.clock.now
+        channel = OutageRIChannel(
+            world.ri, OutageSchedule([OutageWindow(epoch, epoch + 30)]),
+            world.clock)
+    elif loss_rate:
+        channel = FaultyChannel(world.ri,
+                                FaultPlan.lossy("%s/faults" % seed,
+                                                loss_rate),
+                                clock=world.clock)
+    else:
+        channel = WireChannel(world.ri)
+    session = RoapSession(
+        world.agent, channel,
+        RetryPolicy(max_attempts=5, base_backoff_seconds=1,
+                    jitter_seconds=1),
+        name="session/%s" % seed,
+        breaker=(CircuitBreaker(world.clock, BreakerPolicy())
+                 if breaker else None))
+    if session.register().completed:
+        acquired = session.acquire(ro_id)
+        if acquired.completed:
+            world.agent.install(acquired.value,
+                                world.ci.get_dcf(content_id))
+            for _ in range(accesses):
+                world.agent.consume(content_id)
+    return world.agent_crypto.trace
 
 
-@given(spec=episode_specs,
+@given(seed=st.sampled_from(["prof-a", "prof-b", "prof-c"]),
+       content_octets=st.sampled_from([1024, 4096]),
+       accesses=st.integers(min_value=0, max_value=2),
+       loss_rate=st.sampled_from([0.0, 0.3]),
+       outage=st.booleans(),
+       breaker=st.booleans(),
        profile=st.sampled_from([SW_PROFILE, HW_PROFILE]))
 @settings(max_examples=10, deadline=None)
-def test_episode_tree_cumulative_equals_span_cost_sum(spec, profile):
+def test_episode_tree_cumulative_equals_span_cost_sum(
+        seed, content_octets, accesses, loss_rate, outage, breaker,
+        profile):
     """Profile cumulative == sum of tracer span costs, any episode.
 
     Clean, lossy and outage episodes (with or without a breaker) all
@@ -123,13 +166,15 @@ def test_episode_tree_cumulative_equals_span_cost_sum(spec, profile):
     the same metered trace.
     """
     tracer = Tracer(profile=profile, actor="terminal")
-    result = run_episode(spec, tracer=tracer)
+    trace = traced_episode(tracer, seed, content_octets, accesses,
+                           loss_rate, outage, breaker)
     tree = ProfileTree.from_tracer(tracer)
     span_cost_sum = sum(span.args["cycles"]
                         for span in tracer.operation_spans())
     assert tree.total_cycles == span_cost_sum
     assert tree.total_cycles == tracer.now
-    assert tree.total_cycles == result.breakdown(profile).total_cycles
+    assert tree.total_cycles == \
+        PerformanceModel().evaluate(trace, profile).total_cycles
 
 
 # -- exports round-trip and pin as goldens ----------------------------------
@@ -189,7 +234,7 @@ def test_golden_speedscope_is_well_formed():
 def test_diff_attributes_architecture_deltas():
     sw = music_tree()
     tracer = Tracer(profile=HW_PROFILE, actor="terminal")
-    replay_modeled("music", tracer, seed=SEED)
+    run_scenario("music", tracer, seed=SEED)
     hw = ProfileTree.from_tracer(tracer, architecture="HW",
                                  scenario="music", seed=SEED)
     delta = diff(sw, hw)

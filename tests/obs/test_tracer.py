@@ -8,6 +8,7 @@ from repro.core.architecture import HW_PROFILE, PAPER_PROFILES, SW_PROFILE
 from repro.core.model import PerformanceModel
 from repro.core.trace import Algorithm, OperationRecord, Phase
 from repro.drm.rel import ExportMode, export_rights, play_count
+from repro.drm.roap.triggers import TriggerType
 from repro.obs.tracer import (NULL_TRACER, NullTracer, OPERATION_CATEGORY,
                               Tracer, _NULL_CONTEXT, _NULL_SPAN)
 from repro.usecases.tracing import run_scenario
@@ -39,10 +40,9 @@ def test_on_record_advances_clock_by_priced_cycles():
 def test_operation_spans_reconcile_with_cost_model():
     for profile in PAPER_PROFILES:
         tracer = Tracer(profile=profile, actor="terminal")
-        world = run_scenario("consume", tracer, seed=SEED,
+        trace = run_scenario("consume", tracer, seed=SEED,
                              rsa_bits=BITS)
-        breakdown = PerformanceModel().evaluate(
-            world.agent_crypto.trace, profile)
+        breakdown = PerformanceModel().evaluate(trace, profile)
         assert tracer.now == breakdown.total_cycles
         priced = {algorithm.value: cycles for algorithm, cycles
                   in breakdown.cycles_by_algorithm().items() if cycles}
@@ -182,3 +182,27 @@ def test_streaming_export_and_domain_flows_parent_their_operations():
     assert {"agent.consume_streaming", "agent.stream_chunk",
             "agent.export", "agent.join_domain",
             "agent.leave_domain"} <= names
+
+
+def test_trigger_verify_sits_under_a_handle_trigger_span():
+    """The trigger signature verify is parented, not a profile root."""
+    tracer = Tracer(profile=SW_PROFILE, actor="terminal")
+    world = DRMWorld.create(seed=SEED, rsa_bits=BITS, tracer=tracer)
+    world.ci.publish("cid:trigger", "audio/mpeg", b"\x33" * 1024,
+                     "http://ri.example/shop")
+    world.ri.add_offer("ro:trigger",
+                       world.ci.negotiate_license("cid:trigger"),
+                       play_count(1))
+    world.agent.register(world.ri)
+    start = len(tracer.spans)
+    world.agent.handle_trigger(
+        world.ri.trigger(TriggerType.RO_ACQUISITION, ro_id="ro:trigger"),
+        world.ri)
+    spans = tracer.spans[start:]
+    verifies = [s for s in spans if s.name.startswith("verify-trigger")]
+    assert verifies
+    assert [s.name for s in spans if s.parent is None] \
+        == ["agent.handle_trigger", "agent.acquire"]
+    handler = spans[0]
+    assert handler.args == {"trigger": "roAcquisition"}
+    assert all(s.parent is not None for s in verifies)

@@ -4,12 +4,6 @@ The kernel adds concurrency to the repository; this suite proves the
 addition is *conservative* — every number the pre-kernel machinery
 produces survives the kernel unchanged:
 
-* **Episode equivalence** — a contention-free single device run as a
-  kernel process produces the bit-identical metered trace, and hence
-  the exact same :class:`~repro.core.model.CostBreakdown` under every
-  architecture, as the sequential reference — for clean, lossy, and
-  outage-plus-circuit-breaker channels (PR 1's fault machinery and
-  PR 6's outage engine compose with the kernel unchanged).
 * **Fleet conservation** — the ``--kernel`` fleet pass replays the
   sequential engine's drawn population exactly: served + refused on
   the shared RI equals the sequential accumulator's request count, the
@@ -28,64 +22,16 @@ import pathlib
 
 import pytest
 
-from repro.core.architecture import PAPER_PROFILES
 from repro.analysis.saturation import SaturationAnalysis, sweep
 from repro.sim.fleet import run_fleet_kernel
 from repro.sim.kernel import Process
 from repro.sim.ri import RICapacity
-from repro.sim.roap import EpisodeSpec, run_episode, run_kernel_episode
 from repro.usecases.fleet import FleetConfig
 
 from ..conftest import FAST_RSA_BITS
 
 GOLDEN_PATH = (pathlib.Path(__file__).resolve().parent
                / "golden" / "saturation.md")
-
-#: The channel conditions the equivalence claim is held under.
-EPISODE_SPECS = {
-    "clean": EpisodeSpec(seed="eq-clean", rsa_bits=FAST_RSA_BITS),
-    "lossy": EpisodeSpec(seed="eq-lossy", rsa_bits=FAST_RSA_BITS,
-                         loss_rate=0.25),
-    "outage-breaker": EpisodeSpec(seed="eq-outage",
-                                  rsa_bits=FAST_RSA_BITS,
-                                  outages=((0, 40),), breaker=True),
-}
-
-
-@pytest.mark.parametrize("label", sorted(EPISODE_SPECS))
-def test_kernel_episode_is_bit_identical_to_sequential(label):
-    spec = EPISODE_SPECS[label]
-    sequential = run_episode(spec)
-    kernel = run_kernel_episode(spec)
-    # The metered traces are the same records in the same order ...
-    assert kernel.trace.records == sequential.trace.records
-    # ... so every architecture prices them identically, exactly.
-    for profile in PAPER_PROFILES:
-        assert kernel.breakdown(profile) == \
-            sequential.breakdown(profile)
-    # And the protocol outcomes and timings agree too.
-    assert kernel.installed == sequential.installed
-    assert kernel.accesses == sequential.accesses
-    assert kernel.elapsed_seconds == sequential.elapsed_seconds
-    assert kernel.flow_seconds == sequential.flow_seconds
-    assert kernel.register.completed == sequential.register.completed
-
-
-def test_lossy_episode_actually_retried():
-    # The lossy equivalence case must not be vacuous: the channel has
-    # to have dropped messages (costing retries and backoff seconds).
-    result = run_kernel_episode(EPISODE_SPECS["lossy"])
-    assert result.installed
-    assert result.elapsed_seconds > 0
-
-
-def test_outage_episode_actually_failed_fast():
-    # Nor the outage case: the window must cover the registration
-    # attempts, and the breaker must have fast-failed the episode.
-    result = run_kernel_episode(EPISODE_SPECS["outage-breaker"])
-    assert not result.register.completed
-    assert not result.installed
-
 
 FLEET_CONFIG = FleetConfig(devices=150, seed="eq-fleet",
                            rsa_bits=FAST_RSA_BITS,
@@ -165,15 +111,6 @@ def test_saturation_matches_golden_snapshot():
         raise AssertionError(
             "saturation artifact drifted from the golden snapshot; if "
             "intentional, regenerate with UPDATE_GOLDEN=1.\n" + diff)
-
-
-def test_episode_spec_validation():
-    with pytest.raises(ValueError):
-        EpisodeSpec(plays=0)
-    with pytest.raises(ValueError):
-        EpisodeSpec(accesses=-1)
-    with pytest.raises(ValueError):
-        EpisodeSpec(plays=2, accesses=3)
 
 
 def test_open_load_validation():

@@ -55,22 +55,6 @@ def test_run_custom_size(capsys):
     assert "1024 octets x 2 accesses" in out
 
 
-def test_run_exports(capsys, tmp_path):
-    trace_path = str(tmp_path / "trace.json")
-    breakdown_path = str(tmp_path / "b.json")
-    code, out = run_cli(capsys, "run", "--use-case", "ringtone",
-                        "--export-trace", trace_path,
-                        "--arch", "HW",
-                        "--export-breakdown", breakdown_path)
-    assert code == 0
-    with open(trace_path) as handle:
-        assert json.load(handle)["kind"] == "operation-trace"
-    with open(breakdown_path) as handle:
-        data = json.load(handle)
-    assert data["kind"] == "cost-breakdown"
-    assert data["profile"] == "HW"
-
-
 def test_pareto(capsys):
     code, out = run_cli(capsys, "pareto", "--use-case", "music")
     assert code == 0
@@ -331,12 +315,12 @@ def test_run_trace_flag(capsys, tmp_path):
     assert document["otherData"]["kind"] == "repro-cycle-trace"
 
 
-def test_durability_trace_flag(capsys, tmp_path):
+def test_trace_command_durable_scenario(capsys, tmp_path):
     trace_path = str(tmp_path / "durable.trace.json")
-    code, out = run_cli(capsys, "durability", "--rsa-bits", "512",
-                        "--journal-lengths", "8",
-                        "--seed", "cli-durability",
-                        "--trace", trace_path)
+    code, out = run_cli(capsys, "trace", "--scenario", "durable",
+                        "--rsa-bits", "512", "--seed", "cli-durability",
+                        "--output", trace_path,
+                        "--metrics", str(tmp_path / "d.metrics.json"))
     assert code == 0
     assert "durable scenario" in out
     with open(trace_path) as handle:
@@ -344,6 +328,24 @@ def test_durability_trace_flag(capsys, tmp_path):
     names = {entry["name"] for entry in document["traceEvents"]}
     assert "storage.transaction" in names
     assert "recovery.replay" in names
+
+
+def test_trace_command_replays_a_modeled_scenario(capsys, tmp_path):
+    trace_path = str(tmp_path / "ringtone.trace.json")
+    code, out = run_cli(capsys, "trace", "--scenario", "ringtone",
+                        "--seed", "cli-trace", "--arch", "HW",
+                        "--output", trace_path,
+                        "--metrics", str(tmp_path / "r.metrics.json"),
+                        "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["scenario"] == "ringtone"
+    assert "consumption" in data["cycles_by_track"]
+    with open(trace_path) as handle:
+        document = json.load(handle)
+    assert document["otherData"]["total_cycles"] == data["total_cycles"]
+    assert {entry["name"] for entry in document["traceEvents"]
+            if entry.get("cat") == "structure"} >= {"ringtone"}
 
 
 def test_fleet_metrics_flag(capsys, tmp_path):
