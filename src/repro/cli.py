@@ -66,7 +66,7 @@ from .obs.tracer import Tracer
 from .perf import trajectory as perf_trajectory
 from .usecases.catalog import music_player, ringtone
 from .usecases.scenario import UseCase
-from .usecases.tracing import SCENARIOS, run_scenario
+from .usecases.tracing import MODELED_SCENARIOS, SCENARIOS, run_scenario
 from .usecases.workload import run_modeled
 
 _ARTIFACTS = {
@@ -403,10 +403,17 @@ def _build_trace(args: argparse.Namespace) -> CommandOutput:
         "metrics written to %s" % metrics_path,
     ]
     payload = {"scenario": args.scenario, "seed": args.seed,
-               "arch": args.arch, "rsa_bits": args.rsa_bits,
+               "arch": args.arch, "rsa_bits": _rsa_bits(args),
                "output": output, "metrics_path": metrics_path}
     payload.update(_trace_summary_payload(tracer))
     return "\n".join(lines), payload
+
+
+def _rsa_bits(args: argparse.Namespace) -> Optional[int]:
+    """The key size a traced scenario ran at; None for a modeled replay."""
+    if args.scenario in MODELED_SCENARIOS:
+        return None
+    return args.rsa_bits
 
 
 def _profile_tree(arch: str, scenario: str, seed: str,
@@ -445,7 +452,7 @@ def _build_profile(args: argparse.Namespace) -> CommandOutput:
                      % args.speedscope)
     payload: Dict[str, Any] = {
         "scenario": args.scenario, "arch": args.arch,
-        "seed": args.seed, "rsa_bits": args.rsa_bits,
+        "seed": args.seed, "rsa_bits": _rsa_bits(args),
         "total_cycles": tree.total_cycles,
         # Equal by run_scenario's reconciliation check.
         "breakdown_total_cycles": tree.total_cycles,

@@ -11,6 +11,8 @@ Every draw runs :func:`~repro.crypto.hmac.hmac_sha1`, which is stdlib
 Miller–Rabin witness) is the hot caller. The DRBG is not priced.
 """
 
+from typing import Tuple
+
 from .hmac import hmac_sha1
 from .sha1 import DIGEST_SIZE
 
@@ -38,6 +40,14 @@ class HmacDrbg:
                 self._key, self._value + b"\x01" + provided_data
             )
             self._value = hmac_sha1(self._key, self._value)
+
+    def state(self) -> Tuple[bytes, bytes]:
+        """The whole generator state ``(K, V)``, for :meth:`restore`."""
+        return self._key, self._value
+
+    def restore(self, state: Tuple[bytes, bytes]) -> None:
+        """Rewind (or advance) the generator to a :meth:`state`."""
+        self._key, self._value = state
 
     def reseed(self, seed: bytes) -> None:
         """Mix fresh entropy into the generator state."""

@@ -12,17 +12,38 @@ Private-key operations use the Chinese Remainder Theorem, the same
 optimization the Montgomery-multiplier hardware of the paper's reference
 [7] exploits; the ~14x public/private cost ratio in Table 1 reflects the
 short public exponent versus the full-length private exponent.
+
+Key generation pays only for primes that can reach a returned key. About
+39% of attempts discard both primes because ``p * q`` is one bit short
+(probability 2 ln 2 - 1), so each prime comes from
+:func:`~repro.crypto.primes.generate_prime_deferred` and its 40
+DRBG-witness rounds run only once the modulus has full length. A failed
+deferred round rewinds the DRBG to the attempt's start and replays the
+attempt through :func:`~repro.crypto.primes.generate_prime`, the eager
+reference, so every key and DRBG draw is the eager search's unless a
+discarded candidate above 3.3·10^24 is a base-2 strong pseudoprime (see
+:mod:`repro.crypto.primes`). Each new key passes a pairwise consistency
+test (:func:`check_keypair`), and the last keys are memoized on the DRBG
+state they were generated from.
 """
 
+from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from .encoding import byte_length
 from .errors import DecryptionError, KeyGenerationError, MessageTooLongError
-from .primes import generate_prime
+from .primes import generate_prime, generate_prime_deferred, witnesses_pass
 from .rng import HmacDrbg
 
 #: The conventional public exponent F4.
 DEFAULT_PUBLIC_EXPONENT = 65537
+
+#: Bound on the key-generation memo (least recently used entries go).
+KEYPAIR_CACHE_SIZE = 128
+
+#: (bits, e, DRBG key, DRBG value) -> (key, DRBG state after generation).
+_KEYPAIRS: OrderedDict = OrderedDict()
 
 
 @dataclass(frozen=True)
@@ -75,21 +96,37 @@ class RSAPrivateKey:
 def generate_keypair(bits: int, rng: HmacDrbg,
                      public_exponent: int = DEFAULT_PUBLIC_EXPONENT
                      ) -> RSAPrivateKey:
-    """Generate an RSA key pair with a modulus of exactly ``bits`` bits."""
+    """Generate an RSA key pair with a modulus of exactly ``bits`` bits.
+
+    A key is a function of ``(bits, public_exponent)`` and the DRBG state,
+    so the last :data:`KEYPAIR_CACHE_SIZE` keys are memoized on exactly
+    that: a hit returns the same key and leaves the DRBG in the state a
+    fresh generation leaves it in.
+    """
     if bits < 64:
         raise KeyGenerationError("modulus below 64 bits is not supported")
     if public_exponent < 3 or public_exponent % 2 == 0:
         raise KeyGenerationError("public exponent must be odd and >= 3")
+    memo = (bits, public_exponent) + rng.state()
+    if memo in _KEYPAIRS:
+        _KEYPAIRS.move_to_end(memo)
+        key, post_state = _KEYPAIRS[memo]
+        rng.restore(post_state)
+        return key
+    key = _generate_keypair(bits, rng, public_exponent)
+    _KEYPAIRS[memo] = key, rng.state()
+    if len(_KEYPAIRS) > KEYPAIR_CACHE_SIZE:
+        _KEYPAIRS.popitem(last=False)
+    return key
 
-    half = bits // 2
+
+def _generate_keypair(bits: int, rng: HmacDrbg,
+                      public_exponent: int) -> RSAPrivateKey:
     for _ in range(1000):
-        p = generate_prime(bits - half, rng)
-        q = generate_prime(half, rng)
-        if p == q:
+        pair = _prime_pair(bits, rng)
+        if pair is None:
             continue
-        n = p * q
-        if n.bit_length() != bits:
-            continue
+        p, q = pair
         phi = (p - 1) * (q - 1)
         try:
             d = pow(public_exponent, -1, phi)
@@ -97,8 +134,8 @@ def generate_keypair(bits: int, rng: HmacDrbg,
             continue  # e not invertible mod phi; draw fresh primes
         if p < q:
             p, q = q, p
-        return RSAPrivateKey(
-            n=n,
+        key = RSAPrivateKey(
+            n=p * q,
             e=public_exponent,
             d=d,
             p=p,
@@ -107,7 +144,47 @@ def generate_keypair(bits: int, rng: HmacDrbg,
             d_q=d % (q - 1),
             q_inv=pow(q, -1, p),
         )
+        check_keypair(key)
+        return key
     raise KeyGenerationError("failed to generate an RSA key pair")
+
+
+def _prime_pair(bits: int, rng: HmacDrbg) -> Optional[Tuple[int, int]]:
+    """One attempt's primes ``(p, q)``, or None if the attempt is discarded.
+
+    The DRBG-witness rounds of both primes run only once ``p * q`` has
+    ``bits`` bits. If one fails, the DRBG is rewound to the attempt's
+    start and the attempt replayed through :func:`generate_prime`.
+    """
+    half = bits // 2
+    start = rng.state()
+    p, p_witnesses = generate_prime_deferred(bits - half, rng)
+    q, q_witnesses = generate_prime_deferred(half, rng)
+    if _full_length(p, q, bits) and not (
+            witnesses_pass(p, p_witnesses)
+            and witnesses_pass(q, q_witnesses)):
+        rng.restore(start)
+        p = generate_prime(bits - half, rng)
+        q = generate_prime(half, rng)
+    return (p, q) if _full_length(p, q, bits) else None
+
+
+def _full_length(p: int, q: int, bits: int) -> bool:
+    return p != q and (p * q).bit_length() == bits
+
+
+def check_keypair(key: RSAPrivateKey) -> None:
+    """Pairwise consistency test: an RSAEP/RSADP round trip.
+
+    A fixed representative is encrypted with the public key and decrypted
+    with both private forms, ``(n, d)`` and the CRT quintuple; no DRBG
+    draw is made. Raises :class:`KeyGenerationError` on a mismatch.
+    """
+    message = (1 << (key.n.bit_length() - 2)) | 0x5EED
+    ciphertext = rsaep(key.public_key, message)
+    if pow(ciphertext, key.d, key.n) != message \
+            or rsadp(key, ciphertext) != message:
+        raise KeyGenerationError("pairwise consistency test failed")
 
 
 def _check_range(value: int, modulus: int, what: str) -> None:

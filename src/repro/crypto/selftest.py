@@ -99,9 +99,10 @@ def _check_kdf2() -> bool:
     return kdf2(b"Z" * 16, 20) == sha1(b"Z" * 16 + b"\x00\x00\x00\x01")
 
 
-#: Test name -> check callable. RSA is deliberately absent: key-dependent
-#: pairwise consistency tests run at key-generation time instead, the
-#: conventional split for public-key primitives.
+#: Test name -> check callable. RSA is deliberately absent: the
+#: key-dependent pairwise consistency test
+#: (:func:`repro.crypto.rsa.check_keypair`) runs on every generated key
+#: instead, the conventional split for public-key primitives.
 SELF_TESTS: Dict[str, Callable[[], bool]] = {
     "sha1": _check_sha1,
     "sha1-reference": _check_sha1_reference,

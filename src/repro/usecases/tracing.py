@@ -141,6 +141,9 @@ def _modeled(name: str, use_case: Callable[[], UseCase]) -> Runner:
     return run
 
 
+#: Scenarios the rescaling engine replays; ``rsa_bits`` does not apply.
+MODELED_SCENARIOS = frozenset({"music", "ringtone"})
+
 #: Scenario name -> runner; ordering is the CLI help ordering.
 SCENARIOS: Dict[str, Runner] = {
     "registration": _registration,

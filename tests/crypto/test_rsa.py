@@ -1,14 +1,18 @@
 """RSA key generation and the four PKCS#1 primitives."""
 
+import dataclasses
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.errors import (DecryptionError, KeyGenerationError,
                                  MessageTooLongError)
+from repro.crypto import rsa
 from repro.crypto.rng import HmacDrbg
-from repro.crypto.rsa import (DEFAULT_PUBLIC_EXPONENT, generate_keypair,
-                              rsadp, rsaep, rsasp1, rsavp1)
+from repro.crypto.rsa import (DEFAULT_PUBLIC_EXPONENT, check_keypair,
+                              generate_keypair, rsadp, rsaep, rsasp1, rsavp1)
 
 KEY_BITS = 512  # primitive laws are modulus-size independent
 
@@ -112,3 +116,46 @@ def test_roundtrip_property(keypair, message):
     message %= keypair.n
     assert rsadp(keypair, rsaep(keypair.public_key, message)) == message
     assert rsavp1(keypair.public_key, rsasp1(keypair, message)) == message
+
+
+@pytest.mark.parametrize("field, delta", [("d", 2), ("d_p", 2), ("q_inv", 1)])
+def test_pairwise_consistency_rejects_a_tampered_key(keypair, field, delta):
+    check_keypair(keypair)
+    tampered = dataclasses.replace(
+        keypair, **{field: getattr(keypair, field) + delta})
+    with pytest.raises(KeyGenerationError):
+        check_keypair(tampered)
+
+
+def test_generation_runs_the_pairwise_consistency_test(monkeypatch):
+    monkeypatch.setattr(rsa, "_KEYPAIRS", OrderedDict())
+    monkeypatch.setattr(rsa, "_crt_exponentiate",
+                        lambda key, value: value)
+    with pytest.raises(KeyGenerationError):
+        generate_keypair(KEY_BITS, HmacDrbg(b"faulty-crt"))
+
+
+def test_memo_hit_leaves_the_drbg_where_generation_does(monkeypatch):
+    monkeypatch.setattr(rsa, "_KEYPAIRS", OrderedDict())
+    fresh_rng = HmacDrbg(b"memo")
+    fresh = generate_keypair(KEY_BITS, fresh_rng)
+    hit_rng = HmacDrbg(b"memo")
+    hit = generate_keypair(KEY_BITS, hit_rng)
+    assert hit is fresh
+    assert hit_rng.state() == fresh_rng.state()
+    assert hit_rng.random_bytes(40) == fresh_rng.random_bytes(40)
+    # The exponent is part of the memo key.
+    other = generate_keypair(KEY_BITS, HmacDrbg(b"memo"), public_exponent=3)
+    assert other.e == 3 and other.n != fresh.n
+
+
+def test_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(rsa, "_KEYPAIRS", OrderedDict())
+    monkeypatch.setattr(rsa, "KEYPAIR_CACHE_SIZE", 3)
+    first = generate_keypair(64, HmacDrbg(b"bound-0"))
+    for i in range(1, 6):
+        generate_keypair(64, HmacDrbg(b"bound-%d" % i))
+        assert len(rsa._KEYPAIRS) <= 3
+    assert len(rsa._KEYPAIRS) == 3
+    again = generate_keypair(64, HmacDrbg(b"bound-0"))
+    assert again == first and again is not first  # evicted, regenerated

@@ -340,12 +340,27 @@ def test_trace_command_replays_a_modeled_scenario(capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     assert data["scenario"] == "ringtone"
+    assert data["rsa_bits"] is None
     assert "consumption" in data["cycles_by_track"]
     with open(trace_path) as handle:
         document = json.load(handle)
     assert document["otherData"]["total_cycles"] == data["total_cycles"]
     assert {entry["name"] for entry in document["traceEvents"]
             if entry.get("cat") == "structure"} >= {"ringtone"}
+
+
+@pytest.mark.parametrize("scenario, rsa_bits", [("music", None),
+                                                ("registration", 512)])
+def test_profile_json_reports_the_key_size_the_scenario_ran_at(
+        capsys, scenario, rsa_bits):
+    # The modeled replays build their own calibration world, so
+    # --rsa-bits changes nothing they print and is reported as null.
+    code, out = run_cli(capsys, "profile", "--scenario", scenario,
+                        "--rsa-bits", "512", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["scenario"] == scenario
+    assert data["rsa_bits"] == rsa_bits
 
 
 def test_fleet_metrics_flag(capsys, tmp_path):
