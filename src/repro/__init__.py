@@ -15,6 +15,10 @@ The package implements, from scratch:
   workloads with functional and modeled execution paths,
 * :mod:`repro.analysis` — regeneration of every table and figure.
 
+``import repro`` loads only this module: import the subpackage or
+submodule you use (the CLI, ``python -m repro``, imports its command
+helpers from their own submodules).
+
 Quickstart::
 
     from repro.analysis import figure6, figure7
@@ -24,7 +28,4 @@ Quickstart::
 
 __version__ = "1.0.0"
 
-from . import analysis, core, crypto, drm, usecases
-
-__all__ = ["analysis", "core", "crypto", "drm", "usecases",
-           "__version__"]
+__all__ = ["__version__"]

@@ -7,19 +7,17 @@
 * :mod:`~repro.analysis.claims` — in-text quantitative claims (PKI ~600 ms)
 * :mod:`~repro.analysis.ablations` — design-choice studies
 * :mod:`~repro.analysis.formatting` — ASCII table/chart rendering
+
+The package imports only the shared seed, traces and formatting. Each
+table, figure and sweep is imported as its submodule
+(``from repro.analysis import figure6`` loads ``figure6`` alone).
 """
 
-# ``ablations`` is left out of the eager imports so that
-# ``python -m repro.analysis.ablations`` runs it without a double import.
-from . import (claims, durability, figure5, figure6, figure7, fleet,
-               messages, report, table1)
 from .common import DEFAULT_SEED, music_trace, ringtone_trace
 from .formatting import (deviation_pct, format_log_bars, format_ms,
                          format_stacked_shares, format_table)
 
 __all__ = [
-    "ablations", "claims", "durability", "figure5", "figure6",
-    "figure7", "fleet", "messages", "report", "table1",
     "DEFAULT_SEED", "music_trace", "ringtone_trace", "deviation_pct",
     "format_log_bars", "format_ms", "format_stacked_shares",
     "format_table",

@@ -129,11 +129,35 @@ class StreamingStats:
         >= ceil(p/100 * N)) returns an actually-observed value and is
         stable under merges — unlike interpolating estimators.
         """
-        if not 0.0 < p <= 100.0:
-            raise ValueError("percentile must be in (0, 100]")
-        count = self.count
+        return self._nearest_ranks(sorted(self.counts), self.count, (p,))[0]
+
+    def summary(self) -> StatsSummary:
+        """Snapshot all reported statistics at once, in one sorted walk."""
+        values = sorted(self.counts)
+        count = sum(self.counts.values())
+        total = sum(value * weight for value, weight in self.counts.items())
+        p50, p95, p99 = self._nearest_ranks(values, count,
+                                            REPORT_PERCENTILES)
+        return StatsSummary(
+            count=count, total=total,
+            minimum=values[0] if values else None,
+            maximum=values[-1] if values else None,
+            mean=total / count if count else 0.0,
+            p50=p50, p95=p95, p99=p99,
+        )
+
+    def _nearest_ranks(self, values, count: int,
+                       levels: Tuple[float, ...]
+                       ) -> Tuple[Optional[int], ...]:
+        """Nearest-rank values at ascending ``levels`` over sorted ``values``.
+
+        One walk over the sorted distinct values serves every level.
+        """
+        for p in levels:
+            if not 0.0 < p <= 100.0:
+                raise ValueError("percentile must be in (0, 100]")
         if not count:
-            return None
+            return (None,) * len(levels)
         # Exact ceil(p * count / 100) in rational arithmetic. Two float
         # traps lurk in the obvious spellings: ``int(p * count)``
         # truncates the fractional part *before* the ceiling (p=50.25,
@@ -141,24 +165,20 @@ class StreamingStats:
         # an epsilon above an integer (p=64.1, N=1000 -> ceil 642
         # instead of 641). ``Fraction(repr(p))`` recovers the decimal
         # the caller wrote, making the rank exact for both.
-        exact = Fraction(repr(float(p))) * count / 100
-        rank = -((-exact.numerator) // exact.denominator)
-        rank = max(rank, 1)
+        ranks = []
+        for p in levels:
+            exact = Fraction(repr(float(p))) * count / 100
+            ranks.append(max(-((-exact.numerator) // exact.denominator), 1))
+        found = []
         cumulative = 0
-        for value in sorted(self.counts):
+        for value in values:
             cumulative += self.counts[value]
-            if cumulative >= rank:
-                return value
-        return self.maximum  # pragma: no cover - defensive
-
-    def summary(self) -> StatsSummary:
-        """Snapshot all reported statistics at once."""
-        return StatsSummary(
-            count=self.count, total=self.total,
-            minimum=self.minimum, maximum=self.maximum, mean=self.mean,
-            p50=self.percentile(50.0), p95=self.percentile(95.0),
-            p99=self.percentile(99.0),
-        )
+            while cumulative >= ranks[len(found)]:
+                found.append(value)
+                if len(found) == len(ranks):
+                    return tuple(found)
+        # Unreachable while every weight is non-negative.
+        return tuple(found) + (values[-1],) * (len(ranks) - len(found))
 
 
 @dataclass

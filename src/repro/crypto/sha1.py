@@ -31,11 +31,6 @@ BLOCK_SIZE = 64
 _INITIAL_STATE = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0)
 
 
-def _rotl(value: int, amount: int) -> int:
-    """Rotate a 32-bit word left by ``amount`` bits."""
-    return ((value << amount) | (value >> (32 - amount))) & _MASK32
-
-
 def _compress(state: tuple, block: bytes) -> tuple:
     """Apply the SHA-1 compression function to one 64-octet block.
 

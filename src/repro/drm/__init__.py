@@ -16,7 +16,6 @@
 """
 
 from .agent import ConsumptionResult, DRMAgent, ExportResult
-from .backup import RestoreReport, backup_ros, is_stateful, restore_ros
 from .certificates import (Certificate, CertificationAuthority,
                            verify_certificate)
 from .clock import DAY, SimulationClock, YEAR
@@ -49,8 +48,7 @@ from .storage import (DeviceStorage, DomainContext, RIContext,
                       SecureStorage)
 
 __all__ = [
-    "ConsumptionResult", "DRMAgent", "ExportResult", "RestoreReport",
-    "backup_ros", "is_stateful", "restore_ros", "Certificate",
+    "ConsumptionResult", "DRMAgent", "ExportResult", "Certificate",
     "CertificationAuthority", "verify_certificate", "DAY",
     "SimulationClock", "YEAR", "ContentIssuer", "LicenseGrant", "DCF",
     "ENCRYPTION_METHOD", "package_content", "Domain", "DomainManager",

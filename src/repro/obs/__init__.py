@@ -11,18 +11,19 @@ the *interior* of a run visible without giving up determinism:
 * :mod:`~repro.obs.metrics` — counters/gauges/histograms backed by the
   exact-mergeable :class:`~repro.core.stats.StreamingStats`, so
   per-shard registries merge bit-identically for any worker count.
-* :mod:`~repro.obs.export` — the Chrome trace-event JSON writer
-  (loadable in Perfetto / ``chrome://tracing``), and a re-importer that
-  reconstructs the :class:`~repro.core.trace.OperationTrace`.
+* :mod:`~repro.obs.slo` — the SLO monitor: windowed objectives, burn
+  rates and alerts.
+
+The exporters and the call-tree profiler, which only the CLI and the
+report use, are imported from their own submodules:
+:mod:`~repro.obs.export` (the Chrome trace-event JSON writer, loadable
+in Perfetto / ``chrome://tracing``, and its re-importer) and
+:mod:`~repro.obs.profile` (the modeled-cycle call tree).
 """
 
 from .metrics import MetricsRegistry, merge_registries
 from .tracer import (Event, NULL_TRACER, NullTracer, OPERATION_CATEGORY,
                      Span, Tracer)
-from .export import (to_chrome, trace_from_chrome, write_chrome,
-                     write_metrics)
-from .profile import (ProfileDiff, ProfileNode, ProfileTree, diff,
-                      paths_from_collapsed, paths_from_speedscope)
 from .slo import (Alert, DEFAULT_OBJECTIVES, Exemplar, Objective,
                   ObjectiveReport, SLOMonitor, SLOReport)
 
@@ -30,9 +31,6 @@ __all__ = [
     "MetricsRegistry", "merge_registries",
     "Event", "NULL_TRACER", "NullTracer", "OPERATION_CATEGORY",
     "Span", "Tracer",
-    "to_chrome", "trace_from_chrome", "write_chrome", "write_metrics",
-    "ProfileDiff", "ProfileNode", "ProfileTree", "diff",
-    "paths_from_collapsed", "paths_from_speedscope",
     "Alert", "DEFAULT_OBJECTIVES", "Exemplar", "Objective",
     "ObjectiveReport", "SLOMonitor", "SLOReport",
 ]

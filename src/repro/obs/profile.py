@@ -236,34 +236,6 @@ class ProfileTree:
         return "\n".join(lines)
 
 
-def paths_from_collapsed(text: str) -> "Dict[Tuple[str, ...], int]":
-    """Parse collapsed-stack lines back to ``{path: self_cycles}``.
-
-    The exact inverse of :meth:`ProfileTree.collapsed` — used by the
-    golden tests to prove the export round-trips losslessly.
-    """
-    out: Dict[Tuple[str, ...], int] = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        stack, cycles = line.rsplit(" ", 1)
-        out[tuple(stack.split(";"))] = int(cycles)
-    return out
-
-
-def paths_from_speedscope(document: Dict[str, Any]
-                          ) -> "Dict[Tuple[str, ...], int]":
-    """Recover ``{path: self_cycles}`` from a speedscope document."""
-    frames = [frame["name"]
-              for frame in document["shared"]["frames"]]
-    profile = document["profiles"][document.get("activeProfileIndex", 0)]
-    out: Dict[Tuple[str, ...], int] = {}
-    for stack, weight in zip(profile["samples"], profile["weights"]):
-        path = tuple(frames[index] for index in stack)
-        out[path] = out.get(path, 0) + weight
-    return out
-
-
 # -- diffing ---------------------------------------------------------------
 
 @dataclass(frozen=True)

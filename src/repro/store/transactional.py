@@ -13,8 +13,8 @@ always covered by a commit record.
 The op codec below maps each mutator's arguments to and from the
 canonically-encodable dict the journal stores. Only already-protected
 material crosses it (DCF ciphertext, ``C2dev``-wrapped keys, the RO's
-MAC-covered payload), mirroring :mod:`repro.drm.backup`: the journal
-lives in ordinary flash and must not weaken the storage model.
+MAC-covered payload): the journal lives in ordinary flash and must not
+weaken the storage model.
 """
 
 from typing import Optional, Tuple

@@ -1,13 +1,15 @@
 """Streaming stats: exactness, percentiles, and the merge laws."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.stats import StreamingStats, histogram, merge_all
+from repro.core.stats import (StatsSummary, StreamingStats, histogram,
+                              merge_all)
 
 observations = st.lists(st.integers(min_value=0, max_value=10_000),
                         max_size=200)
@@ -192,3 +194,22 @@ def test_percentile_matches_sorted_reference(values, p):
     ordered = sorted(values)
     rank = max(1, math.ceil(Fraction(repr(p)) * len(values) / 100))
     assert stats.percentile(p) == ordered[rank - 1]
+
+
+@given(counts=st.dictionaries(st.integers(min_value=-1_000,
+                                          max_value=10_000),
+                              st.integers(min_value=0, max_value=50),
+                              max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_summary_equals_the_single_statistics(counts):
+    """The one-walk summary equals each statistic read on its own.
+
+    Zero weights are drawn too: a key present with count 0 still counts
+    for ``minimum``/``maximum`` but never as a percentile.
+    """
+    stats = StreamingStats(counts=Counter(counts))
+    assert stats.summary() == StatsSummary(
+        count=stats.count, total=stats.total, minimum=stats.minimum,
+        maximum=stats.maximum, mean=stats.mean,
+        p50=stats.percentile(50.0), p95=stats.percentile(95.0),
+        p99=stats.percentile(99.0))

@@ -17,6 +17,7 @@ format change with::
 import json
 import os
 import pathlib
+from typing import Any, Dict, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -32,8 +33,7 @@ from repro.drm.roap.faults import FaultPlan, FaultyChannel
 from repro.drm.roap.wire import WireChannel
 from repro.drm.session import (BreakerPolicy, CircuitBreaker, RetryPolicy,
                                RoapSession)
-from repro.obs.profile import (ProfileTree, diff, paths_from_collapsed,
-                               paths_from_speedscope)
+from repro.obs.profile import ProfileTree, diff
 from repro.obs.tracer import Tracer
 from repro.usecases.tracing import run_scenario
 from repro.usecases.world import DRMWorld
@@ -178,6 +178,34 @@ def test_episode_tree_cumulative_equals_span_cost_sum(
 
 
 # -- exports round-trip and pin as goldens ----------------------------------
+
+def paths_from_collapsed(text: str) -> "Dict[Tuple[str, ...], int]":
+    """Parse collapsed-stack lines back to ``{path: self_cycles}``.
+
+    The exact inverse of :meth:`ProfileTree.collapsed`, so the tests
+    below can prove the export round-trips losslessly.
+    """
+    out: Dict[Tuple[str, ...], int] = {}
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        stack, cycles = line.rsplit(" ", 1)
+        out[tuple(stack.split(";"))] = int(cycles)
+    return out
+
+
+def paths_from_speedscope(document: Dict[str, Any]
+                          ) -> "Dict[Tuple[str, ...], int]":
+    """Recover ``{path: self_cycles}`` from a speedscope document."""
+    frames = [frame["name"]
+              for frame in document["shared"]["frames"]]
+    profile = document["profiles"][document.get("activeProfileIndex", 0)]
+    out: Dict[Tuple[str, ...], int] = {}
+    for stack, weight in zip(profile["samples"], profile["weights"]):
+        path = tuple(frames[index] for index in stack)
+        out[path] = out.get(path, 0) + weight
+    return out
+
 
 def test_collapsed_round_trips_exact_paths():
     tree = music_tree()
