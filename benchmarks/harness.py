@@ -42,17 +42,30 @@ KIND = "bench-report"
 DIRECTIONS = ("higher", "lower")
 
 
-def git_rev() -> str:
-    """The short revision the bench ran at; ``unknown`` off-repo."""
+def _git(args, cwd: pathlib.Path):
+    """Run one git query in ``cwd``; ``None`` when it cannot answer."""
     try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=str(pathlib.Path(__file__).resolve().parent),
-            capture_output=True, text=True, timeout=10, check=False)
+        out = subprocess.run(["git"] + args, cwd=str(cwd),
+                             capture_output=True, text=True, timeout=10,
+                             check=False)
     except OSError:
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def git_rev(cwd=None) -> str:
+    """The short revision the bench ran at; ``unknown`` off-repo.
+
+    A work tree whose tracked files differ from that revision gets a
+    ``-dirty`` suffix, so a run on uncommitted changes is not stamped
+    with the revision they sit on.
+    """
+    cwd = pathlib.Path(cwd or pathlib.Path(__file__).resolve().parent)
+    rev = _git(["rev-parse", "--short", "HEAD"], cwd)
+    if not rev:
         return "unknown"
-    rev = out.stdout.strip()
-    return rev if out.returncode == 0 and rev else "unknown"
+    changes = _git(["status", "--porcelain", "--untracked-files=no"], cwd)
+    return rev + "-dirty" if changes else rev
 
 
 @dataclass(frozen=True)

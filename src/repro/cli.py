@@ -39,43 +39,27 @@ as a Chrome trace on the virtual cycle timeline.
 """
 
 import argparse
+import importlib
 import json
 import sys
 from dataclasses import fields, is_dataclass
 from enum import Enum
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .analysis import (adversary, claims, durability, figure5, figure6,
-                       figure7, fleet, overload, report, resilience,
-                       saturation, table1)
+# Only what every command shares is imported here; each command imports
+# its own analysis, export and tooling modules in its handler, so a
+# command loads what it runs and nothing else.
 from .analysis.common import DEFAULT_SEED
 from .analysis.formatting import format_ms, format_table
 from .core.architecture import PAPER_PROFILES
-from .core.battery import Battery, battery_impact
-from .core.concurrency import analyze as analyze_concurrency
-from .crypto.selftest import run_self_tests
-from .lint import cli as lint_cli
-from .core.design_space import (MacroCosts, enumerate_design_points,
-                                marginal_value, pareto_frontier)
 from .core.model import PerformanceModel
-from .core.serialization import breakdown_to_dict
-from .obs.export import write_chrome, write_metrics
-from .obs.profile import ProfileTree
-from .obs.profile import diff as profile_diff
 from .obs.tracer import Tracer
-from .perf import trajectory as perf_trajectory
 from .usecases.catalog import music_player, ringtone
 from .usecases.scenario import UseCase
-from .usecases.tracing import MODELED_SCENARIOS, SCENARIOS, run_scenario
 from .usecases.workload import run_modeled
 
-_ARTIFACTS = {
-    "table1": table1.generate,
-    "figure5": figure5.generate,
-    "figure6": figure6.generate,
-    "figure7": figure7.generate,
-    "claims": claims.generate,
-}
+#: The paper artifacts, each regenerated by ``repro.analysis.<name>``.
+_ARTIFACTS = ("table1", "figure5", "figure6", "figure7", "claims")
 
 _PROFILES = {profile.name: profile for profile in PAPER_PROFILES}
 
@@ -141,6 +125,22 @@ def _analysis_command(args: argparse.Namespace,
     return 0
 
 
+def _given(**options: Any) -> Dict[str, Any]:
+    """The options set on the command line. An option left unset is
+    omitted, so the analysis function's own default applies and the
+    parser needs no analysis module for it."""
+    return {name: value for name, value in options.items()
+            if value is not None}
+
+
+def _split(text: Optional[str], cast: Callable[[str], Any]
+           ) -> Optional[Tuple[Any, ...]]:
+    """A comma-separated option as a tuple; ``None`` when unset."""
+    if text is None:
+        return None
+    return tuple(cast(part) for part in text.split(","))
+
+
 def _trace_summary_payload(tracer: Tracer) -> Dict[str, Any]:
     """The tracer facts every trace-producing command reports."""
     return {
@@ -183,19 +183,26 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", default=DEFAULT_SEED)
 
 
+def _generate_artifact(name: str) -> Any:
+    return importlib.import_module(".analysis." + name,
+                                   __package__).generate()
+
+
 def _build_artifact(name: str, args: argparse.Namespace) -> CommandOutput:
-    result = _ARTIFACTS[name]()
+    result = _generate_artifact(name)
     return result.render(), {"artifact": name, "result": result}
 
 
 def _build_all(args: argparse.Namespace) -> CommandOutput:
-    results = {name: _ARTIFACTS[name]() for name in _ARTIFACTS}
+    results = {name: _generate_artifact(name) for name in _ARTIFACTS}
     text = "\n\n".join(results[name].render()
                        for name in _ARTIFACTS) + "\n"
     return text, {"artifacts": results}
 
 
 def _build_run(args: argparse.Namespace) -> CommandOutput:
+    from .core.serialization import breakdown_to_dict
+    from .obs.export import write_chrome
     use_case = _resolve_use_case(args)
     run = run_modeled(use_case, seed=args.seed)
     model = PerformanceModel()
@@ -231,6 +238,8 @@ def _build_run(args: argparse.Namespace) -> CommandOutput:
 
 
 def _build_pareto(args: argparse.Namespace) -> CommandOutput:
+    from .core.design_space import (MacroCosts, enumerate_design_points,
+                                    marginal_value, pareto_frontier)
     use_case = _resolve_use_case(args)
     run = run_modeled(use_case, seed=args.seed)
     costs = MacroCosts(aes_kgates=args.aes_kgates,
@@ -268,6 +277,7 @@ def _build_pareto(args: argparse.Namespace) -> CommandOutput:
 
 
 def _build_battery(args: argparse.Namespace) -> CommandOutput:
+    from .core.battery import Battery, battery_impact
     use_case = _resolve_use_case(args)
     run = run_modeled(use_case, seed=args.seed)
     model = PerformanceModel()
@@ -300,6 +310,7 @@ def _build_battery(args: argparse.Namespace) -> CommandOutput:
 
 
 def _build_concurrency(args: argparse.Namespace) -> CommandOutput:
+    from .core.concurrency import analyze as analyze_concurrency
     use_case = _resolve_use_case(args)
     run = run_modeled(use_case, seed=args.seed)
     model = PerformanceModel()
@@ -323,34 +334,35 @@ def _build_concurrency(args: argparse.Namespace) -> CommandOutput:
 
 
 def _build_resilience(args: argparse.Namespace) -> CommandOutput:
-    loss_rates = tuple(float(part)
-                       for part in args.loss_rates.split(","))
+    from .analysis import resilience
     result = resilience.generate(seed=args.seed,
-                                 loss_rates=loss_rates,
-                                 max_attempts=args.max_attempts)
+                                 loss_rates=_split(args.loss_rates, float),
+                                 **_given(max_attempts=args.max_attempts))
     return result.render(), result
 
 
 def _build_durability(args: argparse.Namespace) -> CommandOutput:
-    journal_lengths = tuple(int(part)
-                            for part in args.journal_lengths.split(","))
-    result = durability.generate(seed=args.seed,
-                                 journal_lengths=journal_lengths,
-                                 rsa_bits=args.rsa_bits)
+    from .analysis import durability
+    result = durability.generate(
+        seed=args.seed, rsa_bits=args.rsa_bits,
+        **_given(journal_lengths=_split(args.journal_lengths, int)))
     return result.render(), result
 
 
 def _build_adversary(args: argparse.Namespace) -> CommandOutput:
+    from .analysis import adversary
     result = adversary.generate(seed=args.seed, rsa_bits=args.rsa_bits)
     return result.render(), result
 
 
 def _build_fleet(args: argparse.Namespace) -> CommandOutput:
+    from .analysis import fleet
+    from .obs.export import write_metrics
     from .sim.ri import RICapacity
     capacity = RICapacity(signing_units=args.ri_capacity,
                           queue_limit=args.ri_queue_limit)
     analysis = fleet.generate(
-        seed=args.seed, devices=args.devices, workers=args.workers,
+        seed=args.seed, workers=args.workers,
         kernel=args.kernel, ri_capacity=capacity,
         arrival_model=args.arrival, window_seconds=args.window,
         lossy_fraction=args.lossy_fraction,
@@ -358,7 +370,8 @@ def _build_fleet(args: argparse.Namespace) -> CommandOutput:
         rsa_bits=args.rsa_bits, journaled=args.journaled,
         crash_rate=args.crash_rate,
         adversary_fraction=args.adversary_fraction,
-        breaker_cutoff=args.breaker_cutoff)
+        breaker_cutoff=args.breaker_cutoff,
+        **_given(devices=args.devices))
     lines = [analysis.render()]
     if args.metrics:
         write_metrics(analysis.result.metrics, args.metrics)
@@ -367,17 +380,19 @@ def _build_fleet(args: argparse.Namespace) -> CommandOutput:
 
 
 def _build_saturation(args: argparse.Namespace) -> CommandOutput:
+    from .analysis import saturation
     from .sim.ri import RICapacity
-    rhos = tuple(float(part) for part in args.rhos.split(","))
     capacity = RICapacity(signing_units=args.signing_units,
                           queue_limit=args.queue_limit)
-    analysis = saturation.generate(seed=args.seed,
-                                   requests=args.requests,
-                                   rhos=rhos, capacity=capacity)
+    analysis = saturation.generate(
+        seed=args.seed, capacity=capacity,
+        **_given(requests=args.requests,
+                 rhos=_split(args.rhos, float)))
     return analysis.render(), analysis
 
 
 def _build_overload(args: argparse.Namespace) -> CommandOutput:
+    from .analysis import overload
     analysis = overload.generate(seed=args.seed,
                                  architecture=args.arch,
                                  jobs=args.jobs)
@@ -385,6 +400,8 @@ def _build_overload(args: argparse.Namespace) -> CommandOutput:
 
 
 def _build_trace(args: argparse.Namespace) -> CommandOutput:
+    from .obs.export import write_chrome, write_metrics
+    from .usecases.tracing import run_scenario
     tracer = Tracer(profile=_PROFILES[args.arch], actor="terminal")
     run_scenario(args.scenario, tracer, seed=args.seed,
                  rsa_bits=args.rsa_bits)
@@ -411,19 +428,22 @@ def _build_trace(args: argparse.Namespace) -> CommandOutput:
 
 def _rsa_bits(args: argparse.Namespace) -> Optional[int]:
     """The key size a traced scenario ran at; None for a modeled replay."""
+    from .usecases.tracing import MODELED_SCENARIOS
     if args.scenario in MODELED_SCENARIOS:
         return None
     return args.rsa_bits
 
 
 def _profile_tree(arch: str, scenario: str, seed: str,
-                  rsa_bits: int) -> ProfileTree:
+                  rsa_bits: int):
     """Trace one scenario and fold it.
 
     :func:`~repro.usecases.tracing.run_scenario` has already checked
     that the tree's root cycles equal the cost model's breakdown of the
     same trace, so the tree is reconciled exactly.
     """
+    from .obs.profile import ProfileTree
+    from .usecases.tracing import run_scenario
     tracer = Tracer(profile=_PROFILES[arch], actor="terminal")
     run_scenario(scenario, tracer, seed=seed, rsa_bits=rsa_bits)
     return ProfileTree.from_tracer(tracer, architecture=arch,
@@ -431,6 +451,7 @@ def _profile_tree(arch: str, scenario: str, seed: str,
 
 
 def _build_profile(args: argparse.Namespace) -> CommandOutput:
+    from .obs.profile import diff as profile_diff
     tree = _profile_tree(args.arch, args.scenario, args.seed,
                          args.rsa_bits)
     profile = _PROFILES[args.arch]
@@ -484,6 +505,7 @@ def _build_profile(args: argparse.Namespace) -> CommandOutput:
 
 
 def _command_perfdiff(args: argparse.Namespace) -> int:
+    from .perf import trajectory as perf_trajectory
     try:
         if args.merge:
             reports = [perf_trajectory.load_report(path)
@@ -512,6 +534,7 @@ def _command_perfdiff(args: argparse.Namespace) -> int:
 
 
 def _command_report(args: argparse.Namespace) -> int:
+    from .analysis import report
     document = report.generate(seed=args.seed)
     document.write(args.output)
     print("report written to %s (%d characters)"
@@ -520,6 +543,7 @@ def _command_report(args: argparse.Namespace) -> int:
 
 
 def _command_selftest(args: argparse.Namespace) -> int:
+    from .crypto.selftest import run_self_tests
     outcome = run_self_tests()
     for name, ok in outcome.results:
         print("%-20s %s" % (name, "PASS" if ok else "FAIL"))
@@ -592,19 +616,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", default=DEFAULT_SEED)
     sub.add_argument("--loss-rates", default="0,0.05,0.1,0.2,0.4",
                      help="comma-separated per-transmission loss rates")
-    sub.add_argument("--max-attempts", type=int,
-                     default=resilience.DEFAULT_MAX_ATTEMPTS)
+    sub.add_argument("--max-attempts", type=int, default=None,
+                     help="attempt cap per registration (default: "
+                          "the analysis default)")
 
     sub = analysis_parser("durability",
                           "write-ahead journal overhead and "
                           "power-loss recovery cost",
                           _build_durability)
     sub.add_argument("--seed", default=DEFAULT_SEED)
-    sub.add_argument("--journal-lengths",
-                     default=",".join(str(n) for n in
-                                      durability.DEFAULT_JOURNAL_LENGTHS),
+    sub.add_argument("--journal-lengths", default=None,
                      help="comma-separated journal lengths (records) "
-                          "for the recovery projection")
+                          "for the recovery projection (default: the "
+                          "report's lengths)")
     sub.add_argument("--rsa-bits", type=int, default=1024,
                      help="modulus size for the calibration run")
 
@@ -621,9 +645,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "against one RI",
                           _build_fleet)
     sub.add_argument("--seed", default=DEFAULT_SEED)
-    sub.add_argument("--devices", type=int,
-                     default=fleet.REPORT_DEVICES,
-                     help="population size (10^4-10^6)")
+    sub.add_argument("--devices", type=int, default=None,
+                     help="population size (10^4-10^6; default: the "
+                          "report's population)")
     sub.add_argument("--workers", type=int, default=1,
                      help="worker processes; any value gives "
                           "bit-identical statistics")
@@ -675,14 +699,13 @@ def build_parser() -> argparse.ArgumentParser:
                           "per architecture (event kernel)",
                           _build_saturation)
     sub.add_argument("--seed", default=DEFAULT_SEED)
-    sub.add_argument("--requests", type=int,
-                     default=saturation.REPORT_REQUESTS,
+    sub.add_argument("--requests", type=int, default=None,
                      help="Poisson request arrivals per measurement "
-                          "point")
-    sub.add_argument("--rhos", default=",".join(
-        "%g" % rho for rho in saturation.DEFAULT_RHOS),
+                          "point (default: the report's count)")
+    sub.add_argument("--rhos", default=None,
                      help="comma-separated offered loads as fractions "
-                          "of nominal capacity")
+                          "of nominal capacity (default: the report's "
+                          "ladder)")
     sub.add_argument("--signing-units", type=int, default=1,
                      help="concurrent signing units of the RI")
     sub.add_argument("--queue-limit", type=int, default=None,
@@ -707,11 +730,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "trace a named scenario on the cycle "
                           "timeline and export it",
                           _build_trace)
-    sub.add_argument("--scenario", choices=tuple(SCENARIOS),
-                     default="registration",
+    sub.add_argument("--scenario", default="registration",
                      help="named scenario from repro.usecases.tracing "
                           "(protocol-stack names plus the modeled "
-                          "paper-scale 'music' and 'ringtone')")
+                          "paper-scale 'music' and 'ringtone'); an "
+                          "unknown name is a usage error listing them")
     sub.add_argument("--seed", default=DEFAULT_SEED)
     sub.add_argument("--arch", choices=tuple(_PROFILES), default="SW",
                      help="architecture profile pricing the timeline")
@@ -728,8 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "fold a traced scenario into an exact "
                           "virtual-cycle call tree and export/diff it",
                           _build_profile)
-    sub.add_argument("--scenario", choices=tuple(SCENARIOS),
-                     default="registration",
+    sub.add_argument("--scenario", default="registration",
                      help="named scenario from repro.usecases.tracing")
     sub.add_argument("--seed", default=DEFAULT_SEED)
     sub.add_argument("--arch", choices=tuple(_PROFILES), default="SW",
@@ -747,8 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
                      default=None,
                      help="diff against the same scenario under "
                           "another architecture")
-    sub.add_argument("--diff-scenario", choices=tuple(SCENARIOS),
-                     default=None,
+    sub.add_argument("--diff-scenario", default=None,
                      help="diff against another scenario (same "
                           "architecture unless --diff-arch)")
     sub.add_argument("--top", type=int, default=10,
@@ -777,11 +798,11 @@ def build_parser() -> argparse.ArgumentParser:
                                      "self-tests")
     sub.set_defaults(handler=_command_selftest)
 
-    sub = subparsers.add_parser("lint",
-                                help="run the AST-based invariant "
-                                     "analyzer")
-    lint_cli.add_arguments(sub)
-    sub.set_defaults(handler=lint_cli.run)
+    # Listed for the command overview only: main() hands ``lint`` and
+    # its arguments to the analyzer's own parser.
+    subparsers.add_parser("lint", add_help=False,
+                          help="run the AST-based invariant analyzer "
+                               "(repro lint --help lists its options)")
 
     sub = subparsers.add_parser("report",
                                 help="write the full paper-vs-measured "
@@ -795,6 +816,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["lint"]:
+        # The analyzer parses its own arguments, so its package loads
+        # for this command alone.
+        from .lint import cli as lint_cli
+        return lint_cli.main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.handler(args)

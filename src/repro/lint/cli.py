@@ -87,8 +87,9 @@ def run(args: argparse.Namespace) -> int:
     return 0 if result.clean else 1
 
 
-def main(argv: List[str] = None) -> int:  # pragma: no cover - thin shim
-    """Standalone entry point (``python -m repro.lint.cli``)."""
+def main(argv: List[str] = None) -> int:
+    """Entry point of ``python -m repro lint`` (and, standalone,
+    ``python -m repro.lint.cli``): parse ``argv`` and run."""
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description="AST-based invariant analyzer for this repository")

@@ -330,11 +330,14 @@ _NULL_CONTEXT = _NullContext()
 class NullTracer:
     """Do-nothing tracer: the default wired into every provider.
 
-    Every method is a constant-time no-op that allocates nothing, so
-    instrumented code paths cost one attribute lookup and one call when
-    tracing is off — the overhead budget
+    Every method is a constant-time no-op that allocates nothing, so a
+    protocol-layer call site costs one attribute lookup and one call
+    when tracing is off — the overhead budget
     (:mod:`benchmarks.bench_obs_overhead`) holds it under 5 % on the
     protocol scenarios, and un-traced artifacts stay byte-identical.
+    Per-request hot loops read :attr:`enabled` instead and skip the
+    tracer altogether: :meth:`repro.sim.ri.RIServer.serve_request`
+    makes no tracer call for a tracer whose ``enabled`` is False.
     """
 
     enabled = False

@@ -40,7 +40,7 @@ from ..usecases.fleet import (CostTemplates, DeviceDraw, FleetConfig,
                               FleetResult, build_cost_templates,
                               draw_device, run_fleet)
 from .kernel import Kernel, Wait
-from .queueing import exponential_ticks
+from .queueing import exponential_ticks, kind_draw
 from .ri import DEFAULT_REQUEST_MIX, RICapacity, RIServer
 
 __all__ = [
@@ -218,9 +218,9 @@ def run_open_load(seed: str, profile: ArchitectureProfile,
     ri.attach_slo()
     mean_gap = profile.clock_hz / arrivals_per_second
     gaps = kernel.stream("arrivals")
-    kinds_rng = kernel.stream("kinds")
     names = tuple(mix)
-    cum_weights = tuple(accumulate(mix[name] for name in names))
+    next_kind = kind_draw(kernel.stream("kinds"), names,
+                          tuple(accumulate(mix[name] for name in names)))
 
     def request(kind: str):
         # Drop the outcome (the ledger has it): a finished process would
@@ -230,8 +230,7 @@ def run_open_load(seed: str, profile: ArchitectureProfile,
     def source():
         for index in range(requests):
             yield Wait(exponential_ticks(gaps, mean_gap))
-            kind = kinds_rng.choices(names, cum_weights=cum_weights)[0]
-            kernel.spawn("request/%d" % index, request(kind))
+            kernel.spawn("request/%d" % index, request(next_kind()))
         return None
 
     kernel.spawn("source", source())

@@ -57,7 +57,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.slo import Objective, SLOReport
 from ..obs.tracer import NULL_TRACER
 from .kernel import Kernel, Wait
-from .queueing import exponential_ticks
+from .queueing import exponential_ticks, kind_draw
 from .ri import DEFAULT_REQUEST_MIX, RICapacity, RIServer
 from .admission import ADMISSION_POLICIES, make_admission
 
@@ -454,10 +454,10 @@ def run_storm(spec: StormSpec, tracer=NULL_TRACER) -> StormResult:
             yield Wait(delay_units * slot_ticks)
 
     names = tuple(DEFAULT_REQUEST_MIX)
-    cum_weights = tuple(accumulate(DEFAULT_REQUEST_MIX[name]
-                                   for name in names))
     gaps = kernel.stream("arrivals")
-    kinds = kernel.stream("kinds")
+    next_kind = kind_draw(kernel.stream("kinds"), names,
+                          tuple(accumulate(DEFAULT_REQUEST_MIX[name]
+                                           for name in names)))
 
     def source() -> Generator[Any, Any, None]:
         index = 0
@@ -470,7 +470,7 @@ def run_storm(spec: StormSpec, tracer=NULL_TRACER) -> StormResult:
             yield Wait(exponential_ticks(gaps, mean_gap))
             if kernel.now >= horizon_ticks:
                 return None
-            kind = kinds.choices(names, cum_weights=cum_weights)[0]
+            kind = next_kind()
             state.clients += 1
             state.offered_by_bin[bin_of(kernel.now)] += 1
             if budget is not None:

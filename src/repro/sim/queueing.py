@@ -22,9 +22,10 @@ holds bit-exactly, not just in expectation.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from ..core.stats import StreamingStats
 from .kernel import REJECTED, Acquire, Kernel, Release, Resource, Wait
@@ -45,6 +46,29 @@ def exponential_ticks(rng: Random, mean_ticks: float) -> int:
     if mean_ticks <= 0:
         raise ValueError("the mean must be positive")
     return int(round(-mean_ticks * math.log(1.0 - rng.random())))
+
+
+def kind_draw(rng: Random, names: Sequence[str],
+              cum_weights: Sequence[float]) -> Callable[[], str]:
+    """A zero-argument draw of one of ``names`` by cumulative weight.
+
+    Each call returns exactly what ``rng.choices(names,
+    cum_weights=cum_weights)[0]`` returns and consumes the same single
+    ``rng.random()``; the weights are validated once here instead of
+    on every draw, which is what an arrival source drawing one kind per
+    arrival pays for.
+    """
+    if len(cum_weights) != len(names) or not names:
+        raise ValueError("one cumulative weight per name is required")
+    total = cum_weights[-1] + 0.0
+    if not 0.0 < total < math.inf:
+        raise ValueError("the total weight must be positive and finite")
+    random = rng.random
+    hi = len(names) - 1
+
+    def draw() -> str:
+        return names[bisect_right(cum_weights, random() * total, 0, hi)]
+    return draw
 
 
 def exponential_draw(mean_ticks: float) -> TickDraw:

@@ -446,12 +446,16 @@ class RIServer:
         ticks = 0
         try:
             ticks = self.service_ticks(kind)
-            self.tracer.advance_to(self.kernel.now)
-            with self.tracer.span(self._span_names[kind], track="ri",
-                                  waited_ticks=waited) as span:
+            tracer = self.tracer
+            if tracer.enabled:
+                tracer.advance_to(self.kernel.now)
+                with tracer.span(self._span_names[kind], track="ri",
+                                 waited_ticks=waited) as span:
+                    yield Wait(ticks)
+                    tracer.advance_to(self.kernel.now)
+                    span.set("service_ticks", ticks)
+            else:
                 yield Wait(ticks)
-                self.tracer.advance_to(self.kernel.now)
-                span.set("service_ticks", ticks)
         finally:
             # The kernel delivers this Release during generator unwind
             # too, so an exception inside the critical section returns

@@ -10,6 +10,7 @@ test keeps them honest.
 
 import json
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -54,6 +55,28 @@ def test_harness_report_round_trips_through_loader(tmp_path):
     point = trajectory.metric("kernel", "a.events")
     assert point.value == 123 and point.reference == 123
     assert trajectory.metric("kernel", "a.wall").tolerance_pct == 10.0
+
+
+def test_git_rev_marks_uncommitted_changes(tmp_path):
+    def git(*args):
+        return subprocess.run(
+            ["git", "-c", "user.name=bench", "-c", "user.email=bench@x",
+             "-c", "commit.gpgsign=false"] + list(args),
+            cwd=str(tmp_path), check=True, capture_output=True,
+            text=True).stdout.strip()
+
+    assert harness.git_rev(tmp_path) == "unknown"
+    git("init", "-q")
+    tracked = tmp_path / "tracked.txt"
+    tracked.write_text("one\n")
+    git("add", "tracked.txt")
+    git("commit", "-q", "-m", "one")
+    head = git("rev-parse", "--short", "HEAD")
+    assert harness.git_rev(tmp_path) == head
+    (tmp_path / "untracked.txt").write_text("noise\n")
+    assert harness.git_rev(tmp_path) == head
+    tracked.write_text("two\n")
+    assert harness.git_rev(tmp_path) == head + "-dirty"
 
 
 def test_metric_validation():

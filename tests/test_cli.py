@@ -83,6 +83,15 @@ def test_missing_command_exits():
         main([])
 
 
+@pytest.mark.parametrize("command", ["trace", "profile"])
+def test_unknown_scenario_is_a_usage_error(capsys, command):
+    code = main([command, "--scenario", "no-such-scenario"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "unknown scenario 'no-such-scenario'" in err
+    assert "registration" in err
+
+
 def test_concurrency(capsys):
     code, out = run_cli(capsys, "concurrency", "--use-case", "music")
     assert code == 0

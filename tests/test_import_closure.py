@@ -45,13 +45,26 @@ def test_bare_import_loads_only_the_package():
     assert loaded_after("repro") == {"repro"}
 
 
+def unwanted(loaded):
+    """Loaded modules that only the CLI's own commands need."""
+    found = {name for name in loaded
+             if any(name == prefix or name.startswith(prefix + ".")
+                    for prefix in CLI_ONLY)}
+    return found | {name for name in loaded
+                    if name.startswith("repro.analysis")
+                    and name not in ANALYSIS_ALLOWED}
+
+
 def test_library_imports_leave_cli_only_modules_unloaded():
     loaded = loaded_after(*LIBRARY_IMPORTS)
     assert set(LIBRARY_IMPORTS) <= loaded
-    unwanted = {name for name in loaded
-                if any(name == prefix or name.startswith(prefix + ".")
-                       for prefix in CLI_ONLY)}
-    unwanted |= {name for name in loaded
-                 if name.startswith("repro.analysis")
-                 and name not in ANALYSIS_ALLOWED}
-    assert not unwanted
+    assert not unwanted(loaded)
+
+
+def test_cli_imports_each_command_in_its_handler():
+    # ``python -m repro table1`` must not pay for the linter, the perf
+    # gate, the attack engine or any other command's analysis.
+    loaded = loaded_after("repro.cli")
+    assert "repro.cli" in loaded
+    assert not unwanted(loaded)
+    assert "repro.analysis.overload" not in loaded
