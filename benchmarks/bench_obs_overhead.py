@@ -64,7 +64,6 @@ REPEATS = 3
 class CountingTracer:
     """Counts instrumentation call sites; behaves like NullTracer."""
 
-    enabled = False
     now = 0
 
     class _Span:

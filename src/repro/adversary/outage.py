@@ -44,11 +44,6 @@ class OutageWindow:
         """Whether ``now`` falls inside this window."""
         return self.start <= now < self.end
 
-    @property
-    def seconds(self) -> int:
-        """Window length in seconds."""
-        return self.end - self.start
-
 
 class OutageSchedule:
     """A set of non-overlapping downtime windows for one service."""
@@ -60,19 +55,6 @@ class OutageSchedule:
                 raise ValueError("outage windows must not overlap")
         self.windows: Tuple[OutageWindow, ...] = tuple(ordered)
         self._starts = [w.start for w in self.windows]
-
-    @classmethod
-    def periodic(cls, first_start: int, down_seconds: int,
-                 up_seconds: int, count: int) -> "OutageSchedule":
-        """``count`` equal windows separated by ``up_seconds`` of uptime."""
-        if down_seconds <= 0 or up_seconds < 0 or count < 0:
-            raise ValueError("periodic schedule parameters out of range")
-        windows = []
-        start = first_start
-        for _ in range(count):
-            windows.append(OutageWindow(start, start + down_seconds))
-            start += down_seconds + up_seconds
-        return cls(windows)
 
     def _window_at(self, now: int) -> Optional[OutageWindow]:
         index = bisect.bisect_right(self._starts, now) - 1
@@ -89,10 +71,6 @@ class OutageSchedule:
         is up)."""
         window = self._window_at(now)
         return 0 if window is None else window.end - now
-
-    def total_downtime(self) -> int:
-        """Sum of all window lengths in seconds."""
-        return sum(w.seconds for w in self.windows)
 
 
 class OutageRIChannel(WireChannel):

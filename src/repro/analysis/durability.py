@@ -19,7 +19,7 @@ unreliable *battery*.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..core.architecture import PAPER_PROFILES
 from ..usecases.durability import (DurabilityMeasurement,
@@ -71,11 +71,6 @@ class DurabilityResult:
     measurement: DurabilityMeasurement
     overheads: Tuple[PhaseOverhead, ...]
     projections: Tuple[RecoveryProjection, ...]
-
-    def overheads_for(self, architecture: str) -> List[PhaseOverhead]:
-        """Phase overheads of one architecture, in phase order."""
-        return [o for o in self.overheads
-                if o.architecture == architecture]
 
     def render(self) -> str:
         """Two aligned ASCII tables: journal overhead, recovery cost."""

@@ -118,11 +118,6 @@ class ResilienceResult:
         """Architecture names in profile order."""
         return list(self.attempt_cycles)
 
-    def rows_for(self, architecture: str) -> List[RetryOverhead]:
-        """Overheads for one architecture, in loss-rate order."""
-        return [o for o in self.overheads
-                if o.architecture == architecture]
-
     def render(self) -> str:
         """Aligned ASCII table, one row per (architecture, loss rate)."""
         rows = []

@@ -14,29 +14,30 @@ only the CLI and the analysis modules use are imported from their own
 submodules: :mod:`~repro.core.report` (Figure 5/6/7-shaped comparisons),
 :mod:`~repro.core.battery`, :mod:`~repro.core.concurrency`,
 :mod:`~repro.core.design_space` and :mod:`~repro.core.serialization`.
+So is :mod:`~repro.core.meter`, which imports :mod:`repro.obs.tracer`:
+:mod:`repro.obs` builds on :mod:`~repro.core.stats`, so re-exporting
+the meter here would make the two packages import each other.
 """
 
 from .architecture import (ArchitectureProfile, DEFAULT_CLOCK_HZ,
                            HW_PROFILE, PAPER_PROFILES, SW_HW_PROFILE,
                            SW_PROFILE, custom_profile)
-from .stats import (StatsSummary, StreamingStats, histogram, merge_all)
+from .stats import StatsSummary, StreamingStats, merge_all
 from .costs import (CostOptions, CostTable, HARDWARE_COSTS, Implementation,
                     LinearCost, PAPER_TABLE1, SOFTWARE_COSTS)
 from .energy import (DEFAULT_CPU_POWER_WATTS, DEFAULT_MACRO_POWER_WATTS,
                      ProportionalEnergyModel, WeightedEnergyModel)
-from .meter import MeteredCrypto, PlainCrypto, units_128
 from .model import CostBreakdown, PerformanceModel, PricedOperation
 from .trace import Algorithm, OperationRecord, OperationTrace, Phase
 
 __all__ = [
-    "StatsSummary", "StreamingStats", "histogram", "merge_all",
+    "StatsSummary", "StreamingStats", "merge_all",
     "ArchitectureProfile", "DEFAULT_CLOCK_HZ", "HW_PROFILE",
     "PAPER_PROFILES", "SW_HW_PROFILE", "SW_PROFILE", "custom_profile",
     "CostOptions", "CostTable", "HARDWARE_COSTS", "Implementation",
     "LinearCost", "PAPER_TABLE1", "SOFTWARE_COSTS",
     "DEFAULT_CPU_POWER_WATTS", "DEFAULT_MACRO_POWER_WATTS",
-    "ProportionalEnergyModel", "WeightedEnergyModel", "MeteredCrypto",
-    "PlainCrypto", "units_128", "CostBreakdown", "PerformanceModel",
-    "PricedOperation", "Algorithm", "OperationRecord",
+    "ProportionalEnergyModel", "WeightedEnergyModel", "CostBreakdown",
+    "PerformanceModel", "PricedOperation", "Algorithm", "OperationRecord",
     "OperationTrace", "Phase",
 ]

@@ -15,7 +15,7 @@ The three evaluated variants:
 * :data:`HW_PROFILE` — dedicated macros for every algorithm.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping
 
 from .costs import Implementation
@@ -60,13 +60,6 @@ class ArchitectureProfile:
     def cycles_to_ms(self, cycles: int) -> float:
         """Convert a cycle count to milliseconds at this profile's clock."""
         return cycles / self.clock_hz * 1000.0
-
-    def hardware_algorithms(self) -> Dict[Algorithm, str]:
-        """The subset of algorithms mapped to dedicated macros."""
-        return {
-            a: impl for a, impl in self.assignment.items()
-            if impl == Implementation.HARDWARE
-        }
 
 
 def _uniform(implementation: str) -> Dict[Algorithm, str]:

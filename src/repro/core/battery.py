@@ -34,12 +34,6 @@ class Battery:
         """Total stored energy in joules."""
         return self.capacity_mah / 1000.0 * 3600.0 * self.nominal_volts
 
-    def fraction_used(self, joules: float) -> float:
-        """Fraction of a full charge that ``joules`` represents."""
-        if joules < 0:
-            raise ValueError("energy must be non-negative")
-        return joules / self.capacity_joules
-
 
 @dataclass(frozen=True)
 class BatteryImpact:
@@ -52,11 +46,6 @@ class BatteryImpact:
     def millijoules(self) -> float:
         """Energy in millijoules."""
         return self.joules * 1000.0
-
-    @property
-    def charge_fraction(self) -> float:
-        """Fraction of a full charge consumed."""
-        return self.battery.fraction_used(self.joules)
 
     @property
     def microamp_hours(self) -> float:

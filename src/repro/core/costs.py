@@ -141,32 +141,6 @@ class CostTable:
             raise KeyError("unknown implementation %r" % (implementation,))
         return CostTable(software=software, hardware=hardware)
 
-    def scaled(self, implementation: str, factor: float) -> "CostTable":
-        """A copy with every cost of one implementation scaled by
-        ``factor`` (e.g. a uniformly slower CPU: factor > 1)."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-
-        def scale(cost: LinearCost) -> LinearCost:
-            return LinearCost(
-                offset_cycles=int(round(cost.offset_cycles * factor)),
-                cycles_per_block=int(round(
-                    cost.cycles_per_block * factor)),
-                block_bits=cost.block_bits,
-            )
-
-        if implementation == Implementation.SOFTWARE:
-            return CostTable(
-                software={a: scale(c) for a, c in self.software.items()},
-                hardware=dict(self.hardware),
-            )
-        if implementation == Implementation.HARDWARE:
-            return CostTable(
-                software=dict(self.software),
-                hardware={a: scale(c) for a, c in self.hardware.items()},
-            )
-        raise KeyError("unknown implementation %r" % (implementation,))
-
 
 #: The paper's Table 1 as a ready-to-use cost table.
 PAPER_TABLE1 = CostTable()

@@ -144,15 +144,6 @@ def pareto_frontier(points: Sequence[DesignPoint],
     return frontier
 
 
-def cheapest_within_budget(points: Sequence[DesignPoint],
-                           budget_ms: float) -> Optional[DesignPoint]:
-    """The fewest-gates design meeting a latency budget, or None."""
-    feasible = [p for p in points if p.time_ms <= budget_ms]
-    if not feasible:
-        return None
-    return min(feasible, key=lambda p: (p.kgates, p.time_ms))
-
-
 def marginal_value(points: Sequence[DesignPoint]
                    ) -> Dict[str, Dict[str, float]]:
     """Per-macro speedup when added to the software-only baseline.

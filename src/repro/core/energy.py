@@ -16,7 +16,7 @@ qualitative effect the authors describe; the ``abl-energy`` ablation uses them.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from typing import Mapping
 
 from .costs import Implementation
 from .model import CostBreakdown
@@ -61,15 +61,3 @@ class WeightedEnergyModel:
             power = self.unit_power_watts[op.implementation]
             total += op.cycles / clock_hz * power
         return total
-
-    def joules_by_unit(self, breakdown: CostBreakdown) -> Dict[str, float]:
-        """Energy split per execution unit (software core vs macros)."""
-        clock_hz = breakdown.profile.clock_hz
-        totals: Dict[str, float] = {}
-        for op in breakdown.operations:
-            power = self.unit_power_watts[op.implementation]
-            joules = op.cycles / clock_hz * power
-            totals[op.implementation] = (
-                totals.get(op.implementation, 0.0) + joules
-            )
-        return totals

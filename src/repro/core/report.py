@@ -68,14 +68,6 @@ class ArchitectureComparison:
         """Profile names in order (the figure's x-axis)."""
         return [b.profile.name for b in self.breakdowns]
 
-    def speedup_over_software(self) -> List[float]:
-        """Speedup of each variant relative to the first (SW) bar."""
-        series = self.series_ms()
-        if not series or series[0] == 0:
-            return []
-        return [series[0] / value if value else float("inf")
-                for value in series]
-
 
 def compare_architectures(trace: OperationTrace,
                           profiles: Sequence[ArchitectureProfile],

@@ -28,7 +28,7 @@ accumulator raises on non-integer values rather than silently degrading).
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 #: The percentile levels fleet reports quote.
 REPORT_PERCENTILES = (50.0, 95.0, 99.0)
@@ -46,17 +46,6 @@ class StatsSummary:
     p50: Optional[int]
     p95: Optional[int]
     p99: Optional[int]
-
-    def scaled(self, factor: float) -> Tuple[float, float, float, float]:
-        """(mean, p50, p95, p99) under a linear unit conversion.
-
-        Percentiles commute with monotone transforms, so converting the
-        integer cycle summaries to milliseconds or millijoules is exact.
-        """
-        return (self.mean * factor,
-                (self.p50 or 0) * factor,
-                (self.p95 or 0) * factor,
-                (self.p99 or 0) * factor)
 
 
 @dataclass
@@ -216,11 +205,6 @@ class TimeWeightedStats:
         if value > self.maximum:
             self.maximum = value
 
-    @property
-    def value(self) -> int:
-        """The current value of the step function."""
-        return self._value
-
     def area_until(self, now: int) -> int:
         """Exact integral of the step function over ``[0, now]``."""
         if now < self._since:
@@ -238,29 +222,3 @@ def merge_all(accumulators: Iterable[StreamingStats]) -> StreamingStats:
     for accumulator in accumulators:
         result = result.merge(accumulator)
     return result
-
-
-def histogram(stats: StreamingStats,
-              bins: int = 10) -> Dict[Tuple[int, int], int]:
-    """Equal-width binning of an accumulator, for quick-look rendering.
-
-    Returns ``{(low, high): count}`` with right-open bins except the last.
-    Purely presentational — statistics always come from the exact counts.
-    """
-    if bins < 1:
-        raise ValueError("at least one bin is required")
-    if not stats.counts:
-        return {}
-    low, high = stats.minimum, stats.maximum
-    if low == high:
-        return {(low, high): stats.count}
-    width = (high - low) / bins
-    out: Dict[Tuple[int, int], int] = {}
-    edges = [low + round(i * width) for i in range(bins)] + [high]
-    for i in range(bins):
-        lo, hi = edges[i], edges[i + 1]
-        total = sum(c for v, c in stats.counts.items()
-                    if lo <= v < hi or (i == bins - 1 and v == high))
-        if total:
-            out[(lo, hi)] = total
-    return out

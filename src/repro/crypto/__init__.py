@@ -33,13 +33,12 @@ from .keywrap import unwrap, wrap, wrap_invocation_count
 from .modes import cbc_decrypt, cbc_decrypt_raw, cbc_encrypt, cbc_encrypt_raw
 from .padding import pad, unpad
 from .primes import generate_prime, is_probable_prime
-from .pss import (DEFAULT_SALT_LENGTH, PssAccounting, emsa_pss_encode,
-                  emsa_pss_verify, mgf1, pss_sign, pss_verify,
-                  sign_accounting)
+from .pss import (DEFAULT_SALT_LENGTH, emsa_pss_encode, emsa_pss_verify,
+                  mgf1, pss_sign, pss_verify)
 from .rng import HmacDrbg, default_rng
 from .rsa import (DEFAULT_PUBLIC_EXPONENT, RSAPrivateKey, RSAPublicKey,
                   generate_keypair, rsadp, rsaep, rsasp1, rsavp1)
-from .sha1 import SHA1, sha1, sha1_hex
+from .sha1 import SHA1, sha1
 
 __all__ = [
     "AES", "BLOCK_SIZE", "byte_length", "constant_time_equal", "i2osp",
@@ -51,9 +50,9 @@ __all__ = [
     "unwrap", "wrap", "wrap_invocation_count", "cbc_decrypt",
     "cbc_decrypt_raw", "cbc_encrypt", "cbc_encrypt_raw", "pad", "unpad",
     "generate_prime", "is_probable_prime", "DEFAULT_SALT_LENGTH",
-    "PssAccounting", "emsa_pss_encode", "emsa_pss_verify", "mgf1",
-    "pss_sign", "pss_verify", "sign_accounting", "HmacDrbg", "default_rng",
+    "emsa_pss_encode", "emsa_pss_verify", "mgf1", "pss_sign",
+    "pss_verify", "HmacDrbg", "default_rng",
     "DEFAULT_PUBLIC_EXPONENT", "RSAPrivateKey", "RSAPublicKey",
     "generate_keypair", "rsadp", "rsaep", "rsasp1", "rsavp1", "SHA1",
-    "sha1", "sha1_hex",
+    "sha1",
 ]

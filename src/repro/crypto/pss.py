@@ -11,8 +11,6 @@ performance layer decides which hashes to count (see
 ``repro.core.costs.CostOptions.count_mgf1``).
 """
 
-from dataclasses import dataclass
-
 from .encoding import constant_time_equal, i2osp, os2ip, xor_bytes
 from .errors import MessageTooLongError, SignatureError
 from .rng import HmacDrbg
@@ -25,21 +23,6 @@ DEFAULT_SALT_LENGTH = DIGEST_SIZE
 _TRAILER = 0xBC
 
 
-@dataclass(frozen=True)
-class PssAccounting:
-    """Hash-work bookkeeping for one PSS sign or verify.
-
-    The performance meter needs to know how much hashing a signature
-    operation performed: the big message hash (size-dependent) plus the
-    small fixed-size hashes of the encoding (``H = Hash(M')``) and the MGF1
-    mask generation.
-    """
-
-    message_octets: int
-    fixed_hash_invocations: int
-    mgf1_hash_invocations: int
-
-
 def mgf1(seed: bytes, length: int) -> bytes:
     """MGF1 mask generation function over SHA-1 (RFC 3447 appendix B.2.1)."""
     if length < 0:
@@ -50,10 +33,6 @@ def mgf1(seed: bytes, length: int) -> bytes:
         blocks.append(sha1(seed + i2osp(counter, 4)))
         counter += 1
     return b"".join(blocks)[:length]
-
-
-def _mgf1_invocations(length: int) -> int:
-    return (length + DIGEST_SIZE - 1) // DIGEST_SIZE
 
 
 def emsa_pss_encode(message: bytes, em_bits: int, salt: bytes) -> bytes:
@@ -126,14 +105,3 @@ def pss_verify(public_key: RSAPublicKey, message: bytes, signature: bytes,
     encoded = i2osp(em, (em_bits + 7) // 8)
     if not emsa_pss_verify(message, encoded, em_bits, salt_length):
         raise SignatureError("PSS consistency check failed")
-
-
-def sign_accounting(message_octets: int, modulus_bits: int,
-                    salt_length: int = DEFAULT_SALT_LENGTH) -> PssAccounting:
-    """Hash-work bookkeeping for one PSS signature over ``message_octets``."""
-    em_length = ((modulus_bits - 1) + 7) // 8
-    return PssAccounting(
-        message_octets=message_octets,
-        fixed_hash_invocations=1,  # H = Hash(M')
-        mgf1_hash_invocations=_mgf1_invocations(em_length - DIGEST_SIZE - 1),
-    )

@@ -4,7 +4,7 @@ OMA DRM 2 mandates SHA-1 as its hash function (DCF integrity hashes, the
 HMAC-SHA1 Rights-Object MAC, KDF2 and the EMSA-PSS signature encoding all
 build on it).
 
-The one-shot :func:`sha1` / :func:`sha1_hex` every caller uses run on
+The one-shot :func:`sha1` every caller uses runs on
 ``hashlib``. The paper prices hashing by octet count, and the meter
 counts octets, not which implementation produced the digest, so the C
 path changes no modeled number.
@@ -130,8 +130,3 @@ class SHA1:
 def sha1(data: bytes) -> bytes:
     """One-shot SHA-1 of ``data`` (``hashlib``)."""
     return hashlib.sha1(data).digest()
-
-
-def sha1_hex(data: bytes) -> str:
-    """One-shot SHA-1 of ``data`` as a hex string (``hashlib``)."""
-    return hashlib.sha1(data).hexdigest()

@@ -11,7 +11,7 @@ Certificates here are canonical-encoded structures signed with RSASSA-PSS
 """
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 from ..crypto.errors import SignatureError
 from ..crypto.rsa import RSAPrivateKey, RSAPublicKey
@@ -85,11 +85,6 @@ class CertificationAuthority:
             is_ca=True, signature=b"",
         ).signed(self._crypto, self._keypair)
 
-    @property
-    def public_key(self) -> RSAPublicKey:
-        """The trust-anchor public key."""
-        return self._keypair.public_key
-
     def issue(self, subject: str, public_key: RSAPublicKey, now: int,
               validity_seconds: int = 5 * YEAR,
               is_ca: bool = False) -> Certificate:
@@ -109,10 +104,6 @@ class CertificationAuthority:
     def is_revoked(self, serial: int) -> bool:
         """Whether ``serial`` has been revoked."""
         return serial in self._revoked
-
-    def revocation_time(self, serial: int) -> Optional[int]:
-        """When ``serial`` was revoked, or None."""
-        return self._revoked.get(serial)
 
 
 def certificate_from_bytes(blob: bytes) -> Certificate:

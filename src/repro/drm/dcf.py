@@ -44,11 +44,6 @@ class DCF:
             "metadata": dict(self.metadata),
         })
 
-    @property
-    def payload_octets(self) -> int:
-        """Size of the encrypted payload (drives the consumption cost)."""
-        return len(self.encrypted_data)
-
     def with_tampered_payload(self) -> "DCF":
         """A copy with one payload bit flipped — for integrity tests."""
         corrupted = bytearray(self.encrypted_data)

@@ -251,13 +251,6 @@ class PathDelta:
         """Cumulative-cycle change (positive = regression)."""
         return self.after_cycles - self.before_cycles
 
-    @property
-    def ratio(self) -> Optional[float]:
-        """after/before, ``None`` for newly-appeared paths."""
-        if not self.before_cycles:
-            return None
-        return self.after_cycles / self.before_cycles
-
 
 @dataclass
 class ProfileDiff:
@@ -271,10 +264,6 @@ class ProfileDiff:
     def total_delta(self) -> int:
         """Whole-run cumulative cycle change."""
         return self.after.total_cycles - self.before.total_cycles
-
-    def regressions(self) -> List[PathDelta]:
-        """Paths that got more expensive, worst first."""
-        return [d for d in self.deltas if d.delta > 0]
 
     def render(self, top: int = 10) -> str:
         """The top regressed (and improved) paths as a text table."""

@@ -245,11 +245,6 @@ class ObjectiveReport:
     alerts: Tuple[Alert, ...]
     exemplars: Tuple[Exemplar, ...]
 
-    @property
-    def first_alert_tick(self) -> Optional[int]:
-        """Tick of the first alert, ``None`` if none fired."""
-        return self.alerts[0].opened if self.alerts else None
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "name": self.name, "kind": self.kind, "target": self.target,
@@ -295,23 +290,6 @@ class SLOReport:
         return {"slot_ticks": self.slot_ticks,
                 "objectives": [report.to_dict()
                                for report in self.objectives]}
-
-    def render(self) -> str:
-        """Text table: one row per objective."""
-        lines = ["%-22s %-8s %-7s %-11s %-7s %-12s exemplar"
-                 % ("objective", "events", "bad", "compliance",
-                    "alerts", "first-alert")]
-        for report in self.objectives:
-            exemplar = (report.exemplars[0].label
-                        if report.exemplars else "-")
-            first = ("%d" % report.first_alert_tick
-                     if report.first_alert_tick is not None else "-")
-            lines.append("%-22s %-8d %-7d %-11s %-7d %-12s %s"
-                         % (report.name, report.total, report.bad,
-                            "%.4f/%.2f" % (report.compliance,
-                                           report.target),
-                            len(report.alerts), first, exemplar))
-        return "\n".join(lines)
 
 
 class SLOMonitor:

@@ -152,8 +152,6 @@ class Tracer:
     are looked up once per algorithm.
     """
 
-    enabled = True
-
     def __init__(self, profile: ArchitectureProfile = SW_PROFILE,
                  cost_table: CostTable = PAPER_TABLE1,
                  actor: str = "device") -> None:
@@ -196,18 +194,6 @@ class Tracer:
         for event in self.events:
             registry.counter("events." + event.name)
         return registry
-
-    def advance_to(self, now: int) -> None:
-        """Move the virtual clock forward to an externally-owned time.
-
-        The simulation kernel (:mod:`repro.sim`) owns its own virtual
-        timeline; this lets it stamp spans and events on a tracer at
-        kernel time instead of cumulative priced-operation time. The
-        clock never moves backwards — stamping an older time is a no-op,
-        keeping exports monotonic.
-        """
-        if now > self.now:
-            self.now = now
 
     # -- structural spans ------------------------------------------------
     def span(self, name: str, track: str = DEFAULT_TRACK,
@@ -291,16 +277,6 @@ class Tracer:
             totals[span.track] = totals.get(span.track, 0) + span.duration
         return totals
 
-    def tracks(self) -> Tuple[str, ...]:
-        """All tracks in first-use order (stable across same-seed runs)."""
-        seen: List[str] = []
-        for item in sorted(self.spans + self.events,
-                           key=lambda entry: entry.index):
-            track = item.track
-            if track not in seen:
-                seen.append(track)
-        return tuple(seen)
-
 
 class _NullSpan:
     """Inert span handle returned by :class:`NullTracer` contexts."""
@@ -335,12 +311,8 @@ class NullTracer:
     when tracing is off — the overhead budget
     (:mod:`benchmarks.bench_obs_overhead`) holds it under 5 % on the
     protocol scenarios, and un-traced artifacts stay byte-identical.
-    Per-request hot loops read :attr:`enabled` instead and skip the
-    tracer altogether: :meth:`repro.sim.ri.RIServer.serve_request`
-    makes no tracer call for a tracer whose ``enabled`` is False.
     """
 
-    enabled = False
     now = 0
 
     def span(self, name: str, track: str = DEFAULT_TRACK,
@@ -353,9 +325,6 @@ class NullTracer:
         return None
 
     def on_record(self, record: OperationRecord) -> None:
-        return None
-
-    def advance_to(self, now: int) -> None:
         return None
 
 

@@ -35,7 +35,6 @@ from typing import Dict, Mapping, Optional, Tuple
 from ..core.architecture import PAPER_PROFILES, ArchitectureProfile
 from ..core.stats import StatsSummary
 from ..obs.slo import SLOReport
-from ..obs.tracer import NULL_TRACER
 from ..usecases.fleet import (CostTemplates, DeviceDraw, FleetConfig,
                               FleetResult, build_cost_templates,
                               draw_device, run_fleet)
@@ -126,18 +125,12 @@ class KernelFleetResult:
     capacity: RICapacity
     architectures: Dict[str, ArchitectureLoadResult]
 
-    @property
-    def config(self) -> FleetConfig:
-        """The fleet configuration both passes ran from."""
-        return self.base.config
-
 
 def run_fleet_kernel(config: FleetConfig, workers: int = 1,
                      templates: Optional[CostTemplates] = None,
                      capacity: RICapacity = RICapacity(),
                      profiles: Tuple[ArchitectureProfile, ...] =
-                     PAPER_PROFILES,
-                     tracer=NULL_TRACER) -> KernelFleetResult:
+                     PAPER_PROFILES) -> KernelFleetResult:
     """Run the fleet sequentially, then replay it on shared RIs.
 
     The kernel pass schedules each device at its drawn arrival bin (a
@@ -160,8 +153,7 @@ def run_fleet_kernel(config: FleetConfig, workers: int = 1,
         kernel = Kernel(seed="%s/kernel/%s" % (config.seed,
                                                profile.name),
                         record_log=False)
-        ri = RIServer(kernel, profile, capacity=capacity,
-                      tracer=tracer)
+        ri = RIServer(kernel, profile, capacity=capacity)
         ri.attach_slo()
         bin_ticks = max(1, config.window_seconds * profile.clock_hz
                         // config.arrival_bins)
@@ -200,8 +192,8 @@ class OpenLoadResult:
 def run_open_load(seed: str, profile: ArchitectureProfile,
                   arrivals_per_second: float, requests: int,
                   mix: Mapping[str, float] = DEFAULT_REQUEST_MIX,
-                  capacity: RICapacity = RICapacity(),
-                  tracer=NULL_TRACER) -> OpenLoadResult:
+                  capacity: RICapacity = RICapacity()
+                  ) -> OpenLoadResult:
     """Drive one RI with Poisson request arrivals at a fixed rate.
 
     Inter-arrival gaps are exponential with mean ``clock_hz / rate``
@@ -214,7 +206,7 @@ def run_open_load(seed: str, profile: ArchitectureProfile,
     if requests < 1:
         raise ValueError("at least one request is required")
     kernel = Kernel(seed=seed, record_log=False)
-    ri = RIServer(kernel, profile, capacity=capacity, tracer=tracer)
+    ri = RIServer(kernel, profile, capacity=capacity)
     ri.attach_slo()
     mean_gap = profile.clock_hz / arrivals_per_second
     gaps = kernel.stream("arrivals")

@@ -47,7 +47,7 @@ ticks throughout — the same spec produces the same
 
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Any, Dict, Generator, List, Mapping, Optional, Tuple
+from typing import Any, Generator, Mapping, Optional, Tuple
 
 from ..core.architecture import PAPER_PROFILES, ArchitectureProfile
 # repro: allow[REP201] -- the storm digest fingerprints simulation results for determinism tests; it is bookkeeping, not protocol crypto
@@ -55,7 +55,6 @@ from ..crypto.sha1 import sha1
 from ..drm.session import RetryPolicy
 from ..obs.metrics import MetricsRegistry
 from ..obs.slo import Objective, SLOReport
-from ..obs.tracer import NULL_TRACER
 from .kernel import Kernel, Wait
 from .queueing import exponential_ticks, kind_draw
 from .ri import DEFAULT_REQUEST_MIX, RICapacity, RIServer
@@ -360,7 +359,7 @@ class _Request:
         self.outcome = None
 
 
-def run_storm(spec: StormSpec, tracer=NULL_TRACER) -> StormResult:
+def run_storm(spec: StormSpec) -> StormResult:
     """Run one retry storm to its horizon and measure it.
 
     A pure function of ``spec``: see the module docstring for the
@@ -373,8 +372,7 @@ def run_storm(spec: StormSpec, tracer=NULL_TRACER) -> StormResult:
                           queue_limit=spec.queue_limit)
     kernel = Kernel(seed="%s/storm" % spec.seed, record_log=False)
     ri = RIServer(kernel, profile, capacity=capacity,
-                  admission=make_admission(spec.admission),
-                  tracer=tracer)
+                  admission=make_admission(spec.admission))
     slot_ticks = max(1, int(round(ri.nominal_service_ticks())))
     slo = ri.attach_slo(spec.objectives())
     policy = RETRY_POLICIES[spec.retry]

@@ -28,9 +28,7 @@ models that capacity explicitly:
 Each request is counted once in an outcome ledger, closed by
 :meth:`RIServer.check_conservation` at end of run; sojourn latencies
 land in exact :class:`~repro.core.stats.StreamingStats` (integer
-ticks), and — when a tracer is attached — each served request becomes
-a span on the shared virtual clock via
-:meth:`~repro.obs.tracer.Tracer.advance_to`.
+ticks).
 """
 
 from dataclasses import dataclass
@@ -42,7 +40,6 @@ from ..core.stats import StreamingStats, merge_all
 from ..core.trace import Algorithm, OperationRecord, Phase
 from ..obs.metrics import MetricsRegistry
 from ..obs.slo import DEFAULT_OBJECTIVES, Objective, SLOMonitor
-from ..obs.tracer import NULL_TRACER
 from .kernel import (REJECTED, TIMED_OUT, Acquire, Kernel, Release,
                      Resource, Wait)
 
@@ -245,13 +242,11 @@ class RIServer:
                  ocsp_validity_seconds: int =
                  DEFAULT_OCSP_VALIDITY_SECONDS,
                  admission=None,
-                 tracer=NULL_TRACER,
                  slo=None) -> None:
         self.kernel = kernel
         self.profile = profile
         self.cost_table = cost_table
         self.capacity = capacity
-        self.tracer = tracer
         self.signing = Resource(kernel, "ri.signing",
                                 capacity=capacity.signing_units,
                                 queue_limit=capacity.queue_limit)
@@ -282,8 +277,6 @@ class RIServer:
         self.service_ticks_total = 0
         self.latency_by_kind: Dict[str, StreamingStats] = {
             kind: StreamingStats() for kind in REQUEST_KINDS}
-        self._span_names = {kind: "ri.serve." + kind
-                            for kind in REQUEST_KINDS}
         #: Admission policy consulted on every ``serve_request``
         #: arrival; ``None`` admits everything (the historical path).
         self.admission = admission
@@ -443,19 +436,9 @@ class RIServer:
             self.admission.on_departed(self, kind, self.kernel.now,
                                        "granted")
         waited = self.kernel.now - arrived
-        ticks = 0
         try:
             ticks = self.service_ticks(kind)
-            tracer = self.tracer
-            if tracer.enabled:
-                tracer.advance_to(self.kernel.now)
-                with tracer.span(self._span_names[kind], track="ri",
-                                 waited_ticks=waited) as span:
-                    yield Wait(ticks)
-                    tracer.advance_to(self.kernel.now)
-                    span.set("service_ticks", ticks)
-            else:
-                yield Wait(ticks)
+            yield Wait(ticks)
         finally:
             # The kernel delivers this Release during generator unwind
             # too, so an exception inside the critical section returns
@@ -535,11 +518,6 @@ class RIServer:
     def mean_queue_depth(self) -> float:
         """Time-average signing-queue length so far."""
         return self.signing.mean_queue_depth()
-
-    def latency_ms(self, summary_attr: str = "mean") -> float:
-        """A latency summary converted to milliseconds."""
-        value = getattr(self.latency.summary(), summary_attr) or 0
-        return value / self.ticks_per_second * 1000.0
 
 
 def nominal_service_ticks(profile: ArchitectureProfile,

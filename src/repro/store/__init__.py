@@ -19,6 +19,11 @@ provider, so durability costs cycles the performance model prices like
 any other crypto work (see :mod:`repro.analysis.durability`).
 """
 
+# The store is built on drm's data modules, and the drm package (through
+# its agent) on the store. Initialising drm first means every store
+# module is first loaded from the agent's imports, so none of them ever
+# meets a half-built journal, whichever module a process imports first.
+from .. import drm  # noqa: F401
 from .crash import (CrashInjector, CrashPoint, PowerLossError, StoreError,
                     enumerate_crash_points)
 from .journal import COMMIT_OP, Flash, Journal, JournalRecord

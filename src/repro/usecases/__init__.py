@@ -11,7 +11,7 @@
 
 from .catalog import (MUSIC_ACCESSES, MUSIC_CONTENT_OCTETS,
                       RINGTONE_ACCESSES, RINGTONE_CONTENT_OCTETS,
-                      music_player, paper_use_cases, ringtone)
+                      music_player, ringtone)
 from .durability import (DurabilityMeasurement, DurabilityTemplates,
                          build_durability_templates, measure_durability)
 from .fleet import (DEFAULT_FAMILIES, CostTemplates, DeviceDraw,
@@ -26,8 +26,8 @@ from .world import DRMWorld, RSA_BITS
 
 __all__ = [
     "MUSIC_ACCESSES", "MUSIC_CONTENT_OCTETS", "RINGTONE_ACCESSES",
-    "RINGTONE_CONTENT_OCTETS", "music_player", "paper_use_cases",
-    "ringtone", "ScenarioRun", "run_functional", "synthetic_content",
+    "RINGTONE_CONTENT_OCTETS", "music_player", "ringtone", "ScenarioRun",
+    "run_functional", "synthetic_content",
     "KIB", "MIB", "UseCase", "DEFAULT_CALIBRATION_OCTETS",
     "dcf_octets_for_content", "padded_payload_octets",
     "run_modeled", "scale_trace", "DRMWorld", "RSA_BITS",

@@ -41,8 +41,3 @@ def ringtone() -> UseCase:
         content_type="audio/midi",
         metadata={"title": "Polyphonic Ring 7", "author": "Tone Factory"},
     )
-
-
-def paper_use_cases() -> tuple:
-    """Both paper workloads, in Figure 5's plotting order."""
-    return (ringtone(), music_player())

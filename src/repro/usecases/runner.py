@@ -57,11 +57,6 @@ class ScenarioRun:
         """Canonical DCF size — what the per-access hash covers."""
         return self.sizes["dcf"]
 
-    @property
-    def encrypted_payload_octets(self) -> int:
-        """Padded AES-CBC payload size inside the DCF."""
-        return self.sizes["encrypted_payload"]
-
 
 def run_functional(use_case: UseCase, seed: str = "repro-world",
                    options: CostOptions = CostOptions(),

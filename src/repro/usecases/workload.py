@@ -93,28 +93,25 @@ def run_modeled(use_case: UseCase, seed: str = "repro-world",
     """Produce a paper-scale :class:`ScenarioRun` via trace rescaling.
 
     Functionally identical protocol execution at ``calibration_octets``
-    with one consumption, then an exact rescale to
-    ``use_case.content_octets`` and ``use_case.accesses``.
+    with one consumption (a :class:`WorkloadScaler`), then an exact
+    rescale to ``use_case.content_octets`` and ``use_case.accesses``.
     """
-    calibration = use_case.scaled(calibration_octets)
-    run = run_functional(
-        calibration, seed=seed, options=options,
+    scaler = WorkloadScaler(
+        use_case, seed=seed, options=options,
         sign_device_ros=sign_device_ros,
         verify_dcf_on_install=verify_dcf_on_install,
         kdev_optimization=kdev_optimization,
-        consume_times=1,
+        calibration_octets=calibration_octets,
     )
-    target_payload = padded_payload_octets(use_case.content_octets)
-    target_dcf = dcf_octets_for_content(run.dcf, use_case.content_octets)
-    trace = scale_trace(run.trace, target_dcf_octets=target_dcf,
-                        target_payload_octets=target_payload,
-                        accesses=use_case.accesses)
+    run = scaler.run
     sizes = dict(run.sizes)
-    sizes["dcf"] = target_dcf
-    sizes["encrypted_payload"] = target_payload
+    sizes["dcf"] = dcf_octets_for_content(run.dcf, use_case.content_octets)
+    sizes["encrypted_payload"] = padded_payload_octets(
+        use_case.content_octets)
     return ScenarioRun(
-        use_case=use_case, world=run.world, trace=trace, dcf=run.dcf,
-        clear_content_octets=use_case.content_octets, sizes=sizes,
+        use_case=use_case, world=run.world, trace=scaler.trace(),
+        dcf=run.dcf, clear_content_octets=use_case.content_octets,
+        sizes=sizes,
     )
 
 
@@ -136,18 +133,14 @@ class WorkloadScaler:
                  ) -> None:
         self.use_case = use_case
         calibration = use_case.scaled(calibration_octets)
-        self._run = run_functional(
+        #: The single-access functional run every sweep point rescales.
+        self.run = run_functional(
             calibration, seed=seed, options=options,
             sign_device_ros=sign_device_ros,
             verify_dcf_on_install=verify_dcf_on_install,
             kdev_optimization=kdev_optimization,
             consume_times=1,
         )
-
-    @property
-    def calibration_run(self) -> ScenarioRun:
-        """The underlying single-access functional run."""
-        return self._run
 
     def trace(self, content_octets: Optional[int] = None,
               accesses: Optional[int] = None) -> OperationTrace:
@@ -160,8 +153,8 @@ class WorkloadScaler:
         if accesses is None:
             accesses = self.use_case.accesses
         return scale_trace(
-            self._run.trace,
-            target_dcf_octets=dcf_octets_for_content(self._run.dcf,
+            self.run.trace,
+            target_dcf_octets=dcf_octets_for_content(self.run.dcf,
                                                      content_octets),
             target_payload_octets=padded_payload_octets(content_octets),
             accesses=accesses,

@@ -17,7 +17,6 @@ def test_window_validation_and_membership():
     with pytest.raises(ValueError):
         OutageWindow(100, 100)
     window = OutageWindow(100, 200)
-    assert window.seconds == 100
     assert window.contains(100) and window.contains(199)
     assert not window.contains(99) and not window.contains(200)
 
@@ -32,17 +31,6 @@ def test_schedule_rejects_overlap_and_sorts():
     assert not schedule.is_down(200)
     assert schedule.seconds_until_restore(350) == 50
     assert schedule.seconds_until_restore(200) == 0
-    assert schedule.total_downtime() == 200
-
-
-def test_periodic_schedule():
-    schedule = OutageSchedule.periodic(1000, down_seconds=60,
-                                       up_seconds=240, count=3)
-    assert len(schedule.windows) == 3
-    assert schedule.windows[1].start == 1300
-    assert schedule.total_downtime() == 180
-    with pytest.raises(ValueError):
-        OutageSchedule.periodic(0, down_seconds=0, up_seconds=1, count=1)
 
 
 # -- the RI outage channel ---------------------------------------------------

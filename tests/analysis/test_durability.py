@@ -82,7 +82,8 @@ def test_generate_covers_every_phase_and_length():
     assert len(result.projections) == \
         len(durability.DEFAULT_JOURNAL_LENGTHS) * len(ARCHES)
     for arch in ARCHES:
-        phases = [o.phase for o in result.overheads_for(arch)]
+        phases = [o.phase for o in result.overheads
+                  if o.architecture == arch]
         assert phases == ["registration", "installation", "access"]
     for overhead in result.overheads:
         assert overhead.baseline_cycles > 0

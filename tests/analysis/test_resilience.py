@@ -56,12 +56,14 @@ def test_invalid_budget_rejected():
 def test_sweep_covers_all_architectures(result):
     assert result.architectures() == ["SW", "SW/HW", "HW"]
     for architecture in result.architectures():
-        assert len(result.rows_for(architecture)) == len(RATES)
+        assert sum(row.architecture == architecture
+                   for row in result.overheads) == len(RATES)
 
 
 def test_overhead_monotone_per_architecture(result):
     for architecture in result.architectures():
-        rows = result.rows_for(architecture)
+        rows = [row for row in result.overheads
+                if row.architecture == architecture]
         for metric in ("overhead_cycles", "overhead_ms",
                        "overhead_millijoules", "overhead_octets"):
             values = [getattr(row, metric) for row in rows]
@@ -71,7 +73,8 @@ def test_overhead_monotone_per_architecture(result):
 
 def test_zero_loss_has_zero_overhead(result):
     for architecture in result.architectures():
-        clean = result.rows_for(architecture)[0]
+        clean = next(row for row in result.overheads
+                     if row.architecture == architecture)
         assert clean.loss_rate == 0.0
         assert clean.overhead_cycles == 0.0
         assert clean.overhead_octets == 0.0
@@ -79,8 +82,9 @@ def test_zero_loss_has_zero_overhead(result):
 
 def test_hardware_overhead_is_cheapest(result):
     """Retries on the HW profile re-spend far fewer CPU cycles."""
-    lossy_sw = result.rows_for("SW")[-1]
-    lossy_hw = result.rows_for("HW")[-1]
+    lossy_sw, lossy_hw = (
+        [row for row in result.overheads if row.architecture == name][-1]
+        for name in ("SW", "HW"))
     assert lossy_hw.overhead_cycles < lossy_sw.overhead_cycles / 10
     # Octets do not depend on the architecture.
     assert lossy_hw.overhead_octets == lossy_sw.overhead_octets

@@ -17,7 +17,6 @@ def test_paper_profiles_order_and_names():
 def test_sw_profile_all_software():
     assert all(SW_PROFILE.implementation(a) == Implementation.SOFTWARE
                for a in Algorithm)
-    assert SW_PROFILE.hardware_algorithms() == {}
 
 
 def test_hw_profile_all_hardware():
@@ -74,7 +73,6 @@ def test_custom_profile_defaults_to_software():
         == Implementation.HARDWARE
     assert profile.implementation(Algorithm.SHA1) \
         == Implementation.SOFTWARE
-    assert set(profile.hardware_algorithms()) == {Algorithm.AES_DECRYPT}
 
 
 def test_custom_profile_clock_override():

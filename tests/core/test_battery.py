@@ -25,26 +25,15 @@ def test_battery_capacity_joules():
     assert battery.capacity_joules == pytest.approx(1.0 * 3600 * 3.6)
 
 
-def test_fraction_used_bounds():
-    battery = Battery()
-    assert battery.fraction_used(0.0) == 0.0
-    assert battery.fraction_used(battery.capacity_joules) \
-        == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        battery.fraction_used(-1.0)
-
-
 def test_impact_consistency(breakdown):
     impact = battery_impact(breakdown,
                             ProportionalEnergyModel(power_watts=0.1))
     assert impact.joules == pytest.approx(
         breakdown.total_seconds * 0.1)
     assert impact.millijoules == pytest.approx(impact.joules * 1000)
-    assert impact.charge_fraction \
-        == pytest.approx(impact.joules
-                         / impact.battery.capacity_joules)
     assert impact.runs_per_charge() \
-        == pytest.approx(1.0 / impact.charge_fraction)
+        == pytest.approx(impact.battery.capacity_joules
+                         / impact.joules)
 
 
 def test_microamp_hours(breakdown):

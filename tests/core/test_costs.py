@@ -107,18 +107,3 @@ def test_override_replaces_one_entry():
 def test_override_rejects_unknown_implementation():
     with pytest.raises(KeyError):
         PAPER_TABLE1.override(Algorithm.SHA1, "fpga", LinearCost(0, 1))
-
-
-def test_scaled_software_only():
-    slower = PAPER_TABLE1.scaled(Implementation.SOFTWARE, 2.0)
-    record = OperationRecord(Algorithm.AES_ENCRYPT, Phase.CONSUMPTION,
-                             1, 10)
-    assert slower.cycles(record, Implementation.SOFTWARE) \
-        == 2 * PAPER_TABLE1.cycles(record, Implementation.SOFTWARE)
-    assert slower.cycles(record, Implementation.HARDWARE) \
-        == PAPER_TABLE1.cycles(record, Implementation.HARDWARE)
-
-
-def test_scaled_rejects_bad_factor():
-    with pytest.raises(ValueError):
-        PAPER_TABLE1.scaled(Implementation.SOFTWARE, 0)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.design_space import (DesignPoint, MACRO_AES, MACRO_BLOCKS,
                                      MACRO_RSA, MACRO_SHA1, MacroCosts,
-                                     cheapest_within_budget,
                                      enumerate_design_points,
                                      marginal_value, pareto_frontier,
                                      profile_for_macros)
@@ -91,19 +90,6 @@ def test_pareto_energy_objective(trace):
         assert later.energy_mj < earlier.energy_mj
     with pytest.raises(ValueError):
         pareto_frontier(points, objective="gates")
-
-
-def test_cheapest_within_budget(trace):
-    points = enumerate_design_points(trace)
-    by_name = {p.name: p for p in points}
-    generous = cheapest_within_budget(
-        points, budget_ms=by_name["SW-only"].time_ms + 1)
-    assert generous.name == "SW-only"
-    none = cheapest_within_budget(points, budget_ms=0.0)
-    assert none is None
-    tight = cheapest_within_budget(
-        points, budget_ms=by_name["AES+RSA+SHA1"].time_ms * 1.01)
-    assert tight is not None
 
 
 def test_marginal_value_shape(trace):

@@ -58,19 +58,6 @@ def test_weighted_equals_proportional_for_pure_software(trace):
         == pytest.approx(proportional.joules(breakdown))
 
 
-def test_joules_by_unit_split():
-    trace = OperationTrace([
-        OperationRecord(Algorithm.RSA_PRIVATE, Phase.REGISTRATION, 1, 1),
-        OperationRecord(Algorithm.SHA1, Phase.CONSUMPTION, 1, 1000),
-    ])
-    from repro.core.architecture import SW_HW_PROFILE
-    breakdown = PerformanceModel().evaluate(trace, SW_HW_PROFILE)
-    split = WeightedEnergyModel().joules_by_unit(breakdown)
-    assert set(split) == {Implementation.SOFTWARE,
-                          Implementation.HARDWARE}
-    assert split[Implementation.SOFTWARE] > split[Implementation.HARDWARE]
-
-
 def test_default_powers_are_ordered():
     assert DEFAULT_MACRO_POWER_WATTS < DEFAULT_CPU_POWER_WATTS
 

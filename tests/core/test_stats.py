@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.stats import (StatsSummary, StreamingStats, histogram,
-                              merge_all)
+from repro.core.stats import StatsSummary, StreamingStats, merge_all
 
 observations = st.lists(st.integers(min_value=0, max_value=10_000),
                         max_size=200)
@@ -120,23 +119,6 @@ def test_percentile_nearest_rank_matches_sorted_reference():
         exact = Fraction(repr(p)) * len(values) / 100
         rank = max(1, math.ceil(exact))
         assert stats.percentile(p) == ordered[rank - 1]
-
-
-def test_summary_scaled_is_linear():
-    stats = folded([10, 20, 30, 40])
-    summary = stats.summary()
-    mean, p50, p95, p99 = summary.scaled(0.5)
-    assert mean == pytest.approx(summary.mean * 0.5)
-    assert p50 == summary.p50 * 0.5
-    assert p99 == summary.p99 * 0.5
-
-
-def test_histogram_bins_cover_everything():
-    stats = folded([0, 5, 5, 9, 100])
-    bins = histogram(stats, bins=4)
-    assert sum(bins.values()) == stats.count
-    assert histogram(StreamingStats()) == {}
-    assert histogram(folded([3, 3])) == {(3, 3): 2}
 
 
 @given(values=observations)

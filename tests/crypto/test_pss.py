@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from repro.crypto.errors import MessageTooLongError, SignatureError
 from repro.crypto.pss import (DEFAULT_SALT_LENGTH, emsa_pss_encode,
-                              emsa_pss_verify, mgf1, pss_sign, pss_verify,
-                              sign_accounting)
+                              emsa_pss_verify, mgf1, pss_sign, pss_verify)
 from repro.crypto.rng import HmacDrbg
 from repro.crypto.rsa import generate_keypair
 from repro.crypto.sha1 import DIGEST_SIZE, sha1
@@ -125,14 +124,6 @@ def test_mgf1_known_structure():
 
 def test_mgf1_zero_length():
     assert mgf1(b"seed", 0) == b""
-
-
-def test_sign_accounting():
-    acc = sign_accounting(message_octets=1000, modulus_bits=1024)
-    assert acc.message_octets == 1000
-    assert acc.fixed_hash_invocations == 1
-    # em_len = 128, mask = 128 - 20 - 1 = 107 octets -> 6 SHA-1 calls.
-    assert acc.mgf1_hash_invocations == 6
 
 
 @given(message=st.binary(min_size=0, max_size=512))

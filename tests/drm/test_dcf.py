@@ -34,7 +34,6 @@ def test_payload_decrypts(crypto, dcf):
 
 def test_payload_is_padded_block_multiple(dcf):
     assert len(dcf.encrypted_data) % 16 == 0
-    assert dcf.payload_octets == len(dcf.encrypted_data)
 
 
 def test_canonical_bytes_deterministic(dcf):

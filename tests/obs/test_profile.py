@@ -280,4 +280,3 @@ def test_diff_of_identical_trees_is_empty():
     delta = diff(music_tree(), music_tree())
     assert delta.total_delta == 0
     assert all(d.delta == 0 for d in delta.deltas)
-    assert delta.regressions() == []

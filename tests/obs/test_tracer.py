@@ -99,14 +99,6 @@ def test_event_stamped_at_current_time_and_counted():
     assert tracer.metrics.counters["events.session.retry"] == 1
 
 
-def test_tracks_in_first_use_order():
-    tracer = Tracer()
-    with tracer.span("a", track="roap"):
-        tracer.on_record(record())           # registration track
-    tracer.event("x", track="store")
-    assert tracer.tracks() == ("roap", "registration", "store")
-
-
 def test_same_seed_runs_are_identical():
     def capture():
         tracer = Tracer(profile=SW_PROFILE, actor="terminal")
@@ -119,7 +111,6 @@ def test_same_seed_runs_are_identical():
 
 
 def test_null_tracer_is_inert_singleton():
-    assert NULL_TRACER.enabled is False
     assert NULL_TRACER.now == 0
     # reusable singletons: no allocation per span/event
     assert NULL_TRACER.span("x", track="y") is _NULL_CONTEXT

@@ -3,7 +3,9 @@
 Every new process compiles the modules it imports (from source when no
 bytecode cache exists), so a package ``__init__`` that pulls in
 CLI-only helpers taxes every library user. These checks run a fresh
-interpreter and compare module names, never times.
+interpreter and compare module names, never times. The last one also
+holds every package importable as the first ``repro`` import of a
+process, so no module works only after another one has loaded.
 """
 
 import pathlib
@@ -68,3 +70,47 @@ def test_cli_imports_each_command_in_its_handler():
     assert "repro.cli" in loaded
     assert not unwanted(loaded)
     assert "repro.analysis.overload" not in loaded
+
+
+
+#: Packages every module of which is imported first, not just the
+#: package: each once held a cycle that only a first import exposed.
+FIRST_IMPORT_MODULES = ("repro.obs.", "repro.store.")
+
+#: Imports every package and every ``FIRST_IMPORT_MODULES`` module as
+#: the first ``repro`` import: ``repro`` is dropped from ``sys.modules``
+#: before each one. Prints one ``<module> <ok or error>`` line each.
+FIRST_IMPORT_SCRIPT = """\
+import importlib, pkgutil, sys, traceback
+sys.path.insert(0, {src!r})
+import repro
+names = ['repro'] + sorted(
+    info.name for info in pkgutil.walk_packages(repro.__path__, 'repro.')
+    if info.ispkg or info.name.startswith({prefixes!r}))
+for name in names:
+    for loaded in [m for m in sys.modules
+                   if m == 'repro' or m.startswith('repro.')]:
+        del sys.modules[loaded]
+    try:
+        importlib.import_module(name)
+    except ImportError:
+        print(name, traceback.format_exc().splitlines()[-1])
+    else:
+        print(name, 'ok')
+"""
+
+
+def test_each_package_imports_first_in_a_fresh_interpreter():
+    # A module importable only after some other ``repro`` module fails
+    # in whichever program imports it first. Every module of ``src``
+    # takes over ten seconds this way, so the packages stand in for
+    # the modules outside ``FIRST_IMPORT_MODULES``.
+    code = FIRST_IMPORT_SCRIPT.format(src=str(SRC),
+                                      prefixes=FIRST_IMPORT_MODULES)
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    results = dict(line.split(" ", 1) for line in out.splitlines())
+    assert {"repro", "repro.sim", "repro.obs.metrics",
+            "repro.store.journal"} <= set(results)
+    assert {name: result for name, result in results.items()
+            if result != "ok"} == {}

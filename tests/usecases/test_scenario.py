@@ -6,7 +6,7 @@ from repro.drm.rel import PermissionType, unlimited
 from repro.usecases.catalog import (MUSIC_ACCESSES, MUSIC_CONTENT_OCTETS,
                                     RINGTONE_ACCESSES,
                                     RINGTONE_CONTENT_OCTETS, music_player,
-                                    paper_use_cases, ringtone)
+                                    ringtone)
 from repro.usecases.scenario import KIB, MIB, UseCase
 
 
@@ -26,12 +26,6 @@ def test_catalog_factories():
     assert ring.content_octets == RINGTONE_CONTENT_OCTETS
     assert ring.accesses == 25
     assert not music.domain and not ring.domain
-
-
-def test_paper_use_cases_order():
-    """Figure 5 plots Ringtone first, then Music Player."""
-    names = [uc.name for uc in paper_use_cases()]
-    assert names == ["Ringtone", "Music Player"]
 
 
 def test_default_rights_match_accesses():
