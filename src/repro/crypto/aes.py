@@ -13,25 +13,33 @@ cipher cores:
   T-table entry combines SubBytes, ShiftRows and MixColumns for one byte
   position, so a round is 16 table lookups and a handful of XORs. It
   runs CBC encryption and key wrap, which are chains, and is the
-  reference every other path is checked against.
+  reference every other path is checked against. Decryption works on
+  the four 32-bit words of a block (:meth:`AES.decrypt_words`), which
+  RFC 3394 unwrap calls directly.
 * :meth:`AES.decrypt_blocks` decrypts any number of independent blocks
   in whole-buffer steps, which is what CBC decryption needs: there no
-  block depends on another block's result. Each round of the equivalent
-  inverse cipher is one InvShiftRows permutation (strided slices with a
-  16-octet period), four ``bytes.translate`` lookups through tables of
-  InvSBox∘{14, 11, 13, 9}·x, each on a copy of the state whose columns
-  are rotated by 0-3 rows (the InvMixColumns rotations, done as octet
-  moves before the lookup), and the XOR of the four results with the
-  round key repeated once per block. Its cost per round is a fixed
-  number of buffer operations, whatever the block count.
+  block depends on another block's result. The state is byte-sliced:
+  segment p holds octet p of every block. InvShiftRows and the
+  InvMixColumns row rotations are then fixed orders of the 16 segments,
+  so each round of the equivalent inverse cipher is four
+  ``bytes.translate`` lookups through tables of InvSBox∘{14, 11, 13, 9}·x
+  on the segments joined in those orders, and three integer XORs. The
+  round-key octet is constant within a segment, so AddRoundKey is folded
+  into the lookup tables. Its cost per round is a fixed number of buffer
+  operations, whatever the block count.
+
+Neither core is constant-time. The T-tables are indexed by state words,
+and the key-folded ``translate`` tables are chosen by round-key octets
+and indexed by state octets: the same data-dependent lookups, which a
+cache-timing observer can see.
 
 192- and 256-bit keys are supported as well (the ROAP registration phase
 lets peers negotiate non-default algorithms), but all DRM defaults use
 128-bit keys.
 """
 
+import functools
 import struct
-from functools import cached_property
 
 from .errors import InvalidBlockError, InvalidKeyError
 
@@ -117,14 +125,6 @@ def _build_decrypt_tables() -> tuple:
 _T0, _T1, _T2, _T3 = _build_encrypt_tables()
 _D0, _D1, _D2, _D3 = _build_decrypt_tables()
 
-#: InvMixColumns lookup for a single byte: composing _D0 with the forward
-#: S-box cancels _D0's built-in inverse S-box, leaving (14b, 9b, 13b, 11b).
-#: Used to transform encryption round keys into decryption round keys.
-_INV_MIX = tuple(
-    _D0[_SBOX[byte]] for byte in range(256)
-)
-
-
 #: ``bytes.translate`` tables for the whole-buffer inverse cipher: the
 #: inverse S-box fused with each InvMixColumns coefficient, in the order
 #: (14, 11, 13, 9) in which a column's row r takes them from rows
@@ -134,44 +134,49 @@ _INV_ROUND_TABLES = tuple(
 )
 _INV_SBOX_TABLE = bytes(_INV_SBOX)
 
-#: InvShiftRows on a column-major block (octet 4c + r holds row r of
-#: column c): row r moves r columns right. Each pair is (destination,
-#: source); row 0 stays put and is left out.
-_INV_SHIFT_ROWS = tuple(
-    (4 * column + row, 4 * ((column - row) % 4) + row)
-    for column in range(4) for row in range(1, 4)
+
+@functools.cache
+def _keyed_tables() -> tuple:
+    """The ``translate`` tables :meth:`AES.decrypt_blocks` folds keys into.
+
+    Returns three tuples indexed by a round-key octet k: x XOR k (the
+    first AddRoundKey), InvSBox then 14·x, XOR k (term 0 of an inner
+    round), and InvSBox XOR k (the last round). The XOR tables are built
+    on integers (k times 0x0101...01 repeats k in every octet), ~20×
+    cheaper than a per-octet loop. Built on the first whole-buffer
+    decryption, so a process that never decrypts content neither pays
+    for them nor holds their 192 KB.
+    """
+    identity = int.from_bytes(bytes(range(256)), "big")
+    ones = int.from_bytes(b"\x01" * 256, "big")
+    xor = tuple((identity ^ k * ones).to_bytes(256, "big")
+                for k in range(256))
+    return (xor,
+            tuple(_INV_ROUND_TABLES[0].translate(table) for table in xor),
+            tuple(_INV_SBOX_TABLE.translate(table) for table in xor))
+
+
+#: Segment orders of the byte-sliced inverse round. Segment p = 4c + r
+#: holds octet p (row r of column c) of every block. Term m of
+#: InvMixColumns (coefficient 14, 11, 13, 9) for output segment
+#: q = 4c + j reads row i = (j + m) mod 4 of column c after
+#: InvShiftRows, which is segment 4·((c − i) mod 4) + i before it.
+#: ``_TERM_SOURCES[0]`` is InvShiftRows itself.
+_TERM_SOURCES = tuple(
+    tuple(4 * ((q // 4 - (q % 4 + m) % 4) % 4) + (q % 4 + m) % 4
+          for q in range(BLOCK_SIZE))
+    for m in range(4)
 )
 
 
-def _inv_shift_rows(data: bytes) -> bytearray:
-    """InvShiftRows on every block of ``data`` at once."""
-    out = bytearray(data)
-    for destination, source in _INV_SHIFT_ROWS:
-        out[destination::BLOCK_SIZE] = data[source::BLOCK_SIZE]
-    return out
-
-
-def _rotate_columns(data: bytearray, rows: int) -> bytearray:
-    """Move every 4-octet column of ``data`` up by ``rows`` rows.
-
-    Row r of each column takes row r + rows (mod 4): one copy shifted by
-    ``rows`` octets, then the rows that wrap around taken one stride each.
-    """
-    out = data[rows:] + data[:rows]
-    for row in range(4 - rows, 4):
-        out[row::4] = data[row + rows - 4::4]
-    return out
-
-
 def _inv_mix_word(word: int) -> int:
-    """Apply InvMixColumns to one 32-bit column."""
-    return (_INV_MIX[(word >> 24) & 0xFF]
-            ^ ((_INV_MIX[(word >> 16) & 0xFF] >> 8)
-               | (_INV_MIX[(word >> 16) & 0xFF] << 24)) & _MASK32
-            ^ ((_INV_MIX[(word >> 8) & 0xFF] >> 16)
-               | (_INV_MIX[(word >> 8) & 0xFF] << 16)) & _MASK32
-            ^ ((_INV_MIX[word & 0xFF] >> 24)
-               | (_INV_MIX[word & 0xFF] << 8)) & _MASK32)
+    """Apply InvMixColumns to one 32-bit column.
+
+    The forward S-box cancels the inverse S-box built into each inverse
+    T-table, leaving row r's InvMixColumns contribution rotated into place.
+    """
+    return (_D0[_SBOX[word >> 24]] ^ _D1[_SBOX[(word >> 16) & 0xFF]]
+            ^ _D2[_SBOX[(word >> 8) & 0xFF]] ^ _D3[_SBOX[word & 0xFF]])
 
 
 class AES:
@@ -216,7 +221,7 @@ class AES:
             words.append(words[i - nk] ^ temp)
         return [words[4 * r:4 * r + 4] for r in range(self.rounds + 1)]
 
-    @cached_property
+    @functools.cached_property
     def _dec_keys(self) -> list:
         """Equivalent-inverse-cipher round keys (FIPS-197 §5.3.5).
 
@@ -263,14 +268,9 @@ class AES:
               | (_SBOX[(s1 >> 8) & 0xFF] << 8) | _SBOX[s2 & 0xFF]) ^ k[3]
         return struct.pack(">4L", b0, b1, b2, b3)
 
-    def decrypt_block(self, block: bytes) -> bytes:
-        """Decrypt one 16-octet block."""
-        if len(block) != BLOCK_SIZE:
-            raise InvalidBlockError(
-                "AES block must be 16 octets, got %d" % len(block)
-            )
+    def decrypt_words(self, s0: int, s1: int, s2: int, s3: int) -> tuple:
+        """Decrypt one block given as four big-endian 32-bit words."""
         keys = self._dec_keys
-        s0, s1, s2, s3 = struct.unpack(">4L", block)
         k = keys[0]
         s0 ^= k[0]
         s1 ^= k[1]
@@ -288,54 +288,80 @@ class AES:
                   ^ _D2[(s1 >> 8) & 0xFF] ^ _D3[s0 & 0xFF] ^ k[3])
             s0, s1, s2, s3 = t0, t1, t2, t3
         k = keys[self.rounds]
-        b0 = ((_INV_SBOX[s0 >> 24] << 24)
-              | (_INV_SBOX[(s3 >> 16) & 0xFF] << 16)
-              | (_INV_SBOX[(s2 >> 8) & 0xFF] << 8)
-              | _INV_SBOX[s1 & 0xFF]) ^ k[0]
-        b1 = ((_INV_SBOX[s1 >> 24] << 24)
-              | (_INV_SBOX[(s0 >> 16) & 0xFF] << 16)
-              | (_INV_SBOX[(s3 >> 8) & 0xFF] << 8)
-              | _INV_SBOX[s2 & 0xFF]) ^ k[1]
-        b2 = ((_INV_SBOX[s2 >> 24] << 24)
-              | (_INV_SBOX[(s1 >> 16) & 0xFF] << 16)
-              | (_INV_SBOX[(s0 >> 8) & 0xFF] << 8)
-              | _INV_SBOX[s3 & 0xFF]) ^ k[2]
-        b3 = ((_INV_SBOX[s3 >> 24] << 24)
-              | (_INV_SBOX[(s2 >> 16) & 0xFF] << 16)
-              | (_INV_SBOX[(s1 >> 8) & 0xFF] << 8)
-              | _INV_SBOX[s0 & 0xFF]) ^ k[3]
-        return struct.pack(">4L", b0, b1, b2, b3)
+        return (((_INV_SBOX[s0 >> 24] << 24)
+                 | (_INV_SBOX[(s3 >> 16) & 0xFF] << 16)
+                 | (_INV_SBOX[(s2 >> 8) & 0xFF] << 8)
+                 | _INV_SBOX[s1 & 0xFF]) ^ k[0],
+                ((_INV_SBOX[s1 >> 24] << 24)
+                 | (_INV_SBOX[(s0 >> 16) & 0xFF] << 16)
+                 | (_INV_SBOX[(s3 >> 8) & 0xFF] << 8)
+                 | _INV_SBOX[s2 & 0xFF]) ^ k[1],
+                ((_INV_SBOX[s2 >> 24] << 24)
+                 | (_INV_SBOX[(s1 >> 16) & 0xFF] << 16)
+                 | (_INV_SBOX[(s0 >> 8) & 0xFF] << 8)
+                 | _INV_SBOX[s3 & 0xFF]) ^ k[2],
+                ((_INV_SBOX[s3 >> 24] << 24)
+                 | (_INV_SBOX[(s2 >> 16) & 0xFF] << 16)
+                 | (_INV_SBOX[(s1 >> 8) & 0xFF] << 8)
+                 | _INV_SBOX[s0 & 0xFF]) ^ k[3])
 
-    def decrypt_blocks(self, data: bytes) -> bytes:
-        """Decrypt every 16-octet block of ``data`` independently (ECB).
+    def decrypt_block(self, block: bytes) -> bytes:
+        """Decrypt one 16-octet block."""
+        if len(block) != BLOCK_SIZE:
+            raise InvalidBlockError(
+                "AES block must be 16 octets, got %d" % len(block)
+            )
+        return struct.pack(">4L",
+                           *self.decrypt_words(*struct.unpack(">4L", block)))
 
-        Runs the equivalent inverse cipher (FIPS-197 §5.3.5) on the whole
-        buffer at once: the octets of all blocks go through each step
-        together, so a round costs a fixed number of buffer operations.
-        Equal to :meth:`decrypt_block` applied block by block.
+    def decrypt_blocks(self, data: bytes, iv: bytes) -> bytes:
+        """CBC-decrypt every 16-octet block of ``data`` under ``iv`` at once.
+
+        Runs the equivalent inverse cipher (FIPS-197 §5.3.5) on a
+        byte-sliced state: segment p holds octet p of every block
+        (``data[p::16]``). InvShiftRows and the InvMixColumns row
+        rotations are fixed segment orders (``_TERM_SOURCES``), so a
+        round is four ``translate`` lookups on the segments joined in
+        those orders and three integer XORs, whatever the block count.
+        Within a segment every block meets the same round-key octet k,
+        so AddRoundKey needs no buffer-sized key: the first is a
+        ``translate`` through x XOR k as the segments are cut, each
+        inner one is folded into term 0's table, the last into the
+        InvSBox table. The CBC chaining, block i of the result XOR block
+        i of ``iv ‖ data``, is the one integer XOR that ends the call.
+        Equal to :meth:`decrypt_block` applied block by block and chained.
         """
         size = len(data)
         if size % BLOCK_SIZE != 0:
             raise InvalidBlockError(
                 "AES input must be a multiple of 16 octets, got %d" % size
             )
-        blocks = size // BLOCK_SIZE
-        keys = self._dec_keys
-
-        def round_key(r: int) -> int:
-            return int.from_bytes(struct.pack(">4L", *keys[r]) * blocks,
-                                  "big")
-
-        state = (int.from_bytes(data, "big") ^ round_key(0)).to_bytes(
-            size, "big")
-        for r in range(1, self.rounds):
-            shifted = _inv_shift_rows(state)
-            mixed = round_key(r)
-            for rows, table in enumerate(_INV_ROUND_TABLES):
-                mixed ^= int.from_bytes(
-                    _rotate_columns(shifted, rows).translate(table), "big")
-            state = mixed.to_bytes(size, "big")
-        shifted = _inv_shift_rows(state)
-        state = (int.from_bytes(shifted.translate(_INV_SBOX_TABLE), "big")
-                 ^ round_key(self.rounds))
-        return state.to_bytes(size, "big")
+        if len(iv) != BLOCK_SIZE:
+            raise InvalidBlockError(
+                "CBC IV must be 16 octets, got %d" % len(iv))
+        count = size // BLOCK_SIZE
+        keys = [struct.pack(">4L", *words) for words in self._dec_keys]
+        xor_tables, round_tables, last_tables = _keyed_tables()
+        join = b"".join
+        segments = [data[p::BLOCK_SIZE].translate(xor_tables[k])
+                    for p, k in enumerate(keys[0])]
+        for key in keys[1:self.rounds]:
+            state = int.from_bytes(join([
+                segments[source].translate(round_tables[k])
+                for source, k in zip(_TERM_SOURCES[0], key)]), "big")
+            for sources, table in zip(_TERM_SOURCES[1:],
+                                      _INV_ROUND_TABLES[1:]):
+                state ^= int.from_bytes(
+                    join([segments[source] for source in sources]).translate(
+                        table), "big")
+            state = state.to_bytes(size, "big")
+            segments = [state[count * p:count * (p + 1)]
+                        for p in range(BLOCK_SIZE)]
+        del state  # freed before the output buffer is allocated
+        out = bytearray(size)
+        for q, (source, k) in enumerate(zip(_TERM_SOURCES[0],
+                                            keys[self.rounds])):
+            out[q::BLOCK_SIZE] = segments[source].translate(last_tables[k])
+        return (int.from_bytes(out, "big")
+                ^ int.from_bytes((iv + data)[:size], "big")).to_bytes(
+                    size, "big")

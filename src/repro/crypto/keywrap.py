@@ -12,8 +12,15 @@ The wrap of ``n`` 64-bit plaintext halves costs ``6 n`` single-block AES
 invocations (6 rounds over the ``n`` registers); unwrap is symmetric with
 AES decryptions. The performance meter relies on this structure, so the
 implementation follows RFC 3394 §2.2 exactly rather than using the
-alternative indexing formulation.
+alternative indexing formulation. Unwrap keeps the registers as 32-bit
+words (A and each R[i] are two words each) and runs each step on
+:meth:`~repro.crypto.aes.AES.decrypt_words`, the word core of the
+per-block decryption, so no step converts between octets and integers.
+The T-table lookups are indexed by key- and data-dependent words: the
+unwrap is not constant-time, only its final integrity comparison is.
 """
+
+import struct
 
 from .aes import AES
 from .encoding import constant_time_equal
@@ -24,6 +31,8 @@ DEFAULT_IV = b"\xA6" * 8
 
 #: Width of one wrap register in octets.
 SEMIBLOCK = 8
+
+_MASK32 = 0xFFFFFFFF
 
 
 def _split_semiblocks(data: bytes) -> list:
@@ -66,21 +75,18 @@ def unwrap(kek: bytes, wrapped_key: bytes, iv: bytes = DEFAULT_IV) -> bytes:
         )
     if len(iv) != SEMIBLOCK:
         raise InvalidKeyError("key wrap IV must be 8 octets")
-    cipher = AES(kek)
-    blocks = _split_semiblocks(wrapped_key)
-    a = blocks[0]
-    r = blocks[1:]
-    n = len(r)
+    decrypt = AES(kek).decrypt_words
+    # A is the words (a0, a1), register R[i] the words r[2i], r[2i + 1].
+    a0, a1, *r = struct.unpack(">%dL" % (len(wrapped_key) // 4), wrapped_key)
+    n = len(r) // 2
     for j in range(5, -1, -1):
         for i in range(n - 1, -1, -1):
             t = n * j + i + 1
-            a_xored = (int.from_bytes(a, "big") ^ t).to_bytes(8, "big")
-            block = cipher.decrypt_block(a_xored + r[i])
-            a = block[:8]
-            r[i] = block[8:]
-    if not constant_time_equal(a, iv):
+            a0, a1, r[2 * i], r[2 * i + 1] = decrypt(
+                a0 ^ (t >> 32), a1 ^ (t & _MASK32), r[2 * i], r[2 * i + 1])
+    if not constant_time_equal(struct.pack(">2L", a0, a1), iv):
         raise UnwrapError("key unwrap integrity check failed")
-    return b"".join(r)
+    return struct.pack(">%dL" % len(r), *r)
 
 
 def wrap_invocation_count(key_octets: int) -> int:

@@ -8,10 +8,12 @@ that manage padding themselves.
 Encryption is a chain (each block's input depends on the previous
 ciphertext block), so it runs block by block on the T-table core.
 Decryption is not: every ciphertext block is known up front, so
-``cbc_decrypt_raw`` decrypts the whole buffer with
-:meth:`~repro.crypto.aes.AES.decrypt_blocks` and applies the chaining as
-one XOR. Each DCF access (the paper's per-access AES-CBC decryption of
-the content) takes that path.
+``cbc_decrypt_raw`` decrypts the whole buffer at once with
+:meth:`~repro.crypto.aes.AES.decrypt_blocks` on a byte-sliced state,
+whose last step XORs in the chaining. Each DCF access (the paper's
+per-access AES-CBC decryption of the content) takes that path. Its
+lookup tables are folded with round-key octets and indexed by state
+octets, like the T-table core's: neither is constant-time.
 """
 
 from .aes import AES, BLOCK_SIZE
@@ -45,14 +47,11 @@ def cbc_decrypt_raw(key: bytes, iv: bytes, ciphertext: bytes) -> bytes:
 
     Plaintext block i is D(C_i) XOR C_(i-1), with C_(-1) the IV, so every
     block is decrypted at once and the chaining is one XOR of the whole
-    buffer with ``IV ‖ C[:-16]``.
+    buffer with ``IV ‖ C[:-16]``, the last step of
+    :meth:`~repro.crypto.aes.AES.decrypt_blocks`, which also rejects a
+    bad IV or a partial block with :class:`InvalidBlockError`.
     """
-    _check_iv(iv)
-    if len(ciphertext) % BLOCK_SIZE != 0:
-        raise InvalidBlockError("raw CBC input must be a block multiple")
-    cipher = AES(key)
-    return xor_bytes(cipher.decrypt_blocks(ciphertext),
-                     (iv + ciphertext)[:len(ciphertext)])
+    return AES(key).decrypt_blocks(ciphertext, iv)
 
 
 def cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes) -> bytes:

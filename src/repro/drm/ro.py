@@ -56,9 +56,9 @@ class RightsObject:
 
     ``wrapped_kcek`` stays under ``K_REK`` even after installation
     (paper §2.4.3: there may be several ROs per DCF, so the agent tracks
-    the association anyway). The convenience accessors ``content_id``,
-    ``dcf_hash`` and ``wrapped_kcek`` refer to the first asset — the
-    common single-content case.
+    the association anyway). The convenience accessors ``content_id``
+    and ``wrapped_kcek`` refer to the first asset — the common
+    single-content case.
     """
 
     ro_id: str
@@ -93,11 +93,6 @@ class RightsObject:
     def content_id(self) -> str:
         """Content ID of the first asset."""
         return self.assets[0].content_id
-
-    @property
-    def dcf_hash(self) -> bytes:
-        """DCF hash of the first asset."""
-        return self.assets[0].dcf_hash
 
     @property
     def wrapped_kcek(self) -> bytes:

@@ -209,11 +209,6 @@ class WireChannel:
         """The wrapped RI's identity."""
         return self._ri.ri_id
 
-    @property
-    def certificate(self):
-        """The wrapped RI's certificate."""
-        return self._ri.certificate
-
     def _roundtrip(self, handler, request):
         request_blob = encode_message(request)
         self.log.add("device->ri", request, request_blob)

@@ -32,7 +32,7 @@ Three policies, all deterministic and integer-exact:
   acquisitions.
 
 Policies are bound to one :class:`~repro.sim.ri.RIServer` via
-:meth:`AdmissionPolicy.bind` (deriving tick budgets from the server's
+their ``bind`` (deriving tick budgets from the server's
 own Table 1 pricing) and consulted by
 :meth:`~repro.sim.ri.RIServer.serve_request` on every arrival. All
 policy parameters are expressed in *service units* — multiples of the
@@ -51,23 +51,18 @@ PRIORITY_CLASSES: Mapping[str, int] = {
 
 
 class AdmissionPolicy:
-    """Base policy: admit everything (the historical behavior).
+    """Base of the shedding policies.
 
-    Subclasses override :meth:`admit` to return a shed reason (a short
-    string) instead of ``None``. The bookkeeping hooks
-    (:meth:`on_admitted`, :meth:`on_departed`) bracket a request's time
-    between admission and its grant/refusal/expiry, which is exactly
-    the backlog a delay-based shedder needs.
+    Each subclass defines ``bind(ri)``, which derives its tick budgets
+    from the server it guards, and ``admit(ri, kind, now)``, which
+    returns ``None`` to admit or a shed reason (a short string) to
+    refuse early. The "none" policy is no policy at all
+    (:func:`make_admission` returns ``None``, and the RI admits
+    everything). The bookkeeping hooks (:meth:`on_admitted`,
+    :meth:`on_departed`) bracket a request's time between admission and
+    its grant/refusal/expiry, which is exactly the backlog a delay-based
+    shedder needs.
     """
-
-    name = "none"
-
-    def bind(self, ri) -> None:
-        """Derive tick budgets from the server this policy guards."""
-
-    def admit(self, ri, kind: str, now: int) -> Optional[str]:
-        """``None`` to admit, or a shed reason to refuse early."""
-        return None
 
     def priority(self, kind: str) -> int:
         """The :class:`~repro.sim.kernel.Acquire` priority to queue at."""

@@ -17,6 +17,11 @@ def world():
     return DRMWorld.create("test-attacks", rsa_bits=BITS)
 
 
+def test_attack_str_is_its_value():
+    assert [str(kind) for kind in AttackKind] \
+        == [kind.value for kind in AttackKind]
+
+
 def test_unarmed_channel_is_transparent(world):
     channel = AdversaryChannel(world.ri)
     context = world.agent.register(channel)

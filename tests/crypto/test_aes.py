@@ -36,7 +36,8 @@ def test_fips197_encrypt(key_hex, cipher_hex):
 def test_fips197_decrypt(key_hex, cipher_hex):
     cipher = AES(bytes.fromhex(key_hex))
     assert cipher.decrypt_block(bytes.fromhex(cipher_hex)) == PLAIN
-    assert cipher.decrypt_blocks(bytes.fromhex(cipher_hex)) == PLAIN
+    assert cipher.decrypt_blocks(bytes.fromhex(cipher_hex), bytes(16)) \
+        == PLAIN
 
 
 def test_fips197_appendix_b_vector():
@@ -76,8 +77,10 @@ def test_rejects_bad_block_sizes(bad_size):
 def test_decrypt_blocks_rejects_partial_blocks(bad_size):
     cipher = AES(b"k" * 16)
     with pytest.raises(InvalidBlockError):
-        cipher.decrypt_blocks(b"\x00" * bad_size)
-    assert cipher.decrypt_blocks(b"") == b""
+        cipher.decrypt_blocks(b"\x00" * bad_size, bytes(16))
+    with pytest.raises(InvalidBlockError):
+        cipher.decrypt_blocks(bytes(32), b"\x00" * bad_size)
+    assert cipher.decrypt_blocks(b"", bytes(16)) == b""
 
 
 def test_encryption_is_not_identity():
@@ -136,5 +139,5 @@ def test_decryption_round_keys_are_derived_on_first_decryption(
     assert cipher.decrypt_block(ciphertext) == PLAIN
     # InvMixColumns on the four words of each inner round key, once.
     assert len(calls) == 4 * (cipher.rounds - 1)
-    assert cipher.decrypt_blocks(ciphertext * 2) == PLAIN * 2
+    assert cipher.decrypt_blocks(ciphertext, bytes(16)) == PLAIN
     assert len(calls) == 4 * (cipher.rounds - 1)

@@ -13,9 +13,9 @@ the substrate systematically rather than by spot checks:
   cipher, all three key sizes), NIST SP 800-38A (AES-128-CBC), RFC
   3394 section 4 (AES Key Wrap), FIPS 198 / RFC 2104 (HMAC-SHA1), and
   FIPS 180 (SHA-1 "abc" family).
-* **Third-party differential** — AES-CBC against the ``cryptography``
-  package when it happens to be installed (skipped otherwise; the
-  stdlib ships no AES oracle).
+* **Third-party differential** — AES-CBC and AES Key Wrap against the
+  ``cryptography`` package when it happens to be installed (skipped
+  otherwise; the stdlib ships no AES oracle).
 """
 
 import hashlib
@@ -307,3 +307,29 @@ def test_keywrap_roundtrip(kek, semiblocks, data):
     key_data = data.draw(st.binary(min_size=8 * semiblocks,
                                    max_size=8 * semiblocks))
     assert unwrap(kek, wrap(kek, key_data)) == key_data
+
+
+def _keywrap_oracle():
+    """(wrap, unwrap) for RFC 3394 through OpenSSL, or None."""
+    try:
+        from cryptography.hazmat.primitives import keywrap
+    except ImportError:  # pragma: no cover - optional oracle
+        return None
+    return keywrap.aes_key_wrap, keywrap.aes_key_unwrap
+
+
+@pytest.mark.skipif(_keywrap_oracle() is None,
+                    reason="the 'cryptography' package is not installed"
+                           " (stdlib has no AES oracle)")
+@given(kek_size=st.sampled_from([16, 24, 32]),
+       semiblocks=st.integers(min_value=2, max_value=8),
+       data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_keywrap_differential_vs_cryptography(kek_size, semiblocks, data):
+    oracle_wrap, oracle_unwrap = _keywrap_oracle()
+    kek = data.draw(st.binary(min_size=kek_size, max_size=kek_size))
+    key_data = data.draw(st.binary(min_size=8 * semiblocks,
+                                   max_size=8 * semiblocks))
+    wrapped = wrap(kek, key_data)
+    assert wrapped == oracle_wrap(kek, key_data)
+    assert unwrap(kek, wrapped) == oracle_unwrap(kek, wrapped) == key_data

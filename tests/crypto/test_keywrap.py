@@ -63,6 +63,18 @@ def test_unwrap_detects_single_bit_tamper():
         unwrap(b"k" * 16, bytes(wrapped))
 
 
+@pytest.mark.parametrize("semiblocks", [2, 4])
+def test_unwrap_rejects_every_single_bit_flip(semiblocks):
+    """K_CEK (2 semiblocks) and K_MAC‖K_REK (4): no flip goes unnoticed."""
+    kek = bytes(range(16))
+    wrapped = wrap(kek, bytes(range(100, 100 + 8 * semiblocks)))
+    for bit in range(8 * len(wrapped)):
+        tampered = bytearray(wrapped)
+        tampered[bit // 8] ^= 0x80 >> (bit % 8)
+        with pytest.raises(UnwrapError):
+            unwrap(kek, bytes(tampered))
+
+
 def test_unwrap_detects_wrong_kek():
     wrapped = wrap(b"k" * 16, b"d" * 16)
     with pytest.raises(UnwrapError):

@@ -1,5 +1,7 @@
 """AES-CBC: NIST SP 800-38A vectors, padding integration, tamper effects."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,6 +121,12 @@ def _reference_cbc_decrypt(key, iv, ciphertext):
     return b"".join(plaintext)
 
 
+def _assert_matches_reference(key, iv, ciphertext):
+    expected = _reference_cbc_decrypt(key, iv, ciphertext)
+    assert AES(key).decrypt_blocks(ciphertext, iv) == expected
+    assert cbc_decrypt_raw(key, iv, ciphertext) == expected
+
+
 @given(key_size=st.sampled_from([16, 24, 32]),
        blocks=st.integers(min_value=0, max_value=64),
        data=st.data())
@@ -128,8 +136,7 @@ def test_decrypt_matches_per_block_reference(key_size, blocks, data):
     iv = data.draw(st.binary(min_size=16, max_size=16))
     ciphertext = data.draw(st.binary(min_size=16 * blocks,
                                      max_size=16 * blocks))
-    assert cbc_decrypt_raw(key, iv, ciphertext) \
-        == _reference_cbc_decrypt(key, iv, ciphertext)
+    _assert_matches_reference(key, iv, ciphertext)
 
 
 @pytest.mark.parametrize("key_size", [16, 24, 32])
@@ -138,5 +145,21 @@ def test_decrypt_matches_per_block_reference_at_dcf_size(key_size):
     key = bytes(range(key_size))
     iv = bytes(range(100, 116))
     ciphertext = bytes((7 * i + (i >> 8)) & 0xFF for i in range(1921 * 16))
-    assert cbc_decrypt_raw(key, iv, ciphertext) \
-        == _reference_cbc_decrypt(key, iv, ciphertext)
+    _assert_matches_reference(key, iv, ciphertext)
+
+
+def test_decrypt_of_a_large_buffer_peaks_below_6_5_times_its_size():
+    """The whole-buffer decrypt holds a few buffer-sized copies at once.
+
+    A kernel that trades memory for speed fails here: one that rotated
+    columns with buffer-sized mask integers peaked at 17× the buffer.
+    """
+    size = 1 << 20
+    ciphertext = bytes(range(256)) * (size // 256)
+    tracemalloc.start()
+    try:
+        cbc_decrypt_raw(bytes(16), bytes(16), ciphertext)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / size <= 6.5

@@ -6,7 +6,7 @@ from repro.drm.errors import PermissionDeniedError
 from repro.drm.rel import (CountConstraint, DatetimeConstraint,
                            IntervalConstraint, Permission, PermissionType,
                            Rights, RightsEvaluator, RightsState,
-                           play_count, unlimited)
+                           constraint_from_dict, play_count, unlimited)
 
 NOW = 1_100_000_000
 
@@ -125,6 +125,13 @@ def test_rights_to_bytes_deterministic_and_distinct():
     assert unlimited().to_bytes() == unlimited().to_bytes()
     assert play_count(5).to_bytes() != play_count(6).to_bytes()
     assert unlimited().to_bytes() != play_count(5).to_bytes()
+
+
+@pytest.mark.parametrize("constraint", [
+    CountConstraint(3), DatetimeConstraint(not_before=NOW, not_after=NOW + 9),
+    IntervalConstraint(3600)], ids=["count", "datetime", "interval"])
+def test_constraint_describe_round_trips(constraint):
+    assert constraint_from_dict(constraint.describe()) == constraint
 
 
 def test_rights_find():

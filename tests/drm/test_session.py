@@ -3,13 +3,21 @@
 import pytest
 
 from repro.drm.agent import RI_CONTEXT_LIFETIME
-from repro.drm.rel import play_count
-from repro.drm.roap.faults import FaultPlan, FaultPolicy, FaultyChannel
-from repro.drm.session import (Outcome, RetryPolicy, RoapSession,
-                               SessionState)
+from repro.drm.rel import PermissionType, play_count
+from repro.drm.roap.faults import (FaultKind, FaultPlan, FaultPolicy,
+                                   FaultyChannel)
+from repro.drm.session import (BreakerState, Outcome, RetryPolicy,
+                               RoapSession, SessionState)
 
 FAST_RETRIES = RetryPolicy(max_attempts=8, base_backoff_seconds=1,
                            jitter_seconds=1)
+
+
+@pytest.mark.parametrize("kind", [SessionState, Outcome, BreakerState,
+                                  FaultKind, PermissionType])
+def test_enum_str_is_its_value(kind):
+    assert [str(member) for member in kind] \
+        == [member.value for member in kind]
 
 
 def offer_license(world, ro_id="ro:session", content_id="cid:session"):

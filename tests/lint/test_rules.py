@@ -8,7 +8,10 @@ asserts exactly which rule ids fire.
 
 import textwrap
 
+import pytest
+
 from repro.lint import LintEngine
+from repro.lint.rules import RULE_CLASSES, Rule
 
 
 def lint_tree(tmp_path, files):
@@ -306,3 +309,13 @@ def test_unparseable_file_is_a_finding_not_a_crash(tmp_path):
         def half(:
         """})
     assert rule_ids(result) == ["REP003"]
+
+
+# -- the registry ------------------------------------------------------------
+
+def test_every_registered_rule_defines_its_own_check():
+    # The base class only states the interface: a rule that forgot to
+    # override it would raise on the first module it sees.
+    with pytest.raises(NotImplementedError):
+        Rule().check(None, None)
+    assert all(cls.check is not Rule.check for cls in RULE_CLASSES)

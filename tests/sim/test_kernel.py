@@ -165,9 +165,11 @@ def test_wait_advances_virtual_time_and_counts_events():
         return "done"
 
     process = kernel.spawn("p", body())
+    assert repr(process) == "Process('p', pending)"
     assert drain(kernel) == 10
     assert kernel.now == 10
     assert process.state == "done"
+    assert repr(process) == "Process('p', done)"
     assert process.result == "done"
     # start + resume-after-first-wait + resume-after-second-wait.
     assert kernel.events_executed == 3

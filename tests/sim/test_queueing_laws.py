@@ -104,6 +104,15 @@ def test_l_equals_lambda_w(mm1_obs):
         pytest.approx(lam * mean_sojourn, rel=1e-12)
 
 
+def test_lq_equals_lambda_wq(mm1_obs):
+    # The queue form: Lq = lambda * Wq, and L = Lq + utilization.
+    lam = mm1_obs.arrival_rate()
+    assert mm1_obs.mean_queue_depth() == \
+        pytest.approx(lam * mm1_obs.wait.mean, rel=1e-12)
+    assert mm1_obs.mean_number_in_system() == pytest.approx(
+        mm1_obs.mean_queue_depth() + mm1_obs.utilization(), rel=1e-12)
+
+
 # -- closed-form agreement -------------------------------------------------
 
 def _relative_error(measured: float, expected: float) -> float:
