@@ -3,10 +3,11 @@
 The kernel (:mod:`repro.sim.kernel`) is the shared-clock substrate the
 per-device cost engine cannot provide: a binary event heap with
 FIFO-stable tie-breaking, generator processes, seeded per-entity DRBG
-streams, in-queue expiry timers, and a bit-identical event log per
-seed. :mod:`repro.sim.queueing` validates it against closed-form
-queueing laws; :mod:`repro.sim.ri` puts a concurrent Rights Issuer on
-it, priced from the paper's Table 1; :mod:`repro.sim.admission` adds
+streams and in-queue expiry timers. A run is a pure function of its
+seed and spawns, and keeps no event log.
+:mod:`repro.sim.queueing` validates it against closed-form queueing
+laws; :mod:`repro.sim.ri` puts a concurrent Rights Issuer on it,
+priced from the paper's Table 1; :mod:`repro.sim.admission` adds
 its overload-shedding policies; :mod:`repro.sim.fleet` drives the
 fleet population and open Poisson load through that RI; and
 :mod:`repro.sim.overload` reproduces metastable retry storms against
@@ -14,7 +15,7 @@ it.
 """
 
 from .kernel import (REJECTED, TIMED_OUT, Acquire, Kernel, Process,
-                     Release, Resource, Wait, drain)
+                     Release, Resource, Wait)
 from .queueing import (QueueObservation, deterministic_draw,
                        exponential_draw, exponential_ticks,
                        md1_mean_wait, mm1_mean_number, mm1_mean_wait,
@@ -33,7 +34,7 @@ from .overload import (RETRY_DISCIPLINES, RETRY_POLICIES, BinStat,
 
 __all__ = [
     "REJECTED", "TIMED_OUT", "Acquire", "Kernel", "Process", "Release",
-    "Resource", "Wait", "drain",
+    "Resource", "Wait",
     "QueueObservation", "deterministic_draw", "exponential_draw",
     "exponential_ticks", "md1_mean_wait", "mm1_mean_number",
     "mm1_mean_wait", "offered_load", "simulate_queue",

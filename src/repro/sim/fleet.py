@@ -151,8 +151,7 @@ def run_fleet_kernel(config: FleetConfig, workers: int = 1,
     architectures: Dict[str, ArchitectureLoadResult] = {}
     for profile in profiles:
         kernel = Kernel(seed="%s/kernel/%s" % (config.seed,
-                                               profile.name),
-                        record_log=False)
+                                               profile.name))
         ri = RIServer(kernel, profile, capacity=capacity)
         ri.attach_slo()
         bin_ticks = max(1, config.window_seconds * profile.clock_hz
@@ -205,7 +204,7 @@ def run_open_load(seed: str, profile: ArchitectureProfile,
         raise ValueError("the arrival rate must be positive")
     if requests < 1:
         raise ValueError("at least one request is required")
-    kernel = Kernel(seed=seed, record_log=False)
+    kernel = Kernel(seed=seed)
     ri = RIServer(kernel, profile, capacity=capacity)
     ri.attach_slo()
     mean_gap = profile.clock_hz / arrivals_per_second
@@ -214,15 +213,11 @@ def run_open_load(seed: str, profile: ArchitectureProfile,
     next_kind = kind_draw(kernel.stream("kinds"), names,
                           tuple(accumulate(mix[name] for name in names)))
 
-    def request(kind: str):
-        # Drop the outcome (the ledger has it): a finished process would
-        # pin it until the cyclic collector frees the kernel.
-        yield from ri.serve_request(kind)
-
     def source():
         for index in range(requests):
             yield Wait(exponential_ticks(gaps, mean_gap))
-            kernel.spawn("request/%d" % index, request(next_kind()))
+            kernel.spawn("request/%d" % index,
+                         ri.serve_request(next_kind()))
         return None
 
     kernel.spawn("source", source())

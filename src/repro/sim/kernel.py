@@ -21,12 +21,13 @@ kernel is the shared-clock substrate those phenomena need:
 ``(seed, registered processes)``: registration *order* does not matter
 (pre-run spawns are sorted by ``(start, name)`` before seq assignment),
 virtual time is integer ticks (no float accumulation order), and the
-event log — every spawn, wait, grant, release and exit — is
-bit-identical across runs, worker counts and pause/resume boundaries.
-``tests/sim/test_determinism.py`` holds these properties under
-Hypothesis; :meth:`Kernel.state_digest` exposes a stable digest of
-``(clock, heap, DRBG states, queues)`` so paused kernels can be compared
-mid-flight.
+schedule — every spawn, wait, grant, release and exit — is identical
+across runs, worker counts and pause/resume boundaries. A run keeps no
+event log: ``tests/sim/test_determinism.py`` watches the schedule
+through a recording :class:`Resource` subclass and body wrapper, and
+holds these properties under Hypothesis. :meth:`Kernel.state_digest`
+exposes a stable digest of ``(clock, heap, DRBG states, queues)`` so
+paused kernels can be compared mid-flight.
 
 Tick units are the caller's choice; :mod:`repro.sim.ri` uses one tick
 per RI clock cycle so service times come straight from the priced
@@ -117,19 +118,18 @@ def _require_ticks(value: Any, what: str) -> None:
 
 
 class Process:
-    """One schedulable entity: a named generator plus its bookkeeping."""
+    """One schedulable entity: a named generator and the value it
+    resumes with next."""
 
-    __slots__ = ("name", "body", "state", "result", "_inbox")
+    __slots__ = ("name", "body", "_inbox")
 
     def __init__(self, name: str, body: ProcessBody) -> None:
         self.name = name
         self.body = body
-        self.state = "pending"
-        self.result: Any = None
         self._inbox: Any = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "Process(%r, %s)" % (self.name, self.state)
+        return "Process(%r)" % self.name
 
 
 class _Waiter:
@@ -161,10 +161,8 @@ class _Expiry:
 class Kernel:
     """The discrete-event scheduler; see the module docstring."""
 
-    def __init__(self, seed: str = "repro-sim",
-                 record_log: bool = True) -> None:
+    def __init__(self, seed: str = "repro-sim") -> None:
         self.seed = seed
-        self.record_log = record_log
         self.now = 0
         self._seq = 0
         self._heap: List[Tuple[int, int, Any]] = []
@@ -173,19 +171,7 @@ class Kernel:
         self._streams: Dict[str, Random] = {}
         self._resources: List["Resource"] = []
         self._running = False
-        self.log: List[Tuple[Any, ...]] = []
         self.events_executed = 0
-
-    # -- logging ----------------------------------------------------------
-    def _log(self, at: int, kind: str, process: str,
-             *detail: Any) -> None:
-        # Callers test ``record_log`` first: an unlogged run never
-        # pays for the call or its argument tuple.
-        self.log.append((at, kind, process) + detail)
-
-    def event_log(self) -> Tuple[Tuple[Any, ...], ...]:
-        """The immutable event log (bit-identical per seed and spawns)."""
-        return tuple(self.log)
 
     # -- entity plumbing --------------------------------------------------
     def stream(self, name: str) -> Random:
@@ -220,17 +206,11 @@ class Kernel:
         if self._running:
             # A spawn issued by a running process inherits that
             # process's deterministic position in the schedule — it is
-            # scheduled (and logged) immediately.
-            if self.record_log:
-                self._log(self.now + at, "spawn", name)
+            # scheduled immediately.
             self._schedule(process, self.now + at, None)
         else:
             self._pending.append((self.now + at, process))
         return process
-
-    def process(self, name: str) -> Process:
-        """Look up a registered process by name."""
-        return self._processes[name]
 
     def _schedule(self, process: Process, at: int, inbox: Any) -> None:
         self._seq += 1
@@ -247,8 +227,6 @@ class Kernel:
         # spawn set schedules identically.
         self._pending.sort(key=lambda entry: (entry[0], entry[1].name))
         for at, process in self._pending:
-            if self.record_log:
-                self._log(at, "spawn", process.name)
             self._schedule(process, at, None)
         self._pending.clear()
 
@@ -274,7 +252,6 @@ class Kernel:
         heap = self._heap
         heappop = heapq.heappop
         heappush = heapq.heappush
-        log = self.log if self.record_log else None
         try:
             while heap:
                 at, _seq, entry = heap[0]
@@ -297,24 +274,16 @@ class Kernel:
                 self.now = at
                 self.events_executed += 1
                 # Resume the process with its inbox, then act on the
-                # command it yields next.
-                entry.state = "running"
+                # command it yields next. A finished process keeps
+                # nothing of its return value.
                 inbox = entry._inbox
                 entry._inbox = None
                 try:
                     command = entry.body.send(inbox)
-                except StopIteration as stop:
-                    entry.state = "done"
-                    entry.result = stop.value
-                    if log is not None:
-                        log.append((at, "exit", entry.name))
+                except StopIteration:
                     continue
                 kind = command.__class__
                 if kind is Wait:
-                    entry.state = "waiting"
-                    if log is not None:
-                        log.append((at, "wait", entry.name,
-                                    command.ticks))
                     self._seq += 1
                     heappush(heap, (at + command.ticks, self._seq, entry))
                 elif kind is Acquire:
@@ -368,13 +337,14 @@ class Kernel:
         """A stable hex digest of the kernel's complete dynamic state.
 
         Two kernels with equal digests are in the same state: same
-        clock, same heap (keys and process names), same DRBG stream
-        states, same resource occupancy and queues. Used by the
-        pause/resume property tests to prove a paused kernel is
-        byte-for-byte the kernel an unpaused run passes through.
+        clock, same heap (keys, process names and the inbox each
+        process resumes with), same DRBG stream states, same resource
+        occupancy and queues. Used by the pause/resume property tests
+        to prove a paused kernel is byte-for-byte the kernel an
+        unpaused run passes through.
         """
         heap = sorted(
-            (at, seq, entry.name, entry.state)
+            (at, seq, entry.name, _inbox_key(entry._inbox))
             if isinstance(entry, Process)
             else (at, seq, "timer:%s" % entry.waiter.process.name,
                   "armed" if entry.waiter.alive else "cancelled")
@@ -388,6 +358,18 @@ class Kernel:
         blob = repr((self.now, self._seq, heap, pending, streams,
                      resources)).encode("utf-8")
         return sha1(blob).hex()
+
+
+def _inbox_key(inbox: Any) -> str:
+    """What a scheduled process resumes with: a grant of the named
+    resource, a refusal, an expiry, or nothing."""
+    if inbox is None:
+        return "none"
+    if inbox is REJECTED:
+        return "rejected"
+    if inbox is TIMED_OUT:
+        return "timed-out"
+    return "grant:%s" % inbox.name
 
 
 class Resource:
@@ -440,9 +422,6 @@ class Resource:
         self.busy_servers.observe(self._busy, now)
         self.grants += 1
         self.wait_ticks.add(waited)
-        process.state = "granted"
-        if kernel.record_log:
-            kernel._log(now, "grant", process.name, self.name, waited)
         kernel._schedule(process, now, self)
 
     def _request(self, process: Process, timeout: Optional[int] = None,
@@ -455,17 +434,11 @@ class Resource:
         elif (self.queue_limit is not None
               and len(queue) >= self.queue_limit):
             self.rejections += 1
-            process.state = "rejected"
-            if kernel.record_log:
-                kernel._log(now, "reject", process.name, self.name)
             kernel._schedule(process, now, REJECTED)
         elif timeout == 0:
             # Zero patience and no free server: the request expires on
             # arrival, before ever occupying a queue slot.
             self.timeouts += 1
-            process.state = "timed-out"
-            if kernel.record_log:
-                kernel._log(now, "timeout", process.name, self.name, 0)
             kernel._schedule(process, now, TIMED_OUT)
         else:
             self._order += 1
@@ -478,9 +451,6 @@ class Resource:
                 index -= 1
             queue.insert(index, waiter)
             self.queue_depth.observe(len(queue), now)
-            process.state = "queued"
-            if kernel.record_log:
-                kernel._log(now, "enqueue", process.name, self.name)
             if timeout is not None:
                 kernel._schedule_timer(_Expiry(self, waiter),
                                        now + timeout)
@@ -494,8 +464,6 @@ class Resource:
         now = kernel.now
         self._busy -= 1
         self.busy_servers.observe(self._busy, now)
-        if kernel.record_log:
-            kernel._log(now, "release", process.name, self.name)
         # The releasing process resumes first (it was scheduled before
         # the waiter it unblocks), then the head-of-line waiter — both
         # at the current tick, ordered by seq: FIFO, never hash order.
@@ -515,10 +483,6 @@ class Resource:
         now = kernel.now
         self.queue_depth.observe(len(self._queue), now)
         self.timeouts += 1
-        waiter.process.state = "timed-out"
-        if kernel.record_log:
-            kernel._log(now, "timeout", waiter.process.name, self.name,
-                        now - waiter.enqueued)
         kernel._schedule(waiter.process, now, TIMED_OUT)
 
     # -- statistics -------------------------------------------------------
@@ -549,8 +513,3 @@ class Resource:
                 tuple((waiter.process.name, waiter.enqueued,
                        waiter.priority, waiter.order)
                       for waiter in self._queue))
-
-
-def drain(kernel: Kernel) -> int:
-    """Run ``kernel`` to an empty heap; returns the final virtual time."""
-    return kernel.run()

@@ -370,7 +370,7 @@ def run_storm(spec: StormSpec) -> StormResult:
     profile = PROFILES_BY_NAME[spec.architecture]
     capacity = RICapacity(signing_units=spec.signing_units,
                           queue_limit=spec.queue_limit)
-    kernel = Kernel(seed="%s/storm" % spec.seed, record_log=False)
+    kernel = Kernel(seed="%s/storm" % spec.seed)
     ri = RIServer(kernel, profile, capacity=capacity,
                   admission=make_admission(spec.admission))
     slot_ticks = max(1, int(round(ri.nominal_service_ticks())))

@@ -173,8 +173,8 @@ class QueueObservation:
 
 def simulate_queue(seed: str, jobs: int, interarrival: TickDraw,
                    service: TickDraw, capacity: int = 1,
-                   queue_limit: Optional[int] = None,
-                   record_log: bool = False) -> QueueObservation:
+                   queue_limit: Optional[int] = None
+                   ) -> QueueObservation:
     """Run an open single-queue system to drain and measure it exactly.
 
     A source process draws ``jobs`` inter-arrival gaps from the
@@ -186,7 +186,7 @@ def simulate_queue(seed: str, jobs: int, interarrival: TickDraw,
     """
     if jobs < 1:
         raise ValueError("at least one job is required")
-    kernel = Kernel(seed=seed, record_log=record_log)
+    kernel = Kernel(seed=seed)
     server = Resource(kernel, "server", capacity=capacity,
                       queue_limit=queue_limit)
     arrival_rng = kernel.stream("arrivals")

@@ -32,7 +32,8 @@ ticks).
 """
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, Mapping, Optional, Tuple
+from typing import (Any, Callable, Dict, Generator, Mapping, Optional,
+                    Tuple)
 
 from ..core.architecture import ArchitectureProfile
 from ..core.costs import PAPER_TABLE1, CostTable
@@ -160,6 +161,26 @@ def service_records(kind: str) -> Tuple[OperationRecord, ...]:
     )
 
 
+def _kind_ticks(kind: str, profile: ArchitectureProfile,
+                cost_table: CostTable = PAPER_TABLE1) -> int:
+    """State-free service demand of one ``kind`` request on
+    ``profile``: its :func:`service_records` priced by ``cost_table``."""
+    implementation = profile.implementation
+    return sum(cost_table.cycles(record,
+                                 implementation(record.algorithm))
+               for record in service_records(kind))
+
+
+def _mix_mean(mix: Mapping[str, float],
+              ticks: Callable[[str], int]) -> float:
+    """The ``mix``-weighted mean of ``ticks(kind)``."""
+    total = sum(mix.values())
+    if total <= 0:
+        raise ValueError("the request mix must have positive weight")
+    return sum(weight * ticks(kind)
+               for kind, weight in mix.items()) / total
+
+
 @dataclass(frozen=True)
 class RICapacity:
     """Sizing of one RI deployment: signing units and queue bound."""
@@ -256,13 +277,8 @@ class RIServer:
         self.ocsp_validity_ticks = (ocsp_validity_seconds
                                     * self.ticks_per_second)
         self._ocsp_fetched_at: Optional[int] = None
-        self._base_ticks = {
-            kind: sum(cost_table.cycles(record,
-                                        profile.implementation(
-                                            record.algorithm))
-                      for record in service_records(kind))
-            for kind in REQUEST_KINDS
-        }
+        self._base_ticks = {kind: _kind_ticks(kind, profile, cost_table)
+                            for kind in REQUEST_KINDS}
         self.replay_entries = 0
         #: Replay-probe cycles per cache depth, priced on first use.
         self._probe_ticks: Dict[int, int] = {}
@@ -349,12 +365,7 @@ class RIServer:
         figure, which keeps one policy configuration meaningful on
         every architecture.
         """
-        total = sum(mix.values())
-        if total <= 0:
-            raise ValueError("the request mix must have positive "
-                             "weight")
-        return sum(weight * self.base_ticks(kind)
-                   for kind, weight in mix.items()) / total
+        return _mix_mean(mix, self.base_ticks)
 
     def attach_slo(self, objectives: Tuple[Objective, ...] =
                    DEFAULT_OBJECTIVES) -> SLOMonitor:
@@ -525,9 +536,7 @@ def nominal_service_ticks(profile: ArchitectureProfile,
                           ) -> float:
     """Mix-weighted mean service demand of ``profile``, in ticks.
 
-    Module-level convenience over
-    :meth:`RIServer.nominal_service_ticks` for callers sizing a sweep
-    before any server exists (a throwaway probe server prices it).
+    Equals :meth:`RIServer.nominal_service_ticks` at the paper's
+    Table 1, for callers sizing a sweep before any server exists.
     """
-    probe = RIServer(Kernel(seed="nominal", record_log=False), profile)
-    return probe.nominal_service_ticks(mix)
+    return _mix_mean(mix, lambda kind: _kind_ticks(kind, profile))

@@ -4,15 +4,20 @@ Three properties make a kernel run a pure function of
 ``(seed, registered processes)``:
 
 * **Registration-order invariance** — any permutation of the same
-  pre-run spawn set produces a bit-identical event log and final state
+  pre-run spawn set produces a bit-identical schedule and final state
   digest (pre-run spawns are sorted by ``(start, name)`` before seq
   assignment).
 * **FIFO tie-breaking** — simultaneous contenders for a resource are
   granted in schedule order, never hash or arrival-of-generator order.
 * **Pause/resume transparency** — ``run(until=t)`` followed by
   ``run()`` replays exactly the schedule an unpaused ``run()``
-  executes; the pause is invisible in the log, the digest and every
-  statistic.
+  executes; the pause is invisible in the schedule, the digest and
+  every statistic.
+
+A run keeps no event log, so the schedule is watched through
+``EventRecorder`` (``conftest.py``): a recording ``Resource`` subclass
+plus a body wrapper that log every spawn, wait, grant, enqueue,
+rejection, timeout, release and exit.
 
 The process bodies are generated from small command scripts (waits,
 acquire/hold/release rounds, stream draws), so the properties are
@@ -24,6 +29,8 @@ from hypothesis import strategies as st
 
 from repro.sim.kernel import (REJECTED, Acquire, Kernel, Release,
                               Resource, Wait)
+
+from .conftest import EventRecorder
 
 #: One process's script: a start offset plus (pre-wait, hold) rounds.
 SCRIPTS = st.lists(
@@ -56,16 +63,18 @@ def _body(kernel, resource, name, script, trail):
 def _run(spawn_set, order, seed="prop", queue_limit=None, until=None):
     """One complete run; returns (event log, trail, digest, now)."""
     kernel = Kernel(seed=seed)
-    resource = Resource(kernel, "r", queue_limit=queue_limit)
+    recorder = EventRecorder(kernel)
+    resource = recorder.resource("r", queue_limit=queue_limit)
     trail = []
     for name in order:
         start, script = spawn_set[name]
-        kernel.spawn(name, _body(kernel, resource, name, script, trail),
-                     at=start)
+        recorder.spawn(name,
+                       _body(kernel, resource, name, script, trail),
+                       at=start)
     if until is not None:
         kernel.run(until=until)
     kernel.run()
-    return (kernel.event_log(), tuple(trail), kernel.state_digest(),
+    return (recorder.event_log(), tuple(trail), kernel.state_digest(),
             kernel.now)
 
 
@@ -147,24 +156,25 @@ def test_paused_digest_appears_on_the_unpaused_timeline(spawn_set,
 
     def build():
         kernel = Kernel(seed="prop")
-        resource = Resource(kernel, "r")
+        recorder = EventRecorder(kernel)
+        resource = recorder.resource("r")
         trail = []
         for name in names:
             start, script = spawn_set[name]
-            kernel.spawn(name,
-                         _body(kernel, resource, name, script, trail),
-                         at=start)
-        return kernel
+            recorder.spawn(name,
+                           _body(kernel, resource, name, script, trail),
+                           at=start)
+        return kernel, recorder
 
-    paused = build()
+    paused, paused_log = build()
     paused.run(until=until)
     checkpoint = paused.state_digest()
 
-    replay = build()
+    replay, replay_log = build()
     replay.run(until=until)
     assert replay.state_digest() == checkpoint
 
     paused.run()
     replay.run()
     assert replay.state_digest() == paused.state_digest()
-    assert replay.event_log() == paused.event_log()
+    assert replay_log.event_log() == paused_log.event_log()

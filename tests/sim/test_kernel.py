@@ -6,10 +6,15 @@ contracts (queueing laws) and the whole-system determinism properties
 live in ``test_queueing_laws.py`` and ``test_determinism.py``.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim.kernel import (REJECTED, Acquire, Kernel, Release,
-                              Resource, Wait, drain)
+                              Resource, Wait)
+
+from .conftest import EventRecorder
 
 
 def test_wait_rejects_negative_ticks():
@@ -99,10 +104,16 @@ def test_commands_are_slotted():
         assert not hasattr(command, "__dict__")
 
 
-def test_unlogged_kernel_records_nothing_and_matches_logged_run():
-    def build(record_log):
-        kernel = Kernel(seed="unit", record_log=record_log)
-        resource = Resource(kernel, "r", queue_limit=2)
+def test_recorded_run_logs_every_kind_and_matches_a_plain_run():
+    def build(recorded):
+        kernel = Kernel(seed="unit")
+        recorder = EventRecorder(kernel)
+        if recorded:
+            resource = recorder.resource("r", queue_limit=2)
+            spawn = recorder.spawn
+        else:
+            resource = Resource(kernel, "r", queue_limit=2)
+            spawn = kernel.spawn
         order = []
 
         def body(name, timeout):
@@ -116,21 +127,21 @@ def test_unlogged_kernel_records_nothing_and_matches_logged_run():
         # arrival, d waits its turn and e finds the queue full.
         for name, timeout in (("a", None), ("b", 2), ("c", 0),
                               ("d", None), ("e", None)):
-            kernel.spawn(name, body(name, timeout))
+            spawn(name, body(name, timeout))
         kernel.run()
-        return kernel, order
+        return kernel, order, recorder.event_log()
 
-    logged, logged_order = build(True)
-    unlogged, unlogged_order = build(False)
-    assert unlogged.log == []
-    assert {entry[1] for entry in logged.log} == {
+    logged, logged_order, log = build(True)
+    plain, plain_order, _ = build(False)
+    assert {entry[1] for entry in log} == {
         "spawn", "grant", "enqueue", "timeout", "reject", "wait",
         "release", "exit"}
-    assert unlogged_order == logged_order == [
+    # Recording leaves the schedule exactly as a plain run has it.
+    assert plain_order == logged_order == [
         ("a", 0, True), ("c", 0, False), ("e", 0, False),
         ("b", 2, False), ("d", 5, True)]
-    assert unlogged.events_executed == logged.events_executed
-    assert unlogged.state_digest() == logged.state_digest()
+    assert plain.events_executed == logged.events_executed
+    assert plain.state_digest() == logged.state_digest()
 
 
 def test_run_rejects_past_deadline():
@@ -165,12 +176,9 @@ def test_wait_advances_virtual_time_and_counts_events():
         return "done"
 
     process = kernel.spawn("p", body())
-    assert repr(process) == "Process('p', pending)"
-    assert drain(kernel) == 10
+    assert repr(process) == "Process('p')"
+    assert kernel.run() == 10
     assert kernel.now == 10
-    assert process.state == "done"
-    assert repr(process) == "Process('p', done)"
-    assert process.result == "done"
     # start + resume-after-first-wait + resume-after-second-wait.
     assert kernel.events_executed == 3
 
@@ -341,12 +349,13 @@ def test_streams_are_memoized_and_name_derived():
 
 def test_event_log_records_the_full_lifecycle():
     kernel = Kernel(seed="unit")
-    resource = Resource(kernel, "r")
+    recorder = EventRecorder(kernel)
+    resource = recorder.resource("r")
     order = []
-    kernel.spawn("a", _worker(resource, 5, order, "a"))
-    kernel.spawn("b", _worker(resource, 5, order, "b"))
+    recorder.spawn("a", _worker(resource, 5, order, "a"))
+    recorder.spawn("b", _worker(resource, 5, order, "b"))
     kernel.run()
-    kinds = [entry[1] for entry in kernel.event_log()]
+    kinds = [entry[1] for entry in recorder.event_log()]
     assert kinds.count("spawn") == 2
     assert kinds.count("grant") == 2
     assert kinds.count("release") == 2
@@ -354,15 +363,30 @@ def test_event_log_records_the_full_lifecycle():
     assert kinds.count("enqueue") == 1  # b queued behind a
 
 
-def test_record_log_false_keeps_the_log_empty():
-    kernel = Kernel(seed="unit", record_log=False)
+def test_a_finished_process_keeps_nothing_of_its_return_value():
+    class Outcome:
+        pass
+
+    kernel = Kernel(seed="unit")
+    refs = []
 
     def body():
         yield Wait(1)
+        outcome = Outcome()
+        refs.append(weakref.ref(outcome))
+        return outcome
 
     kernel.spawn("p", body())
-    kernel.run()
-    assert kernel.event_log() == ()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        kernel.run()
+        # Without the cycle collector: the returned object is freed by
+        # reference counting as soon as the process finishes.
+        assert len(refs) == 1 and refs[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_state_digest_distinguishes_and_matches_states():
@@ -383,9 +407,3 @@ def test_state_digest_distinguishes_and_matches_states():
     one.run()
     two.run()
     assert one.state_digest() == two.state_digest()
-
-
-def test_process_lookup_returns_registered_process():
-    kernel = Kernel(seed="unit")
-    process = kernel.spawn("p", iter(()))
-    assert kernel.process("p") is process

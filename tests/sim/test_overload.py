@@ -20,14 +20,14 @@ from repro.sim import overload
 from repro.sim.admission import (ADMISSION_POLICIES, CoDelShedder,
                                  PriorityAdmission, TokenBucket,
                                  make_admission)
-from repro.sim.kernel import Kernel, drain
+from repro.sim.kernel import Kernel
 from repro.sim.overload import (RETRY_DISCIPLINES, RETRY_POLICIES,
                                 RetryBudget, StormSpec, run_storm)
 from repro.sim.ri import RIServer
 
 
 def _server(admission=None, profile=SW_PROFILE, **kwargs):
-    kernel = Kernel(seed="overload-unit", record_log=False)
+    kernel = Kernel(seed="overload-unit")
     return kernel, RIServer(kernel, profile, admission=admission,
                             **kwargs)
 
@@ -43,7 +43,7 @@ def _drive(kernel, ri, plans):
     for index, (at, kind, kwargs) in enumerate(plans):
         kernel.spawn("req-%02d" % index, request(index, kind, kwargs),
                      at=at)
-    drain(kernel)
+    kernel.run()
     return [outcomes[index] for index in sorted(outcomes)]
 
 
@@ -323,9 +323,9 @@ def test_storm_times_scale_in_ticks_not_in_service_units():
     # One service unit is priced per architecture from Table 1: the
     # software RI's RSA-bound slot dwarfs the hardware one.
     assert sw.slot_ticks > 100 * hw.slot_ticks
-    ratio = RIServer(Kernel(seed="probe", record_log=False),
+    ratio = RIServer(Kernel(seed="probe"),
                      SW_PROFILE).nominal_service_ticks() \
-        / RIServer(Kernel(seed="probe2", record_log=False),
+        / RIServer(Kernel(seed="probe2"),
                    HW_PROFILE).nominal_service_ticks()
     assert sw.slot_ticks / hw.slot_ticks == pytest.approx(ratio,
                                                           rel=0.01)

@@ -17,14 +17,15 @@ from repro.core.costs import PAPER_TABLE1
 from repro.core.stats import StreamingStats, merge_all
 from repro.core.trace import Algorithm
 from repro.sim.kernel import Kernel
-from repro.sim.ri import (REQUEST_KINDS, RICapacity, RIServer,
-                          ServeOutcome, service_records)
+from repro.sim.ri import (DEFAULT_REQUEST_MIX, REQUEST_KINDS,
+                          RICapacity, RIServer, ServeOutcome,
+                          nominal_service_ticks, service_records)
 
 HW = HW_PROFILE
 
 
 def _server(profile=SW_PROFILE, **kwargs):
-    kernel = Kernel(seed="ri-unit", record_log=False)
+    kernel = Kernel(seed="ri-unit")
     return kernel, RIServer(kernel, profile, **kwargs)
 
 
@@ -41,6 +42,19 @@ def test_base_ticks_are_table1_sums(profile, kind):
         for record in service_records(kind))
     assert ri.base_ticks(kind) == expected
     assert expected > 0
+
+
+@pytest.mark.parametrize("profile", PAPER_PROFILES,
+                         ids=lambda p: p.name)
+@pytest.mark.parametrize("mix", [
+    DEFAULT_REQUEST_MIX,
+    {"hello": 0.25, "registration": 0.25, "domain-join": 0.5},
+], ids=["default", "domain-join"])
+def test_module_nominal_service_ticks_equals_the_server_method(profile,
+                                                               mix):
+    _, ri = _server(profile)
+    assert nominal_service_ticks(profile, mix) \
+        == ri.nominal_service_ticks(mix)
 
 
 def test_signing_dominates_registration_in_software():
@@ -117,12 +131,17 @@ def test_replay_probe_is_priced_per_cache_depth():
 # -- the serving protocol ---------------------------------------------------
 
 def _drive(ri, kinds, until=None):
-    """Spawn one process per request, all arriving at tick zero."""
-    processes = [ri.kernel.spawn("req/%d" % index,
-                                 ri.serve_request(kind))
-                 for index, kind in enumerate(kinds)]
+    """Spawn one process per request, all arriving at tick zero;
+    returns each one's outcome, ``None`` while still in flight."""
+    outcomes = [None] * len(kinds)
+
+    def request(index, kind):
+        outcomes[index] = yield from ri.serve_request(kind)
+
+    for index, kind in enumerate(kinds):
+        ri.kernel.spawn("req/%d" % index, request(index, kind))
     ri.kernel.run(until=until)
-    return [process.result for process in processes]
+    return outcomes
 
 
 def test_serve_records_latency_and_replay_growth():

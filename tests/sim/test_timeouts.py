@@ -19,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.kernel import (REJECTED, TIMED_OUT, Acquire, Kernel,
-                              Release, Resource, Wait, drain)
+                              Release, Resource, Wait)
+
+from .conftest import EventRecorder
 
 
 def _holder(resource, hold):
@@ -69,7 +71,7 @@ def test_timeout_zero_expires_immediately_when_busy():
     trail = []
     kernel.spawn("a", _holder(resource, 10))
     kernel.spawn("b", _contender(resource, trail, "b", timeout=0))
-    drain(kernel)
+    kernel.run()
     assert trail == [("b", 0, "timed-out")]
     assert resource.timeouts == 1
     assert resource.grants == 1  # the holder only
@@ -80,21 +82,22 @@ def test_timeout_zero_grants_when_a_server_is_free():
     resource = Resource(kernel, "r")
     trail = []
     kernel.spawn("a", _contender(resource, trail, "a", timeout=0))
-    drain(kernel)
+    kernel.run()
     assert trail == [("a", 0, "granted")]
     assert resource.timeouts == 0
 
 
 def test_waiter_expires_in_queue_at_its_deadline():
     kernel = Kernel(seed="unit")
-    resource = Resource(kernel, "r")
+    recorder = EventRecorder(kernel)
+    resource = recorder.resource("r")
     trail = []
-    kernel.spawn("a", _holder(resource, 10))
-    kernel.spawn("b", _contender(resource, trail, "b", timeout=4))
-    drain(kernel)
+    recorder.spawn("a", _holder(resource, 10))
+    recorder.spawn("b", _contender(resource, trail, "b", timeout=4))
+    kernel.run()
     assert trail == [("b", 4, "timed-out")]
     assert resource.timeouts == 1
-    assert (4, "timeout", "b", "r", 4) in kernel.event_log()
+    assert (4, "timeout", "b", "r", 4) in recorder.event_log()
     # The expired waiter consumed zero service: the holder's span is
     # the only occupancy the resource ever saw.
     assert resource.busy_servers.area_until(10) == 10
@@ -103,19 +106,20 @@ def test_waiter_expires_in_queue_at_its_deadline():
 def test_grant_before_timeout_leaves_no_trace_of_the_timer():
     def run(timeout):
         kernel = Kernel(seed="unit")
-        resource = Resource(kernel, "r")
+        recorder = EventRecorder(kernel)
+        resource = recorder.resource("r")
         trail = []
-        kernel.spawn("a", _holder(resource, 3))
-        kernel.spawn("b", _contender(resource, trail, "b",
-                                     timeout=timeout))
-        drain(kernel)
-        return kernel, resource, tuple(trail)
+        recorder.spawn("a", _holder(resource, 3))
+        recorder.spawn("b", _contender(resource, trail, "b",
+                                       timeout=timeout))
+        kernel.run()
+        return kernel, resource, tuple(trail), recorder.event_log()
 
     timed = run(timeout=50)
     untimed = run(timeout=None)
     # The timer never fired, so the runs are observationally identical:
     # same event log, same event count, same grants.
-    assert timed[0].event_log() == untimed[0].event_log()
+    assert timed[3] == untimed[3]
     assert timed[0].events_executed == untimed[0].events_executed
     assert timed[2] == untimed[2] == (("b", 3, "granted"),)
     assert timed[1].timeouts == 0
@@ -134,7 +138,7 @@ def test_priority_overtakes_fifo_and_equal_priority_preserves_it():
                  at=2)
     kernel.spawn("d", _contender(resource, trail, "d", priority=2),
                  at=3)
-    drain(kernel)
+    kernel.run()
     assert [name for name, _at, _what in trail] == ["c", "b", "d"]
 
 
@@ -149,7 +153,7 @@ def test_expired_waiter_frees_its_queue_slot():
     kernel.spawn("c", _contender(resource, trail, "c"), at=3)
     # ...but after b expires at t=6 the slot is free again for d.
     kernel.spawn("d", _contender(resource, trail, "d"), at=7)
-    drain(kernel)
+    kernel.run()
     assert trail == [("c", 3, "rejected"), ("b", 6, "timed-out"),
                      ("d", 50, "granted")]
 
@@ -238,15 +242,16 @@ QUEUE_LIMITS = st.one_of(st.none(),
 
 def _run_contention(spawn_set, order, queue_limit):
     kernel = Kernel(seed="prop")
-    resource = Resource(kernel, "r", queue_limit=queue_limit)
+    recorder = EventRecorder(kernel)
+    resource = recorder.resource("r", queue_limit=queue_limit)
     trail = []
     for name in order:
         start, timeout, hold = spawn_set[name]
-        kernel.spawn(name, _contender(resource, trail, name,
-                                      timeout=timeout, hold=hold),
-                     at=start)
-    drain(kernel)
-    return kernel, resource, tuple(trail)
+        recorder.spawn(name, _contender(resource, trail, name,
+                                        timeout=timeout, hold=hold),
+                       at=start)
+    kernel.run()
+    return kernel, resource, tuple(trail), recorder.event_log()
 
 
 @settings(max_examples=40, deadline=None)
@@ -256,11 +261,11 @@ def test_expiring_waiters_keep_the_run_deterministic(spawn_set,
                                                      data):
     names = sorted(spawn_set)
     permuted = data.draw(st.permutations(names))
-    kernel, _resource, trail = _run_contention(spawn_set, names,
-                                               queue_limit)
-    kernel2, _resource2, trail2 = _run_contention(spawn_set, permuted,
-                                                  queue_limit)
-    assert kernel2.event_log() == kernel.event_log()
+    kernel, _resource, trail, log = _run_contention(spawn_set, names,
+                                                    queue_limit)
+    kernel2, _resource2, trail2, log2 = _run_contention(
+        spawn_set, permuted, queue_limit)
+    assert log2 == log
     assert trail2 == trail
     assert kernel2.state_digest() == kernel.state_digest()
 
@@ -268,9 +273,9 @@ def test_expiring_waiters_keep_the_run_deterministic(spawn_set,
 @settings(max_examples=40, deadline=None)
 @given(spawn_set=CONTENDERS, queue_limit=QUEUE_LIMITS)
 def test_every_acquire_resolves_exactly_once(spawn_set, queue_limit):
-    _kernel, resource, trail = _run_contention(spawn_set,
-                                               sorted(spawn_set),
-                                               queue_limit)
+    _kernel, resource, trail, _log = _run_contention(spawn_set,
+                                                     sorted(spawn_set),
+                                                     queue_limit)
     # Conservation: each contender's one Acquire ends in exactly one
     # of granted / rejected / timed-out, and the resource's counters
     # agree with the processes' own observations.
@@ -285,10 +290,9 @@ def test_every_acquire_resolves_exactly_once(spawn_set, queue_limit):
 @settings(max_examples=40, deadline=None)
 @given(spawn_set=CONTENDERS, queue_limit=QUEUE_LIMITS)
 def test_fifo_order_survives_expiring_waiters(spawn_set, queue_limit):
-    kernel, _resource, _trail = _run_contention(spawn_set,
-                                                sorted(spawn_set),
-                                                queue_limit)
-    log = kernel.event_log()
+    _kernel, _resource, _trail, log = _run_contention(spawn_set,
+                                                      sorted(spawn_set),
+                                                      queue_limit)
     # Among same-priority waiters that reached the queue and were
     # eventually granted, grants must come in enqueue order — a waiter
     # expiring ahead of them must not reshuffle the survivors.
