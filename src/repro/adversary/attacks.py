@@ -97,9 +97,6 @@ class AttackLog:
         self.events.append(event)
         return event
 
-    def __len__(self) -> int:
-        return len(self.events)
-
     def count(self, kind: Optional[AttackKind] = None) -> int:
         """Number of mounted attacks, optionally of one kind."""
         if kind is None:

@@ -114,10 +114,6 @@ class ResilienceResult:
     attempt_millijoules: Dict[str, float]
     overheads: Tuple[RetryOverhead, ...]
 
-    def architectures(self) -> List[str]:
-        """Architecture names in profile order."""
-        return list(self.attempt_cycles)
-
     def render(self) -> str:
         """Aligned ASCII table, one row per (architecture, loss rate)."""
         rows = []

@@ -30,7 +30,7 @@ on fixed-length data (HMAC).
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Tuple
+from typing import Mapping
 
 from .trace import Algorithm, OperationRecord
 
@@ -113,13 +113,6 @@ class CostTable:
         """Price one trace record under one implementation choice."""
         entry = self.cost(record.algorithm, implementation)
         return entry.cycles(record.invocations, record.blocks)
-
-    def rows(self) -> Dict[Algorithm, Tuple[LinearCost, LinearCost]]:
-        """Algorithm -> (software, hardware) cost pairs, Table 1 shaped."""
-        return {
-            algorithm: (self.software[algorithm], self.hardware[algorithm])
-            for algorithm in Algorithm
-        }
 
     def override(self, algorithm: Algorithm, implementation: str,
                  cost: LinearCost) -> "CostTable":

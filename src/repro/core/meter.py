@@ -36,7 +36,7 @@ Table 1 algorithms.
 """
 
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Iterator
 
 from ..crypto import kdf, kem, keywrap, modes, pss, rsa
 from ..crypto import rng as rng_mod
@@ -68,9 +68,8 @@ class PlainCrypto:
     construction, so complete protocol runs are reproducible.
     """
 
-    def __init__(self, rng: Optional[rng_mod.HmacDrbg] = None,
-                 tracer=None) -> None:
-        self.rng = rng if rng is not None else rng_mod.default_rng()
+    def __init__(self, rng: rng_mod.HmacDrbg, tracer=None) -> None:
+        self.rng = rng
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
     # -- randomness ------------------------------------------------------
@@ -160,7 +159,7 @@ class MeteredCrypto(PlainCrypto):
     the first phase of the consumption process).
     """
 
-    def __init__(self, rng: Optional[rng_mod.HmacDrbg] = None,
+    def __init__(self, rng: rng_mod.HmacDrbg,
                  options: CostOptions = CostOptions(),
                  default_phase: Phase = Phase.REGISTRATION,
                  tracer=None) -> None:
@@ -168,11 +167,6 @@ class MeteredCrypto(PlainCrypto):
         self.options = options
         self.trace = OperationTrace()
         self._phase = default_phase
-
-    @property
-    def phase(self) -> Phase:
-        """The phase new records are tagged with."""
-        return self._phase
 
     @contextmanager
     def in_phase(self, phase: Phase) -> Iterator["MeteredCrypto"]:

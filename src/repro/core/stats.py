@@ -65,11 +65,6 @@ class StreamingStats:
         if weight:
             self.counts[value] += weight
 
-    def extend(self, values: Iterable[int]) -> None:
-        """Fold in many observations."""
-        for value in values:
-            self.add(value)
-
     def merge(self, other: "StreamingStats") -> "StreamingStats":
         """Exact union of two accumulators (associative, commutative)."""
         merged = Counter(self.counts)
@@ -89,36 +84,6 @@ class StreamingStats:
     def count(self) -> int:
         """Number of observations."""
         return sum(self.counts.values())
-
-    @property
-    def total(self) -> int:
-        """Sum of observations."""
-        return sum(value * count for value, count in self.counts.items())
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean (0.0 when empty)."""
-        count = self.count
-        return self.total / count if count else 0.0
-
-    @property
-    def minimum(self) -> Optional[int]:
-        """Smallest observation, ``None`` when empty."""
-        return min(self.counts) if self.counts else None
-
-    @property
-    def maximum(self) -> Optional[int]:
-        """Largest observation, ``None`` when empty."""
-        return max(self.counts) if self.counts else None
-
-    def percentile(self, p: float) -> Optional[int]:
-        """Exact percentile via the nearest-rank method.
-
-        The nearest-rank definition (smallest value with cumulative count
-        >= ceil(p/100 * N)) returns an actually-observed value and is
-        stable under merges — unlike interpolating estimators.
-        """
-        return self._nearest_ranks(sorted(self.counts), self.count, (p,))[0]
 
     def summary(self) -> StatsSummary:
         """Snapshot all reported statistics at once, in one sorted walk."""

@@ -17,7 +17,7 @@ Block units follow Table 1's normalization:
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 
 class Algorithm(enum.Enum):
@@ -65,10 +65,6 @@ class OperationRecord:
         if self.invocations < 0 or self.blocks < 0:
             raise ValueError("operation counts must be non-negative")
 
-    def merge_key(self) -> Tuple[Algorithm, Phase, str]:
-        """Grouping key used when aggregating records."""
-        return (self.algorithm, self.phase, self.label)
-
     def scaled(self, factor: int) -> "OperationRecord":
         """The same record repeated ``factor`` times."""
         if factor < 0:
@@ -79,7 +75,7 @@ class OperationRecord:
 
 @dataclass
 class OperationTrace:
-    """An ordered list of :class:`OperationRecord` with aggregation helpers."""
+    """An ordered list of :class:`OperationRecord` with summing helpers."""
 
     records: List[OperationRecord] = field(default_factory=list)
 
@@ -87,18 +83,11 @@ class OperationTrace:
         """Append one record."""
         self.records.append(record)
 
-    def extend(self, records: Iterable[OperationRecord]) -> None:
-        """Append many records."""
-        self.records.extend(records)
-
     def __len__(self) -> int:
         return len(self.records)
 
     def __iter__(self) -> Iterator[OperationRecord]:
         return iter(self.records)
-
-    def __add__(self, other: "OperationTrace") -> "OperationTrace":
-        return OperationTrace(self.records + other.records)
 
     def filter(self, algorithm: Optional[Algorithm] = None,
                phase: Optional[Phase] = None) -> "OperationTrace":
@@ -119,39 +108,6 @@ class OperationTrace:
                 inv + record.invocations, blk + record.blocks
             )
         return totals
-
-    def totals_by_phase(self) -> Dict[Phase, Tuple[int, int]]:
-        """Map phase -> (total invocations, total blocks)."""
-        totals: Dict[Phase, Tuple[int, int]] = {}
-        for record in self.records:
-            inv, blk = totals.get(record.phase, (0, 0))
-            totals[record.phase] = (
-                inv + record.invocations, blk + record.blocks
-            )
-        return totals
-
-    def aggregated(self) -> "OperationTrace":
-        """Collapse records that share (algorithm, phase, label).
-
-        Ordering follows first appearance, so aggregated traces from a
-        functional run and from the analytic workload builder compare
-        equal when they describe the same work.
-        """
-        merged: Dict[Tuple[Algorithm, Phase, str], OperationRecord] = {}
-        order: List[Tuple[Algorithm, Phase, str]] = []
-        for record in self.records:
-            key = record.merge_key()
-            if key in merged:
-                existing = merged[key]
-                merged[key] = replace(
-                    existing,
-                    invocations=existing.invocations + record.invocations,
-                    blocks=existing.blocks + record.blocks,
-                )
-            else:
-                merged[key] = record
-                order.append(key)
-        return OperationTrace([merged[key] for key in order])
 
     def canonical(self) -> List[Tuple[str, str, int, int]]:
         """A hashable, order-independent summary for equality testing.

@@ -35,7 +35,7 @@ from .padding import pad, unpad
 from .primes import generate_prime, is_probable_prime
 from .pss import (DEFAULT_SALT_LENGTH, emsa_pss_encode, emsa_pss_verify,
                   mgf1, pss_sign, pss_verify)
-from .rng import HmacDrbg, default_rng
+from .rng import HmacDrbg
 from .rsa import (DEFAULT_PUBLIC_EXPONENT, RSAPrivateKey, RSAPublicKey,
                   generate_keypair, rsadp, rsaep, rsasp1, rsavp1)
 from .sha1 import SHA1, sha1
@@ -51,7 +51,7 @@ __all__ = [
     "cbc_decrypt_raw", "cbc_encrypt", "cbc_encrypt_raw", "pad", "unpad",
     "generate_prime", "is_probable_prime", "DEFAULT_SALT_LENGTH",
     "emsa_pss_encode", "emsa_pss_verify", "mgf1", "pss_sign",
-    "pss_verify", "HmacDrbg", "default_rng",
+    "pss_verify", "HmacDrbg",
     "DEFAULT_PUBLIC_EXPONENT", "RSAPrivateKey", "RSAPublicKey",
     "generate_keypair", "rsadp", "rsaep", "rsasp1", "rsavp1", "SHA1",
     "sha1",

@@ -51,13 +51,6 @@ class HMACSHA1:
         """Return the MAC as a lowercase hex string."""
         return self.digest().hex()
 
-    def copy(self) -> "HMACSHA1":
-        """Return an independent copy of the current MAC state."""
-        clone = HMACSHA1.__new__(HMACSHA1)
-        clone._outer_key = self._outer_key
-        clone._inner = self._inner.copy()
-        return clone
-
 
 def hmac_sha1(key: bytes, message: bytes) -> bytes:
     """One-shot HMAC-SHA1 of ``message`` under ``key`` (stdlib ``hmac``)."""

@@ -20,9 +20,9 @@ from .sha1 import DIGEST_SIZE
 class HmacDrbg:
     """HMAC-SHA1 deterministic random bit generator.
 
-    A trimmed-down SP 800-90A HMAC_DRBG: ``K``/``V`` update on instantiate
-    and reseed, generate by iterating ``V = HMAC(K, V)``. No reseed counter
-    enforcement — the simulation never approaches the 2^48 limit.
+    A trimmed-down SP 800-90A HMAC_DRBG: ``K``/``V`` update on instantiate,
+    generate by iterating ``V = HMAC(K, V)``. There is no reseed: every
+    run is seeded once, and never approaches the 2^48 generate limit.
     """
 
     def __init__(self, seed: bytes, personalization: bytes = b"") -> None:
@@ -48,10 +48,6 @@ class HmacDrbg:
     def restore(self, state: Tuple[bytes, bytes]) -> None:
         """Rewind (or advance) the generator to a :meth:`state`."""
         self._key, self._value = state
-
-    def reseed(self, seed: bytes) -> None:
-        """Mix fresh entropy into the generator state."""
-        self._update(seed)
 
     def random_bytes(self, length: int) -> bytes:
         """Return ``length`` pseudo-random octets."""
@@ -88,8 +84,3 @@ class HmacDrbg:
             candidate = self.random_int(bits)
             if candidate < span:
                 return lower + candidate
-
-
-def default_rng(label: str = "repro-oma-drm") -> HmacDrbg:
-    """A DRBG with a fixed, documented seed for reproducible simulations."""
-    return HmacDrbg(label.encode("utf-8"))

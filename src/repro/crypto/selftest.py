@@ -128,11 +128,6 @@ class SelfTestReport:
         """Whether every known-answer test succeeded."""
         return all(ok for _, ok in self.results)
 
-    @property
-    def failures(self) -> List[str]:
-        """Names of the failed tests."""
-        return [name for name, ok in self.results if not ok]
-
 
 def run_self_tests() -> SelfTestReport:
     """Run every known-answer test; never raises — inspect the report."""

@@ -14,7 +14,7 @@ standard (512-bit blocks, 80 rounds, five 32-bit chaining words). It is
 the conformance reference: the test suite proves it byte-equal to
 ``hashlib``, and ``python -m repro selftest`` checks both against a
 FIPS 180 vector. It mirrors the ``hashlib`` streaming interface
-(``update`` / ``digest`` / ``hexdigest`` / ``copy``).
+(``update`` / ``digest`` / ``hexdigest``).
 """
 
 import hashlib
@@ -117,14 +117,6 @@ class SHA1:
     def hexdigest(self) -> str:
         """Return the digest as a lowercase hex string."""
         return self.digest().hex()
-
-    def copy(self) -> "SHA1":
-        """Return an independent copy of the current hash state."""
-        clone = SHA1()
-        clone._state = self._state
-        clone._buffer = self._buffer
-        clone._length = self._length
-        return clone
 
 
 def sha1(data: bytes) -> bytes:

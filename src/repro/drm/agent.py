@@ -286,11 +286,6 @@ class DRMAgent:
             self.storage.store_ri_context(context)
             return context
 
-    def has_valid_ri_context(self, ri_id: str) -> bool:
-        """Whether a usable (existing, unexpired) RI Context is stored."""
-        context = self.storage.ri_contexts.get(ri_id)
-        return context is not None and context.is_valid(self.drm_time())
-
     def _find_anchor(self, subject: str) -> Certificate:
         for anchor in self.trust_anchors:
             if anchor.subject == subject:

@@ -138,16 +138,6 @@ class RightsIssuer:
         context = self._contexts.get(device_id)
         return context.certificate if context is not None else None
 
-    def context_count(self, device_id: str) -> int:
-        """How many RI contexts were ever created for ``device_id``.
-
-        Counts creations, not the current roster, so a replayed
-        RegistrationRequest that (incorrectly) minted a second context
-        would be visible even though the roster maps one id to one entry.
-        """
-        return sum(1 for context in self.context_log
-                   if context.device_id == device_id)
-
     # -- idempotency ---------------------------------------------------------
     def _replayed(self, device_nonce: bytes):
         """The cached response for a request nonce seen before, or None."""

@@ -56,9 +56,7 @@ class RightsObject:
 
     ``wrapped_kcek`` stays under ``K_REK`` even after installation
     (paper §2.4.3: there may be several ROs per DCF, so the agent tracks
-    the association anyway). The convenience accessors ``content_id``
-    and ``wrapped_kcek`` refer to the first asset — the common
-    single-content case.
+    the association anyway).
     """
 
     ro_id: str
@@ -87,17 +85,6 @@ class RightsObject:
             assets=(Asset(content_id, dcf_hash, wrapped_kcek),),
             issued_at=issued_at, domain_id=domain_id, ro_nonce=ro_nonce,
         )
-
-    # -- single-asset convenience accessors ---------------------------------
-    @property
-    def content_id(self) -> str:
-        """Content ID of the first asset."""
-        return self.assets[0].content_id
-
-    @property
-    def wrapped_kcek(self) -> bytes:
-        """Wrapped K_CEK of the first asset."""
-        return self.assets[0].wrapped_kcek
 
     # -- multi-asset interface ------------------------------------------------
     def covers(self, content_id: str) -> bool:
@@ -209,11 +196,6 @@ class InstalledRightsObject:
     def ro_id(self) -> str:
         """Convenience accessor for indexing by RO identifier."""
         return self.ro.ro_id
-
-    @property
-    def content_id(self) -> str:
-        """Content ID of the first asset."""
-        return self.ro.content_id
 
     def covers(self, content_id: str) -> bool:
         """Whether this installed license covers ``content_id``."""

@@ -145,27 +145,6 @@ class FaultLog:
     def __len__(self) -> int:
         return len(self.events)
 
-    def count(self, kind: Optional[FaultKind] = None) -> int:
-        """Number of injected faults, optionally of one kind."""
-        if kind is None:
-            return len(self.events)
-        return sum(1 for event in self.events if event.kind is kind)
-
-    def by_kind(self) -> Dict[FaultKind, int]:
-        """Fault kind -> occurrence count."""
-        totals: Dict[FaultKind, int] = {}
-        for event in self.events:
-            totals[event.kind] = totals.get(event.kind, 0) + 1
-        return totals
-
-    def by_message(self) -> Dict[str, int]:
-        """Message name -> number of faults that hit it."""
-        totals: Dict[str, int] = {}
-        for event in self.events:
-            totals[event.message] = totals.get(event.message, 0) + 1
-        return totals
-
-
 class FaultPlan:
     """Seeded, deterministic fault decisions, composable per message type.
 

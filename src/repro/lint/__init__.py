@@ -30,20 +30,18 @@ seeded mutation gate proves it catches a bug class
 * **REP001/REP002/REP003 meta** — suppressions naming an unknown rule
   or lacking a justification, and files that do not parse.
 
-Findings can be fixed, suppressed inline with a *justified*
-``# repro: allow[REPnnn] -- reason`` comment, or grandfathered in the
-committed baseline file. Run ``python -m repro lint src/``
-(``--format sarif`` for code-scanning upload).
+Findings are fixed, or suppressed inline with a *justified*
+``# repro: allow[REPnnn] -- reason`` comment. Run
+``python -m repro lint src/`` (``--format sarif`` for code-scanning
+upload).
 """
 
-from .baseline import Baseline
 from .config import LintConfig, RuleConfig
 from .engine import Finding, LintEngine, LintResult
 from .reporters import render_json, render_sarif, render_text
 from .rules import all_rules
 
 __all__ = [
-    "Baseline", "Finding", "LintConfig", "LintEngine", "LintResult",
-    "RuleConfig", "all_rules", "render_json", "render_sarif",
-    "render_text",
+    "Finding", "LintConfig", "LintEngine", "LintResult", "RuleConfig",
+    "all_rules", "render_json", "render_sarif", "render_text",
 ]

@@ -11,7 +11,6 @@ import os
 import sys
 from typing import List
 
-from .baseline import Baseline
 from .config import LintConfig
 from .engine import LintEngine
 from .reporters import render_json, render_sarif, render_text
@@ -25,14 +24,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                              "(default: src)")
     parser.add_argument("--format", choices=("text", "json", "sarif"),
                         default="text", help="report format")
-    parser.add_argument("--baseline", metavar="PATH", default=None,
-                        help="baseline file (default: lint-baseline.json "
-                             "or [tool.repro-lint] baseline)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baseline; report every finding")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline from the current "
-                             "findings and exit 0")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the registered rules and exit")
 
@@ -50,9 +41,6 @@ def run(args: argparse.Namespace) -> int:
     if args.list_rules:
         return _list_rules()
 
-    config = LintConfig.from_pyproject("pyproject.toml")
-    baseline_path = args.baseline or config.baseline_path
-
     paths = args.paths or ["src"]
     missing = [path for path in paths if not os.path.exists(path)]
     if missing:
@@ -60,23 +48,8 @@ def run(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
-    engine = LintEngine(config=config)
-    if args.no_baseline:
-        baseline = Baseline()
-    else:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except ValueError as error:
-            print("error: %s" % error, file=sys.stderr)
-            return 2
-    result = engine.run(paths, baseline=baseline)
-
-    if args.update_baseline:
-        Baseline.save(baseline_path, result.all_current)
-        print("baseline written to %s (%d finding(s) grandfathered)"
-              % (baseline_path, len(result.all_current)))
-        return 0
-
+    config = LintConfig.from_pyproject("pyproject.toml")
+    result = LintEngine(config=config).run(paths)
     if args.format == "json":
         print(json.dumps(render_json(result), indent=2, sort_keys=True))
     elif args.format == "sarif":

@@ -2,12 +2,10 @@
 
 Every rule ships a default scope (the module-name prefixes it applies
 to) and default options; a ``[tool.repro-lint]`` table in
-``pyproject.toml`` can disable rules, re-scope them, or override the
-baseline path::
+``pyproject.toml`` can disable rules or re-scope them::
 
     [tool.repro-lint]
     disable = ["REP403"]
-    baseline = "lint-baseline.json"
 
     [tool.repro-lint.scopes]
     REP201 = ["repro.drm", "repro.sim", "repro.store"]
@@ -24,9 +22,6 @@ try:
     import tomllib
 except ImportError:  # pragma: no cover - Python < 3.11
     tomllib = None
-
-#: Default baseline file, relative to the working directory.
-DEFAULT_BASELINE = "lint-baseline.json"
 
 
 @dataclass(frozen=True)
@@ -57,10 +52,9 @@ class RuleConfig:
 
 @dataclass
 class LintConfig:
-    """Analyzer-wide configuration: rule toggles, scopes, baseline path."""
+    """Analyzer-wide configuration: rule toggles and scopes."""
 
     rules: Dict[str, RuleConfig] = field(default_factory=dict)
-    baseline_path: str = DEFAULT_BASELINE
 
     def rule(self, rule_id: str) -> RuleConfig:
         """The configuration for ``rule_id`` (defaults if unconfigured)."""
@@ -77,9 +71,7 @@ class LintConfig:
             rules[str(rule_id)] = RuleConfig(
                 enabled=base.enabled,
                 scopes=tuple(str(s) for s in scopes))
-        return cls(rules=rules,
-                   baseline_path=str(table.get("baseline",
-                                               DEFAULT_BASELINE)))
+        return cls(rules=rules)
 
     @classmethod
     def from_pyproject(cls, path: str) -> "LintConfig":

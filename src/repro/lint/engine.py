@@ -1,4 +1,4 @@
-"""The analyzer core: scan, parse, run rules, suppress, baseline.
+"""The analyzer core: scan, parse, run rules, suppress.
 
 The pipeline for one invocation:
 
@@ -12,9 +12,7 @@ The pipeline for one invocation:
    whole-program call graph and taint fixpoint;
 4. run every enabled rule over every module inside its scope;
 5. drop findings covered by a *justified* inline suppression, report
-   defective suppressions (REP001/REP002) as findings;
-6. fingerprint what is left and split it against the committed
-   baseline.
+   defective suppressions (REP001/REP002) as findings.
 
 A file that fails to parse yields a single REP003 finding rather than
 aborting the run: the lint gate must degrade loudly, not crash.
@@ -25,7 +23,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .baseline import Baseline, assign_fingerprints
 from .config import LintConfig
 from .graph import ModuleSummary, ProjectGraph, summarize_module
 from .rules import all_rules
@@ -45,12 +42,6 @@ class Finding:
     column: int
     message: str
     snippet: str = ""
-
-    def render(self) -> str:
-        """``path:line:col: RULE message`` (the text reporter's line)."""
-        return "%s:%d:%d: %s %s" % (self.path, self.line,
-                                    self.column + 1, self.rule,
-                                    self.message)
 
 
 @dataclass
@@ -100,8 +91,7 @@ class ModuleContext:
 class LintResult:
     """Outcome of one analyzer run."""
 
-    findings: List[Finding] = field(default_factory=list)     # new
-    baselined: List[Finding] = field(default_factory=list)
+    findings: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
     files_scanned: int = 0
 
@@ -109,12 +99,6 @@ class LintResult:
     def clean(self) -> bool:
         """Whether the run produced no new findings."""
         return not self.findings
-
-    @property
-    def all_current(self) -> List[Finding]:
-        """New plus baselined findings — what ``--update-baseline`` saves."""
-        return sorted(self.findings + self.baselined,
-                      key=lambda f: (f.path, f.line, f.column, f.rule))
 
 
 def module_name_for(path: str) -> Tuple[str, bool]:
@@ -224,9 +208,9 @@ class LintEngine:
         return raw, suppressed
 
     # -- the run ----------------------------------------------------------
-    def run(self, paths: Sequence[str],
-            baseline: Optional[Baseline] = None) -> LintResult:
-        """Analyze ``paths`` and split findings against ``baseline``."""
+    def run(self, paths: Sequence[str]) -> LintResult:
+        """Analyze ``paths``: findings sorted by location, plus the
+        suppressed ones."""
         files = collect_files(paths)
         contexts, parse_errors = self._load_modules(files)
 
@@ -234,22 +218,13 @@ class LintEngine:
                                 for ctx in contexts])
 
         known_ids = {rule.id for rule in self.rules}
-        result = LintResult(files_scanned=len(files))
-        raw: List[Finding] = list(parse_errors)
-        suppressed: List[Finding] = []
-
+        result = LintResult(findings=list(parse_errors),
+                            files_scanned=len(files))
         for ctx in contexts:
             module_raw, module_suppressed = self._check_module(
                 ctx, project, known_ids)
-            raw.extend(module_raw)
-            suppressed.extend(module_suppressed)
-
-        raw.sort(key=lambda f: (f.path, f.line, f.column, f.rule))
-        baseline = baseline if baseline is not None else Baseline()
-        for finding, print_ in zip(raw, assign_fingerprints(raw)):
-            if print_ in baseline:
-                result.baselined.append(finding)
-            else:
-                result.findings.append(finding)
-        result.suppressed = suppressed
+            result.findings.extend(module_raw)
+            result.suppressed.extend(module_suppressed)
+        result.findings.sort(key=lambda f: (f.path, f.line, f.column,
+                                            f.rule))
         return result

@@ -8,9 +8,14 @@ The JSON document is the CI interface; its shape is pinned by
       "findings": [{"rule", "path", "line", "column", "message",
                     "fingerprint"}, ...],
       "counts": {"REP201": 2, ...},
-      "summary": {"new": 2, "baselined": 0, "suppressed": 1,
-                  "files": 40, "clean": false}
+      "summary": {"new": 2, "suppressed": 1, "files": 40,
+                  "clean": false}
     }
+
+Each finding's ``fingerprint`` is a hash of (rule, path, normalized
+source line, occurrence index): it survives unrelated edits that shift
+line numbers, so JSON consumers and SARIF's ``partialFingerprints`` can
+track one finding across runs.
 
 The SARIF 2.1.0 document (``--format sarif``) is what the CI lint job
 uploads so findings render as GitHub code-scanning annotations; its
@@ -18,10 +23,10 @@ shape is pinned by the golden snapshot in
 ``tests/lint/test_reporters.py``.
 """
 
+import hashlib
 from collections import Counter
-from typing import Dict
+from typing import Dict, List, Tuple
 
-from .baseline import assign_fingerprints
 from .engine import LintResult
 
 #: Schema version of the JSON report.
@@ -34,18 +39,44 @@ _SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/"
                  "sarif-spec/master/Schemata/sarif-schema-2.1.0.json")
 
 
+def fingerprint(rule: str, path: str, snippet: str, occurrence: int) -> str:
+    """Stable identity of one finding, independent of line numbers."""
+    payload = "%s|%s|%s|%d" % (rule, path.replace("\\", "/"),
+                               snippet.strip(), occurrence)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+
+def assign_fingerprints(findings) -> List[str]:
+    """Fingerprints for a finding list, disambiguating duplicates.
+
+    Two findings of the same rule on identical source lines in one file
+    get occurrence indexes 0, 1, ... in line order, keeping the
+    fingerprints distinct and stable.
+    """
+    seen: Dict[Tuple[str, str, str], int] = {}
+    prints = []
+    for finding in findings:
+        key = (finding.rule, finding.path, finding.snippet.strip())
+        occurrence = seen.get(key, 0)
+        seen[key] = occurrence + 1
+        prints.append(fingerprint(finding.rule, finding.path,
+                                  finding.snippet, occurrence))
+    return prints
+
+
 def render_text(result: LintResult) -> str:
-    """Human-readable report: one line per finding plus a summary."""
-    lines = [finding.render() for finding in result.findings]
-    summary = ("%d finding(s) in %d file(s) "
-               "(%d baselined, %d suppressed)"
+    """Human-readable report: one ``path:line:col: RULE message`` line
+    per finding plus a summary."""
+    lines = ["%s:%d:%d: %s %s" % (finding.path, finding.line,
+                                  finding.column + 1, finding.rule,
+                                  finding.message)
+             for finding in result.findings]
+    summary = ("%d finding(s) in %d file(s) (%d suppressed)"
                % (len(result.findings), result.files_scanned,
-                  len(result.baselined), len(result.suppressed)))
+                  len(result.suppressed)))
     if result.clean:
-        summary = ("clean: 0 new findings in %d file(s) "
-                   "(%d baselined, %d suppressed)"
-                   % (result.files_scanned, len(result.baselined),
-                      len(result.suppressed)))
+        summary = ("clean: 0 new findings in %d file(s) (%d suppressed)"
+                   % (result.files_scanned, len(result.suppressed)))
     lines.append(summary)
     return "\n".join(lines)
 
@@ -70,7 +101,6 @@ def render_json(result: LintResult) -> Dict:
         "counts": dict(sorted(counts.items())),
         "summary": {
             "new": len(result.findings),
-            "baselined": len(result.baselined),
             "suppressed": len(result.suppressed),
             "files": result.files_scanned,
             "clean": result.clean,

@@ -1,8 +1,8 @@
 """Rule infrastructure: the base class and the raw finding shape.
 
 A rule sees one module at a time (its AST plus the project-wide call
-graph and taint fixpoint) and yields :class:`RawFinding` positions; the engine attaches
-paths, snippets, suppressions, and baseline state. Scoping is by
+graph and taint fixpoint) and yields :class:`RawFinding` positions; the
+engine attaches paths, snippets and suppressions. Scoping is by
 module-name prefix so the same rule can be pointed at different layers
 through configuration.
 """
@@ -23,7 +23,7 @@ class RawFinding:
 class Rule:
     """Base class for all analyzer rules."""
 
-    #: Unique id, e.g. ``"REP201"``; the suppression/baseline key.
+    #: Unique id, e.g. ``"REP201"``; the suppression key.
     id: str = "REP000"
 
     #: One-line description of the invariant the rule protects.

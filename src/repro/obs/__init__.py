@@ -8,7 +8,7 @@ the *interior* of a run visible without giving up determinism:
   on the **virtual cycle timeline** (cycles priced so far under the
   active :class:`~repro.core.costs.CostTable` and architecture profile,
   never wall-clock), plus a zero-overhead :class:`NullTracer` default.
-* :mod:`~repro.obs.metrics` — counters/gauges/histograms backed by the
+* :mod:`~repro.obs.metrics` — counters and histograms backed by the
   exact-mergeable :class:`~repro.core.stats.StreamingStats`, so
   per-shard registries merge bit-identically for any worker count.
 * :mod:`~repro.obs.slo` — the SLO monitor: windowed objectives, burn

@@ -1,13 +1,12 @@
-"""Mergeable metrics: counters, gauges and exact histograms.
+"""Mergeable metrics: counters and exact histograms.
 
 A :class:`MetricsRegistry` is the fleet-friendly sibling of the tracer:
 where spans record *when* something happened on the cycle timeline, the
 registry records *how often* and *how much*, in a form that merges
-exactly. All three instrument kinds are integer-valued with associative,
+exactly. Both instrument kinds are integer-valued with associative,
 commutative merge operators:
 
 * **counters** — monotonic totals, merged by addition;
-* **gauges** — high-water marks, merged by ``max``;
 * **histograms** — full value distributions backed by
   :class:`~repro.core.stats.StreamingStats` (Counter-based, exact
   percentiles), merged by exact union.
@@ -19,20 +18,21 @@ same registry for any worker count or merge order — the same contract
 """
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, Iterable
 
 from ..core.stats import StreamingStats
 
-#: Schema version written into every metrics export.
-SCHEMA_VERSION = 1
+#: Schema version written into every metrics export. Version 1
+#: documents also carried gauges; they are refused, not read with their
+#: gauges dropped.
+SCHEMA_VERSION = 2
 
 
 @dataclass
 class MetricsRegistry:
-    """Named counters, gauges and histograms with exact merge."""
+    """Named counters and histograms with exact merge."""
 
     counters: Dict[str, int] = field(default_factory=dict)
-    gauges: Dict[str, int] = field(default_factory=dict)
     histograms: Dict[str, StreamingStats] = field(default_factory=dict)
 
     # -- ingestion -------------------------------------------------------
@@ -43,14 +43,6 @@ class MetricsRegistry:
         if delta < 0:
             raise ValueError("counter deltas must be non-negative")
         self.counters[name] = self.counters.get(name, 0) + delta
-
-    def gauge(self, name: str, value: int) -> None:
-        """Record ``value`` for gauge ``name`` (high-water mark)."""
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise TypeError("gauge values must be integers")
-        current = self.gauges.get(name)
-        if current is None or value > current:
-            self.gauges[name] = value
 
     def histogram(self, name: str, value: int, weight: int = 1) -> None:
         """Fold ``value`` (observed ``weight`` times) into a histogram."""
@@ -66,11 +58,6 @@ class MetricsRegistry:
         for source in (self, other):
             for name, value in source.counters.items():
                 merged.counters[name] = merged.counters.get(name, 0) + value
-        for source in (self, other):
-            for name, value in source.gauges.items():
-                current = merged.gauges.get(name)
-                if current is None or value > current:
-                    merged.gauges[name] = value
         for name in set(self.histograms) | set(other.histograms):
             merged.histograms[name] = (
                 self.histograms.get(name, StreamingStats()).merge(
@@ -81,7 +68,6 @@ class MetricsRegistry:
         if not isinstance(other, MetricsRegistry):
             return NotImplemented
         return (self.counters == other.counters
-                and self.gauges == other.gauges
                 and {k: v for k, v in self.histograms.items() if v.counts}
                 == {k: v for k, v in other.histograms.items() if v.counts})
 
@@ -93,8 +79,6 @@ class MetricsRegistry:
             "kind": "metrics-registry",
             "counters": {name: self.counters[name]
                          for name in sorted(self.counters)},
-            "gauges": {name: self.gauges[name]
-                       for name in sorted(self.gauges)},
             "histograms": {
                 name: [[value, self.histograms[name].counts[value]]
                        for value in sorted(self.histograms[name].counts)]
@@ -113,29 +97,12 @@ class MetricsRegistry:
         registry = cls()
         for name, value in data.get("counters", {}).items():
             registry.counters[str(name)] = int(value)
-        for name, value in data.get("gauges", {}).items():
-            registry.gauges[str(name)] = int(value)
         for name, pairs in data.get("histograms", {}).items():
             stats = StreamingStats()
             for value, count in pairs:
                 stats.add(int(value), int(count))
             registry.histograms[str(name)] = stats
         return registry
-
-    # -- presentation ----------------------------------------------------
-    def render(self) -> str:
-        """Sorted plain-text listing, one instrument per line."""
-        lines: List[str] = []
-        for name in sorted(self.counters):
-            lines.append("counter    %-40s %d" % (name, self.counters[name]))
-        for name in sorted(self.gauges):
-            lines.append("gauge      %-40s %d" % (name, self.gauges[name]))
-        for name in sorted(self.histograms):
-            s = self.histograms[name].summary()
-            lines.append(
-                "histogram  %-40s n=%d total=%d p50=%s p99=%s"
-                % (name, s.count, s.total, s.p50, s.p99))
-        return "\n".join(lines)
 
 
 def merge_registries(

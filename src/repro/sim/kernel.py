@@ -190,10 +190,13 @@ class Kernel:
               at: int = 0) -> Process:
         """Register process ``name`` to start ``at`` ticks from zero.
 
-        Pre-run spawns are order-independent (sorted by ``(at, name)``
-        before scheduling); spawns issued by a running process start at
-        the current virtual time plus ``at`` and inherit the running
-        process's deterministic position in the schedule.
+        Names must be unique among live processes only: the kernel
+        drops a process when its body finishes, so a finished name may
+        be spawned again. Pre-run spawns are order-independent (sorted
+        by ``(at, name)`` before scheduling); spawns issued by a running
+        process start at the current virtual time plus ``at`` and
+        inherit the running process's deterministic position in the
+        schedule.
         """
         if name in self._processes:
             raise ValueError("process name %r already registered" % name)
@@ -274,13 +277,14 @@ class Kernel:
                 self.now = at
                 self.events_executed += 1
                 # Resume the process with its inbox, then act on the
-                # command it yields next. A finished process keeps
-                # nothing of its return value.
+                # command it yields next. A finished process is dropped
+                # at once, so the kernel holds only what is in flight.
                 inbox = entry._inbox
                 entry._inbox = None
                 try:
                     command = entry.body.send(inbox)
                 except StopIteration:
+                    del self._processes[entry.name]
                     continue
                 kind = command.__class__
                 if kind is Wait:
@@ -302,7 +306,7 @@ class Kernel:
         return self.now
 
     def close(self) -> None:
-        """Close every unfinished process generator, silently.
+        """Close every live process generator, silently.
 
         A run stopped at ``until`` leaves suspended generators behind
         — queued waiters, in-service holders, sleeping clients. Left

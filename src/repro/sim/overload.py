@@ -53,7 +53,6 @@ from ..core.architecture import PAPER_PROFILES, ArchitectureProfile
 # repro: allow[REP201] -- the storm digest fingerprints simulation results for determinism tests; it is bookkeeping, not protocol crypto
 from ..crypto.sha1 import sha1
 from ..drm.session import RetryPolicy
-from ..obs.metrics import MetricsRegistry
 from ..obs.slo import Objective, SLOReport
 from .kernel import Kernel, Wait
 from .queueing import exponential_ticks, kind_draw
@@ -318,16 +317,6 @@ class StormResult:
         if not self.service_ticks_total:
             return 0.0
         return self.wasted_service_ticks / self.service_ticks_total
-
-    def metrics(self) -> MetricsRegistry:
-        """The clients' counters as a registry (zero counts omitted)."""
-        counters = {"storm.clients": self.clients,
-                    "storm.success": self.successes,
-                    "storm.abandoned": self.abandoned,
-                    "storm.gave_up": self.gave_up,
-                    "storm.retry_denied": self.retries_denied}
-        return MetricsRegistry(counters={
-            name: value for name, value in counters.items() if value})
 
     def digest(self) -> str:
         """A stable fingerprint of every counter and bin.

@@ -39,7 +39,6 @@ from ..core.architecture import ArchitectureProfile
 from ..core.costs import PAPER_TABLE1, CostTable
 from ..core.stats import StreamingStats, merge_all
 from ..core.trace import Algorithm, OperationRecord, Phase
-from ..obs.metrics import MetricsRegistry
 from ..obs.slo import DEFAULT_OBJECTIVES, Objective, SLOMonitor
 from .kernel import (REJECTED, TIMED_OUT, Acquire, Kernel, Release,
                      Resource, Wait)
@@ -236,16 +235,6 @@ class ServeOutcome:
         self.waited = waited
         self.service_ticks = service_ticks
         self.shed_reason = shed_reason
-
-    @property
-    def served(self) -> bool:
-        """Whether the request was fully serviced."""
-        return self.status == "served"
-
-    @property
-    def latency(self) -> int:
-        """Sojourn ticks from arrival to resolution (any status)."""
-        return self.finished - self.arrived
 
 
 class RIServer:
@@ -495,31 +484,6 @@ class RIServer:
     def latency(self) -> StreamingStats:
         """Served sojourn latencies of every kind, merged on read."""
         return merge_all(self.latency_by_kind.values())
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        """The books as a registry, built on read: counters
-        ``ri.<status>[.<kind>]`` from the ledger (zero counts omitted,
-        ``timed_out`` for ``timed-out``); histograms
-        ``ri.latency_ticks.<kind>`` (served sojourns) and
-        ``ri.wait_ticks`` (grant waits, so a run stopped at a horizon
-        includes requests still in service); gauge ``ri.queue_peak``,
-        the signing queue's all-run high-water mark."""
-        registry = MetricsRegistry(gauges={
-            "ri.queue_peak": self.signing.queue_depth.maximum})
-        for status in SERVE_STATUSES:
-            name = "ri." + status.replace("-", "_")
-            for kind, count in self.ledger[status].items():
-                if count:
-                    registry.counter(name, count)
-                    registry.counter("%s.%s" % (name, kind), count)
-        histograms = {"ri.latency_ticks." + kind: stats
-                      for kind, stats in self.latency_by_kind.items()}
-        histograms["ri.wait_ticks"] = self.signing.wait_ticks
-        for name, stats in histograms.items():
-            if stats.count:
-                registry.histograms[name] = StreamingStats().merge(stats)
-        return registry
 
     # -- aggregate views --------------------------------------------------
     def utilization(self) -> float:

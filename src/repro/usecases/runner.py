@@ -52,11 +52,6 @@ class ScenarioRun:
     clear_content_octets: int
     sizes: Dict[str, int]
 
-    @property
-    def dcf_octets(self) -> int:
-        """Canonical DCF size — what the per-access hash covers."""
-        return self.sizes["dcf"]
-
 
 def run_functional(use_case: UseCase, seed: str = "repro-world",
                    options: CostOptions = CostOptions(),

@@ -26,7 +26,7 @@ def test_unarmed_channel_is_transparent(world):
     channel = AdversaryChannel(world.ri)
     context = world.agent.register(channel)
     assert context.ri_id
-    assert len(channel.attacks) == 0
+    assert channel.attacks.count() == 0
 
 
 def test_channel_captures_passing_responses(world):

@@ -54,14 +54,14 @@ def test_invalid_budget_rejected():
 
 # -- the priced sweep -----------------------------------------------------
 def test_sweep_covers_all_architectures(result):
-    assert result.architectures() == ["SW", "SW/HW", "HW"]
-    for architecture in result.architectures():
+    assert list(result.attempt_cycles) == ["SW", "SW/HW", "HW"]
+    for architecture in result.attempt_cycles:
         assert sum(row.architecture == architecture
                    for row in result.overheads) == len(RATES)
 
 
 def test_overhead_monotone_per_architecture(result):
-    for architecture in result.architectures():
+    for architecture in result.attempt_cycles:
         rows = [row for row in result.overheads
                 if row.architecture == architecture]
         for metric in ("overhead_cycles", "overhead_ms",
@@ -72,7 +72,7 @@ def test_overhead_monotone_per_architecture(result):
 
 
 def test_zero_loss_has_zero_overhead(result):
-    for architecture in result.architectures():
+    for architecture in result.attempt_cycles:
         clean = next(row for row in result.overheads
                      if row.architecture == architecture)
         assert clean.loss_rate == 0.0
@@ -92,14 +92,14 @@ def test_hardware_overhead_is_cheapest(result):
 
 def test_attempt_costs_are_positive(result):
     assert result.attempt_octets > 0
-    for architecture in result.architectures():
+    for architecture in result.attempt_cycles:
         assert result.attempt_cycles[architecture] > 0
         assert result.attempt_millijoules[architecture] > 0
 
 
 def test_render_mentions_every_architecture(result):
     rendered = result.render()
-    for architecture in result.architectures():
+    for architecture in result.attempt_cycles:
         assert architecture in rendered
     assert "E[attempts]" in rendered
     assert "overhead [mJ]" in rendered

@@ -16,39 +16,46 @@ observations = st.lists(st.integers(min_value=0, max_value=10_000),
 
 def folded(values):
     stats = StreamingStats()
-    stats.extend(values)
+    for value in values:
+        stats.add(value)
     return stats
+
+
+def percentile(stats, p):
+    """The nearest-rank value at level ``p``: the walk ``summary()``
+    takes for its p50/p95/p99, asked for one arbitrary level."""
+    return stats._nearest_ranks(sorted(stats.counts), stats.count,
+                                (p,))[0]
 
 
 def test_empty_stats():
     stats = StreamingStats()
     assert stats.count == 0
-    assert stats.total == 0
-    assert stats.mean == 0.0
-    assert stats.minimum is None and stats.maximum is None
-    assert stats.percentile(50.0) is None
-    summary = stats.summary()
-    assert summary.count == 0 and summary.p99 is None
+    assert stats.summary() == StatsSummary(
+        count=0, total=0, minimum=None, maximum=None, mean=0.0,
+        p50=None, p95=None, p99=None)
+    assert percentile(stats, 50.0) is None
 
 
 def test_basic_statistics():
     stats = folded([1, 2, 2, 3, 100])
-    assert stats.count == 5
-    assert stats.total == 108
-    assert stats.mean == pytest.approx(21.6)
-    assert stats.minimum == 1
-    assert stats.maximum == 100
-    assert stats.percentile(50.0) == 2
-    assert stats.percentile(100.0) == 100
+    summary = stats.summary()
+    assert stats.count == summary.count == 5
+    assert summary.total == 108
+    assert summary.mean == pytest.approx(21.6)
+    assert (summary.minimum, summary.maximum) == (1, 100)
+    assert summary.p50 == 2
+    assert percentile(stats, 100.0) == 100
 
 
 def test_weighted_add():
     stats = StreamingStats()
     stats.add(7, weight=1000)
     stats.add(9, weight=0)  # no-op
-    assert stats.count == 1000
-    assert stats.total == 7000
-    assert stats.maximum == 7
+    summary = stats.summary()
+    assert stats.count == summary.count == 1000
+    assert summary.total == 7000
+    assert summary.maximum == 7
 
 
 def test_rejects_non_integer_observations():
@@ -64,18 +71,18 @@ def test_rejects_non_integer_observations():
 def test_percentile_bounds():
     stats = folded([1, 2, 3])
     with pytest.raises(ValueError):
-        stats.percentile(0.0)
+        percentile(stats, 0.0)
     with pytest.raises(ValueError):
-        stats.percentile(101.0)
+        percentile(stats, 101.0)
 
 
 def test_percentile_nearest_rank():
     # 100 observations 1..100: nearest-rank p95 is the 95th value.
     stats = folded(list(range(1, 101)))
-    assert stats.percentile(50.0) == 50
-    assert stats.percentile(95.0) == 95
-    assert stats.percentile(99.0) == 99
-    assert stats.percentile(1.0) == 1
+    assert percentile(stats, 50.0) == 50
+    assert percentile(stats, 95.0) == 95
+    assert percentile(stats, 99.0) == 99
+    assert percentile(stats, 1.0) == 1
 
 
 def test_percentile_single_sample():
@@ -83,13 +90,13 @@ def test_percentile_single_sample():
     # is ceil(p/100 * 1) == 1 for every p in (0, 100].
     stats = folded([42])
     for p in (0.1, 1.0, 50.0, 99.9, 100.0):
-        assert stats.percentile(p) == 42
+        assert percentile(stats, p) == 42
 
 
 def test_percentile_all_equal():
     stats = folded([7] * 1000)
     for p in (0.1, 50.0, 99.9, 100.0):
-        assert stats.percentile(p) == 7
+        assert percentile(stats, p) == 7
 
 
 def test_percentile_fractional_p_does_not_truncate():
@@ -97,9 +104,9 @@ def test_percentile_fractional_p_does_not_truncate():
     # historical int(p * count) // 100 spelling truncated 100.5 -> 100
     # before the ceiling, yielding rank 1.
     stats = folded([1, 2])
-    assert stats.percentile(50.25) == 2
+    assert percentile(stats, 50.25) == 2
     # ceil(0.5/100 * 2) == 1 — fractional p below one rank stays at 1.
-    assert stats.percentile(0.5) == 1
+    assert percentile(stats, 0.5) == 1
 
 
 def test_percentile_float_epsilon_does_not_round_up():
@@ -107,8 +114,8 @@ def test_percentile_float_epsilon_does_not_round_up():
     # epsilon above 641, so a float ceil would return the 642nd value.
     # The exact rank is ceil(641.0) == 641.
     stats = folded(list(range(1, 1001)))
-    assert stats.percentile(64.1) == 641
-    assert stats.percentile(29.7) == 297
+    assert percentile(stats, 64.1) == 641
+    assert percentile(stats, 29.7) == 297
 
 
 def test_percentile_nearest_rank_matches_sorted_reference():
@@ -118,7 +125,7 @@ def test_percentile_nearest_rank_matches_sorted_reference():
     for p in (10.0, 25.0, 33.3, 50.0, 66.6, 75.0, 90.0, 100.0):
         exact = Fraction(repr(p)) * len(values) / 100
         rank = max(1, math.ceil(exact))
-        assert stats.percentile(p) == ordered[rank - 1]
+        assert percentile(stats, p) == ordered[rank - 1]
 
 
 @given(values=observations)
@@ -169,13 +176,13 @@ def test_percentile_matches_sorted_reference(values, p):
 
     The reference rank is ceil(p/100 * N) computed in exact rational
     arithmetic over the decimal the caller wrote (``repr(p)``), the
-    same definition ``percentile`` implements — float spellings of the
+    same definition ``summary()`` implements — float spellings of the
     ceiling disagree with it on fractional percentiles.
     """
     stats = folded(values)
     ordered = sorted(values)
     rank = max(1, math.ceil(Fraction(repr(p)) * len(values) / 100))
-    assert stats.percentile(p) == ordered[rank - 1]
+    assert percentile(stats, p) == ordered[rank - 1]
 
 
 @given(counts=st.dictionaries(st.integers(min_value=-1_000,
@@ -184,14 +191,25 @@ def test_percentile_matches_sorted_reference(values, p):
                               max_size=60))
 @settings(max_examples=200, deadline=None)
 def test_summary_equals_the_single_statistics(counts):
-    """The one-walk summary equals each statistic read on its own.
+    """The one-walk summary equals each statistic computed on its own
+    over the expanded observations.
 
     Zero weights are drawn too: a key present with count 0 still counts
     for ``minimum``/``maximum`` but never as a percentile.
     """
     stats = StreamingStats(counts=Counter(counts))
+    ordered = sorted(value for value, weight in counts.items()
+                     for _ in range(weight))
+
+    def rank(p):
+        if not ordered:
+            return None
+        return ordered[max(1, math.ceil(Fraction(p) * len(ordered)
+                                        / 100)) - 1]
+
     assert stats.summary() == StatsSummary(
-        count=stats.count, total=stats.total, minimum=stats.minimum,
-        maximum=stats.maximum, mean=stats.mean,
-        p50=stats.percentile(50.0), p95=stats.percentile(95.0),
-        p99=stats.percentile(99.0))
+        count=len(ordered), total=sum(ordered),
+        minimum=min(counts) if counts else None,
+        maximum=max(counts) if counts else None,
+        mean=sum(ordered) / len(ordered) if ordered else 0.0,
+        p50=rank(50), p95=rank(95), p99=rank(99))

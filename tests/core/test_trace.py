@@ -1,4 +1,4 @@
-"""Operation traces: records, aggregation, canonical form."""
+"""Operation traces: records, totals, canonical form."""
 
 import pytest
 
@@ -29,20 +29,11 @@ def test_record_scaled():
         record().scaled(-1)
 
 
-def test_trace_append_extend_len_iter():
-    trace = OperationTrace()
-    trace.append(record())
-    trace.extend([record(), record()])
-    assert len(trace) == 3
-    assert all(r.label == "x" for r in trace)
-
-
-def test_trace_concatenation():
-    a = OperationTrace([record(label="a")])
-    b = OperationTrace([record(label="b")])
-    combined = a + b
-    assert [r.label for r in combined] == ["a", "b"]
-    assert len(a) == 1  # originals untouched
+def test_trace_append_len_iter():
+    trace = OperationTrace([record(label="a")])
+    trace.append(record(label="b"))
+    assert len(trace) == 2
+    assert [r.label for r in trace] == ["a", "b"]
 
 
 def test_filter_by_algorithm_and_phase():
@@ -66,30 +57,6 @@ def test_totals_by_algorithm():
     totals = trace.totals_by_algorithm()
     assert totals[Algorithm.SHA1] == (3, 30)
     assert totals[Algorithm.RSA_PRIVATE] == (1, 1)
-
-
-def test_totals_by_phase():
-    trace = OperationTrace([
-        record(phase=Phase.REGISTRATION, blocks=5),
-        record(phase=Phase.REGISTRATION, blocks=7),
-        record(phase=Phase.INSTALLATION, blocks=1),
-    ])
-    totals = trace.totals_by_phase()
-    assert totals[Phase.REGISTRATION] == (2, 12)
-    assert totals[Phase.INSTALLATION] == (1, 1)
-
-
-def test_aggregated_merges_same_key_preserving_order():
-    trace = OperationTrace([
-        record(label="a", blocks=1),
-        record(label="b", blocks=2),
-        record(label="a", blocks=3),
-    ])
-    aggregated = trace.aggregated()
-    assert len(aggregated) == 2
-    assert aggregated.records[0].label == "a"
-    assert aggregated.records[0].blocks == 4
-    assert aggregated.records[1].label == "b"
 
 
 def test_canonical_ignores_labels_and_batching():

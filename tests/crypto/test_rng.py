@@ -1,10 +1,10 @@
-"""HMAC-DRBG: determinism, reseeding and range helpers."""
+"""HMAC-DRBG: determinism, state and range helpers."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.rng import HmacDrbg, default_rng
+from repro.crypto.rng import HmacDrbg
 
 
 def test_same_seed_same_stream():
@@ -27,15 +27,6 @@ def test_chunked_draws_differ_from_restart():
     """The generator advances: two draws never repeat."""
     rng = HmacDrbg(b"seed")
     assert rng.random_bytes(16) != rng.random_bytes(16)
-
-
-def test_reseed_changes_stream():
-    a = HmacDrbg(b"seed")
-    b = HmacDrbg(b"seed")
-    a.random_bytes(16)
-    b.random_bytes(16)
-    a.reseed(b"fresh entropy")
-    assert a.random_bytes(16) != b.random_bytes(16)
 
 
 def test_empty_seed_rejected():
@@ -77,12 +68,6 @@ def test_random_range_bounds():
 def test_random_range_rejects_empty():
     with pytest.raises(ValueError):
         HmacDrbg(b"s").random_range(5, 5)
-
-
-def test_default_rng_is_deterministic():
-    assert default_rng().random_bytes(8) == default_rng().random_bytes(8)
-    assert default_rng("a").random_bytes(8) \
-        != default_rng("b").random_bytes(8)
 
 
 @given(st.integers(min_value=1, max_value=2048))

@@ -58,15 +58,6 @@ def test_digest_is_idempotent():
     assert h.digest() != first
 
 
-def test_copy_is_independent():
-    h = SHA1(b"prefix")
-    clone = h.copy()
-    h.update(b"-a")
-    clone.update(b"-b")
-    assert h.digest() == sha1(b"prefix-a")
-    assert clone.digest() == sha1(b"prefix-b")
-
-
 def test_update_rejects_text():
     h = SHA1()
     with pytest.raises(TypeError):

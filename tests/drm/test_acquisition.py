@@ -23,7 +23,7 @@ def test_acquisition_returns_protected_ro(fast_world):
     fast_world.agent.register(fast_world.ri)
     protected = fast_world.agent.acquire(fast_world.ri, ro_id)
     assert protected.ro.ro_id == ro_id
-    assert protected.ro.content_id == cid
+    assert [a.content_id for a in protected.ro.assets] == [cid]
     assert protected.kem_ciphertext is not None
     assert protected.signature is None  # device RO unsigned by default
 
@@ -88,4 +88,6 @@ def test_each_acquisition_mints_fresh_keys(fast_world):
     second = fast_world.agent.acquire(fast_world.ri, ro_id)
     assert first.mac != second.mac  # fresh K_MAC
     assert first.kem_ciphertext.c1 != second.kem_ciphertext.c1
-    assert first.ro.wrapped_kcek != second.ro.wrapped_kcek  # fresh K_REK
+    # Fresh K_REK: the same K_CEK wraps differently.
+    assert first.ro.assets[0].wrapped_kcek \
+        != second.ro.assets[0].wrapped_kcek

@@ -104,7 +104,6 @@ def test_rights_object_asset_api():
     assert ro.asset_for("cid:b").dcf_hash == b"g" * 20
     with pytest.raises(UnknownContentError):
         ro.asset_for("cid:c")
-    assert ro.content_id == "cid:a"  # first-asset convenience
 
 
 def test_empty_asset_list_rejected():

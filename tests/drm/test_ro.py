@@ -87,4 +87,4 @@ def test_installed_ro_accessors():
     installed = InstalledRightsObject(ro=make_ro(), c2dev=b"c" * 40,
                                       mac=b"m" * 20)
     assert installed.ro_id == "ro:1"
-    assert installed.content_id == "cid:1"
+    assert installed.covers("cid:1")

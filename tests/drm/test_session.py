@@ -35,6 +35,12 @@ def lossy_session(world, rate, seed="test-session",
     return RoapSession(world.agent, channel, policy)
 
 
+def has_valid_ri_context(world):
+    """Whether the device holds an unexpired context with the RI."""
+    context = world.agent.storage.ri_contexts.get(world.ri.ri_id)
+    return context is not None and context.is_valid(world.agent.drm_time())
+
+
 # -- RetryPolicy ----------------------------------------------------------
 def test_retry_policy_validation():
     with pytest.raises(ValueError):
@@ -77,7 +83,7 @@ def test_register_completes_at_twenty_percent_loss(fast_world):
     session = lossy_session(fast_world, 0.2)
     outcome = session.register()
     assert outcome.completed
-    assert fast_world.agent.has_valid_ri_context(fast_world.ri.ri_id)
+    assert has_valid_ri_context(fast_world)
 
 
 def test_register_aborts_cleanly_at_total_loss(fast_world):
@@ -168,12 +174,11 @@ def test_acquire_reregisters_after_context_expiry(fast_world):
     session = lossy_session(fast_world, 0.0)
     assert session.register().completed
     fast_world.clock.advance(RI_CONTEXT_LIFETIME + 1)
-    assert not fast_world.agent.has_valid_ri_context(
-        fast_world.ri.ri_id)
+    assert not has_valid_ri_context(fast_world)
     outcome = session.acquire(ro_id)
     assert outcome.completed
     assert outcome.reregistrations == 1
-    assert fast_world.agent.has_valid_ri_context(fast_world.ri.ri_id)
+    assert has_valid_ri_context(fast_world)
     assert SessionState.REREGISTERING in [
         t.state for t in outcome.transitions]
 

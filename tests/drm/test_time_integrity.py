@@ -97,9 +97,9 @@ def test_context_expiry_boundary_after_resync(world):
     context = device.register(world.ri)
     assert context.registered_at == world.clock.now
     world.clock.advance(RI_CONTEXT_LIFETIME - 1)
-    assert device.has_valid_ri_context(context.ri_id)
+    assert context.is_valid(device.drm_time())
     world.clock.advance(2)
-    assert not device.has_valid_ri_context(context.ri_id)
+    assert not context.is_valid(device.drm_time())
 
 
 def test_winding_forward_expires_the_context_early(world):
@@ -108,4 +108,4 @@ def test_winding_forward_expires_the_context_early(world):
     device = world.add_device("jumper")
     context = device.register(world.ri)
     device.wind_clock(RI_CONTEXT_LIFETIME + 1)
-    assert not device.has_valid_ri_context(context.ri_id)
+    assert not context.is_valid(device.drm_time())

@@ -41,7 +41,7 @@ def test_unmetered_crypto_call_fails_the_gate(tmp_path, capsys):
         def _sneaky_checksum(payload):
             return quick_digest(payload)
         """))
-    assert main(["lint", str(tmp_path), "--no-baseline"]) == 1
+    assert main(["lint", str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "REP202" in out
     assert "uncovered path" in out
@@ -59,7 +59,7 @@ def test_secret_to_span_leak_fails_the_gate(tmp_path, capsys):
         def _debug_announce(tracer, session):
             tracer.event("debug", cek=_debug_fmt(session.kcek))
         """))
-    assert main(["lint", str(tmp_path), "--no-baseline"]) == 1
+    assert main(["lint", str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "REP801" in out
     assert "kcek" in out
@@ -78,11 +78,11 @@ def test_leaked_grant_fails_the_gate(tmp_path, capsys):
             yield Wait(ticks)
             yield Release(server)
         """))
-    assert main(["lint", str(tmp_path), "--no-baseline"]) == 1
+    assert main(["lint", str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "REP901" in out
 
 
 def test_unmutated_copy_stays_clean(tmp_path):
     copy_tree(tmp_path)
-    assert main(["lint", str(tmp_path), "--no-baseline"]) == 0
+    assert main(["lint", str(tmp_path)]) == 0

@@ -1,4 +1,5 @@
-"""Reporter output: the JSON schema CI parses, text, and SARIF.
+"""Reporter output: the JSON schema CI parses, text, SARIF, and the
+finding fingerprints both machine formats carry.
 
 The SARIF document is byte-pinned against a golden snapshot (the CI
 lint job uploads it for code-scanning annotations); regenerate after an
@@ -14,6 +15,7 @@ import textwrap
 
 from repro.lint import LintEngine, render_json, render_sarif, \
     render_text
+from repro.lint.reporters import assign_fingerprints, fingerprint
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 GOLDEN_SARIF = GOLDEN_DIR / "findings.sarif.json"
@@ -47,8 +49,8 @@ def test_json_report_schema(tmp_path):
     assert finding["line"] == 2
     assert document["counts"] == {"REP201": 1}
     assert document["summary"] == {
-        "new": 1, "baselined": 0, "suppressed": 0,
-        "files": result.files_scanned, "clean": False,
+        "new": 1, "suppressed": 0, "files": result.files_scanned,
+        "clean": False,
     }
     json.dumps(document)  # must be serializable as-is
 
@@ -110,3 +112,21 @@ def test_sarif_matches_golden_snapshot(tmp_path, monkeypatch):
     assert generated == GOLDEN_SARIF.read_text(encoding="utf-8"), \
         "SARIF output drifted from the golden snapshot; if " \
         "intentional, regenerate with UPDATE_GOLDEN=1."
+
+
+def test_fingerprints_survive_line_drift(tmp_path):
+    first = run_on(tmp_path, VIOLATION)
+    target = tmp_path / "repro" / "drm" / "w.py"
+
+    # Prepend unrelated lines: line numbers shift, fingerprint holds.
+    target.write_text("# a comment\n\nCONSTANT = 1\n"
+                      + target.read_text())
+    second = LintEngine().run([str(tmp_path)])
+    assert assign_fingerprints(first.findings) \
+        == assign_fingerprints(second.findings)
+    assert second.findings[0].line != first.findings[0].line
+
+
+def test_duplicate_findings_get_distinct_fingerprints():
+    assert fingerprint("REP201", "a.py", "from x import sha1", 0) \
+        != fingerprint("REP201", "a.py", "from x import sha1", 1)

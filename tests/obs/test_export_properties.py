@@ -55,9 +55,6 @@ metric_ops = st.lists(
         st.tuples(st.just("counter"),
                   st.sampled_from(("ops", "retries", "commits")),
                   st.integers(min_value=0, max_value=9)),
-        st.tuples(st.just("gauge"),
-                  st.sampled_from(("depth", "peak")),
-                  st.integers(min_value=-5, max_value=99)),
         st.tuples(st.just("histogram"),
                   st.sampled_from(("cycles", "octets")),
                   st.integers(min_value=0, max_value=1000)),

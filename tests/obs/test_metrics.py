@@ -20,45 +20,28 @@ def test_counter_rejects_bool_and_negative():
         registry.counter("ops", -1)
 
 
-def test_gauge_is_high_water_mark():
-    registry = MetricsRegistry()
-    registry.gauge("depth", 3)
-    registry.gauge("depth", 7)
-    registry.gauge("depth", 5)
-    assert registry.gauges["depth"] == 7
-
-
-def test_gauge_rejects_bool():
-    registry = MetricsRegistry()
-    with pytest.raises(TypeError):
-        registry.gauge("depth", False)
-
-
 def test_histogram_exact_distribution():
     registry = MetricsRegistry()
     for value in (10, 10, 30):
         registry.histogram("cycles", value)
     registry.histogram("cycles", 50, weight=2)
-    stats = registry.histograms["cycles"]
-    assert stats.count == 5
-    assert stats.total == 150
-    assert stats.maximum == 50
+    summary = registry.histograms["cycles"].summary()
+    assert summary.count == 5
+    assert summary.total == 150
+    assert summary.maximum == 50
 
 
 def test_merge_is_exact_union():
     a = MetricsRegistry()
     a.counter("ops", 2)
-    a.gauge("depth", 3)
     a.histogram("cycles", 10)
     b = MetricsRegistry()
     b.counter("ops", 5)
     b.counter("only-b")
-    b.gauge("depth", 1)
     b.histogram("cycles", 10)
     b.histogram("other", 7)
     merged = a.merge(b)
     assert merged.counters == {"ops": 7, "only-b": 1}
-    assert merged.gauges == {"depth": 3}
     assert merged.histograms["cycles"].counts == {10: 2}
     assert merged.histograms["other"].counts == {7: 1}
     # merge returns a new object; inputs are untouched
@@ -76,7 +59,6 @@ def test_equality_ignores_empty_histograms():
 def test_to_dict_from_dict_round_trip():
     registry = MetricsRegistry()
     registry.counter("ops", 3)
-    registry.gauge("depth", 9)
     registry.histogram("cycles", 10, weight=2)
     registry.histogram("cycles", 40)
     rebuilt = MetricsRegistry.from_dict(registry.to_dict())
@@ -89,19 +71,11 @@ def test_from_dict_rejects_foreign_documents():
     with pytest.raises(ValueError):
         MetricsRegistry.from_dict({"kind": "metrics-registry",
                                    "schema": 99})
-
-
-def test_render_is_sorted_and_stable():
-    registry = MetricsRegistry()
-    registry.counter("b")
-    registry.counter("a")
-    registry.gauge("g", 2)
-    registry.histogram("h", 5)
-    text = registry.render()
-    assert text.index("counter    a") < text.index("counter    b")
-    assert "gauge      g" in text
-    assert "histogram  h" in text
-    assert registry.render() == text
+    # Version 1 carried gauges: refused rather than read without them.
+    with pytest.raises(ValueError, match="schema version 1"):
+        MetricsRegistry.from_dict({"kind": "metrics-registry",
+                                   "schema": 1, "counters": {},
+                                   "gauges": {"depth": 3}})
 
 
 def test_merge_registries_folds_many():

@@ -11,8 +11,10 @@ import weakref
 
 import pytest
 
+from repro.core.architecture import HW_PROFILE
 from repro.sim.kernel import (REJECTED, Acquire, Kernel, Release,
                               Resource, Wait)
+from repro.sim.ri import RIServer
 
 from .conftest import EventRecorder
 
@@ -387,6 +389,52 @@ def test_a_finished_process_keeps_nothing_of_its_return_value():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_a_finished_request_is_freed_during_the_run():
+    kernel = Kernel(seed="unit")
+    ri = RIServer(kernel, HW_PROFILE)
+    request = ri.serve_request("hello")
+    ref = weakref.ref(request)
+    kernel.spawn("request", request)
+    del request
+    seen = []
+
+    def watcher():
+        yield Wait(10 * ri.base_ticks("hello"))
+        seen.append((ri.served, ref() is None))
+
+    kernel.spawn("watcher", watcher())
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        kernel.run()
+    finally:
+        if enabled:
+            gc.enable()
+    # Without the cycle collector: the served request's generator is
+    # freed by reference counting while the run is still going.
+    assert seen == [(1, True)]
+
+
+def test_a_paused_kernel_holds_only_its_suspended_processes():
+    kernel = Kernel(seed="unit")
+    resource = Resource(kernel, "r")
+    order = []
+    for name in ("a", "b", "c"):
+        kernel.spawn(name, _worker(resource, 10, order, name))
+
+    def quick():
+        yield Wait(5)
+
+    kernel.spawn("quick", quick())
+    kernel.run(until=15)
+    # "quick" finished at 5 and "a" at 10; "b" is in service, "c" queued.
+    assert order == [("grant", "a", 0), ("done", "a", 10),
+                     ("grant", "b", 10)]
+    assert set(kernel._processes) == {"b", "c"}
+    kernel.run()
+    assert kernel._processes == {}
 
 
 def test_state_digest_distinguishes_and_matches_states():

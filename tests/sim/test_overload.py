@@ -166,7 +166,8 @@ def test_serve_request_timeout_expires_in_queue():
     ])
     assert [o.status for o in outcomes] == ["served", "timed-out"]
     expired = outcomes[1]
-    assert expired.waited == 10 and expired.latency == 10
+    assert expired.waited == 10
+    assert expired.finished - expired.arrived == 10
     assert expired.service_ticks == 0
     assert ri.timed_out == 1
 
@@ -211,7 +212,7 @@ def test_idle_server_latency_is_the_base_service_time():
     kernel, ri = _server()
     outcome, = _drive(kernel, ri, [(0, "hello", {})])
     assert outcome.status == "served"
-    assert outcome.latency == ri.base_ticks("hello")
+    assert outcome.finished - outcome.arrived == ri.base_ticks("hello")
 
 
 # -- retry budget -----------------------------------------------------------
@@ -331,15 +332,6 @@ def test_storm_times_scale_in_ticks_not_in_service_units():
                                                           rel=0.01)
 
 
-def test_storm_feeds_the_metrics_registry():
-    result = run_storm(StormSpec(horizon=240, spike_start=60,
-                                 spike_end=90))
-    counters = result.metrics().counters
-    assert counters["storm.clients"] == result.clients > 0
-    assert counters.get("storm.abandoned", 0) == result.abandoned > 0
-    assert counters["storm.success"] == result.successes
-
-
 def _run_storm_capturing_ri(spec):
     """``run_storm(spec)`` plus the RIServer it built."""
     servers = []
@@ -364,7 +356,6 @@ def test_queue_peak_counts_growth_after_the_last_served_request():
     assert result.recovery_bin is None
     peak = ri.signing.queue_depth.maximum
     assert peak == ri.signing.queued == result.pending - 1
-    assert ri.metrics.gauges["ri.queue_peak"] == peak
 
 
 @settings(max_examples=12, deadline=None)

@@ -71,11 +71,11 @@ def assert_littles_law_exact(obs: QueueObservation) -> None:
     """The drained-run identities, stated over exact integers."""
     assert obs.completed == obs.arrivals
     # System form: integral of N(t) == sum of sojourn times.
-    assert obs.system_area == obs.sojourn.total
+    assert obs.system_area == obs.sojourn.summary().total
     # Queue form: integral of Nq(t) == sum of queue waits.
-    assert obs.queue_area == obs.wait.total
+    assert obs.queue_area == obs.wait.summary().total
     # Server form: busy time == total service demand.
-    assert obs.busy_area == obs.service.total
+    assert obs.busy_area == obs.service.summary().total
 
 
 def test_littles_law_is_exact_for_mm1(mm1_obs):
@@ -99,7 +99,7 @@ def test_l_equals_lambda_w(mm1_obs):
     # L = lambda * W follows from the exact identity; stated here in
     # the rate form an analyst would write down.
     lam = mm1_obs.arrival_rate()
-    mean_sojourn = mm1_obs.sojourn.mean
+    mean_sojourn = mm1_obs.sojourn.summary().mean
     assert mm1_obs.mean_number_in_system() == \
         pytest.approx(lam * mean_sojourn, rel=1e-12)
 
@@ -108,7 +108,7 @@ def test_lq_equals_lambda_wq(mm1_obs):
     # The queue form: Lq = lambda * Wq, and L = Lq + utilization.
     lam = mm1_obs.arrival_rate()
     assert mm1_obs.mean_queue_depth() == \
-        pytest.approx(lam * mm1_obs.wait.mean, rel=1e-12)
+        pytest.approx(lam * mm1_obs.wait.summary().mean, rel=1e-12)
     assert mm1_obs.mean_number_in_system() == pytest.approx(
         mm1_obs.mean_queue_depth() + mm1_obs.utilization(), rel=1e-12)
 
@@ -124,7 +124,7 @@ def test_mm1_mean_wait_matches_pollaczek_khinchine(seed):
     rho = 0.6
     obs = _mm1(seed, rho)
     expected = mm1_mean_wait(rho / MEAN_SERVICE, 1.0 / MEAN_SERVICE)
-    assert _relative_error(obs.wait.mean, expected) < TOLERANCE
+    assert _relative_error(obs.wait.summary().mean, expected) < TOLERANCE
 
 
 @pytest.mark.parametrize("seed", ["law-0", "law-3"])
@@ -132,7 +132,7 @@ def test_md1_mean_wait_matches_pollaczek_khinchine(seed):
     rho = 0.8
     obs = _md1(seed, rho)
     expected = md1_mean_wait(rho / MEAN_SERVICE, 1.0 / MEAN_SERVICE)
-    assert _relative_error(obs.wait.mean, expected) < TOLERANCE
+    assert _relative_error(obs.wait.summary().mean, expected) < TOLERANCE
 
 
 def test_utilization_matches_offered_load(mm1_obs, md1_obs):
@@ -196,7 +196,7 @@ def test_bounded_queue_conserves_jobs():
     assert obs.arrivals == 2_000
     assert 0 < obs.completed < obs.arrivals
     # The queue identity still holds for the jobs that did wait.
-    assert obs.queue_area == obs.wait.total
+    assert obs.queue_area == obs.wait.summary().total
 
 
 def test_simulate_queue_requires_jobs():

@@ -152,14 +152,15 @@ def test_serve_records_latency_and_replay_growth():
     # hello does not populate the replay cache; the others do.
     assert ri.replay_entries == 2
     assert ri.latency.count == 3
-    latencies = [outcome.latency for outcome in outcomes]
+    latencies = [outcome.finished - outcome.arrived
+                 for outcome in outcomes]
     assert all(value > 0 for value in latencies)
     # Simultaneous arrivals on one signing unit: each latency includes
     # the queue wait behind its predecessors.
     assert latencies[0] < latencies[1] < latencies[2]
-    counters = ri.metrics.to_dict()["counters"]
-    assert counters["ri.served"] == 3
-    assert counters["ri.served.hello"] == 1
+    assert [ri.ledger["served"][kind]
+            for kind in ("hello", "registration", "acquisition")] \
+        == [1, 1, 1]
 
 
 def test_latency_is_the_merge_of_per_kind_latencies():
@@ -167,11 +168,13 @@ def test_latency_is_the_merge_of_per_kind_latencies():
                                                     queue_limit=9))
     kinds = [REQUEST_KINDS[index % 3] for index in range(14)]
     outcomes = _drive(ri, kinds)
-    served = [outcome for outcome in outcomes if outcome.served]
+    served = [outcome for outcome in outcomes
+              if outcome.status == "served"]
     assert 0 < len(served) < len(outcomes)
     assert ri.latency == merge_all(ri.latency_by_kind.values())
     expected = StreamingStats()
-    expected.extend(outcome.latency for outcome in served)
+    for outcome in served:
+        expected.add(outcome.finished - outcome.arrived)
     assert ri.latency.summary() == expected.summary()
     assert ri.latency.count == ri.served == len(served)
     # Built on read: the view is a fresh accumulator each time.
@@ -189,9 +192,7 @@ def test_bounded_queue_refuses_and_counts():
     # The last arrival found the queue full.
     assert [o.status for o in outcomes] == ["served", "served",
                                             "refused"]
-    counters = ri.metrics.to_dict()["counters"]
-    assert counters["ri.refused"] == 1
-    assert counters["ri.refused.hello"] == 1
+    assert ri.ledger["refused"]["hello"] == 1
 
 
 def test_serve_rejects_unknown_kind():
@@ -229,21 +230,6 @@ def test_corrupted_ledger_cell_fails_conservation():
         ri.check_conservation()
 
 
-def test_metrics_publish_the_ledger_and_signing_stats():
-    _, ri = _server(HW, capacity=RICapacity(signing_units=1,
-                                            queue_limit=1))
-    _drive(ri, ["hello", "registration", "registration"])
-    metrics = ri.metrics
-    assert metrics.counters == {"ri.served": 2, "ri.served.hello": 1,
-                                "ri.served.registration": 1,
-                                "ri.refused": 1,
-                                "ri.refused.registration": 1}
-    assert metrics.histograms["ri.wait_ticks"] == ri.signing.wait_ticks
-    assert metrics.histograms["ri.latency_ticks.registration"] \
-        == ri.latency_by_kind["registration"]
-    assert metrics.gauges["ri.queue_peak"] == 1
-
-
 def test_one_served_request_leaves_the_queue_empty():
     _, ri = _server(HW)
     _drive(ri, ["hello"])
@@ -264,11 +250,11 @@ def test_serve_outcome_is_a_slotted_keyword_record():
                            finished=10)
     assert (outcome.waited, outcome.service_ticks,
             outcome.shed_reason) == (0, 0, "")
-    assert outcome.served and outcome.latency == 7
+    assert (outcome.status, outcome.finished - outcome.arrived) \
+        == ("served", 7)
     shed = ServeOutcome(kind="acquisition", status="shed", arrived=4,
                         finished=4, waited=1, service_ticks=2,
                         shed_reason="bucket-empty")
-    assert not shed.served and shed.latency == 0
     assert (shed.waited, shed.service_ticks, shed.shed_reason) == \
         (1, 2, "bucket-empty")
     assert not hasattr(outcome, "__dict__")

@@ -5,6 +5,7 @@ import struct
 import pytest
 
 from repro.core.meter import PlainCrypto
+from repro.crypto.rng import HmacDrbg
 from repro.drm import serialize
 from repro.store import (COMMIT_OP, CrashInjector, CrashPoint, Flash,
                          Journal, PowerLossError, enumerate_crash_points)
@@ -15,7 +16,8 @@ KEY = b"\x42" * 16
 
 
 def make_journal(injector=None):
-    return Journal(PlainCrypto(), KEY, injector=injector)
+    return Journal(PlainCrypto(HmacDrbg(b"journal-tests")), KEY,
+                   injector=injector)
 
 
 def test_append_scan_roundtrip():
@@ -83,7 +85,7 @@ def test_scan_rejects_authenticated_wrong_shape():
 
 def test_empty_key_rejected():
     with pytest.raises(ValueError):
-        Journal(PlainCrypto(), b"")
+        Journal(PlainCrypto(HmacDrbg(b"journal-tests")), b"")
 
 
 def test_deterministic_crash_tears_exact_prefix():

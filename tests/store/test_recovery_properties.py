@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.meter import PlainCrypto
+from repro.crypto.rng import HmacDrbg
 from repro.drm.storage import DomainContext
 from repro.store import (CrashInjector, PowerLossError,
                          TransactionalStorage)
@@ -67,7 +68,7 @@ def execute(storage, ops):
 
 
 def run_sequence(transactions, crash_rate, seed_salt):
-    crypto = PlainCrypto()
+    crypto = PlainCrypto(HmacDrbg(b"recovery-tests"))
     storage = TransactionalStorage(
         crypto, KEY,
         injector=CrashInjector(seed="soak-%s" % seed_salt,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.meter import PlainCrypto
+from repro.crypto.rng import HmacDrbg
 from repro.drm.identifiers import content_id as make_content_id
 from repro.drm.identifiers import rights_object_id
 from repro.drm.rel import PermissionType, play_count
@@ -16,11 +17,12 @@ KEY = b"\x42" * 16
 
 
 def fresh_storage():
-    return TransactionalStorage(PlainCrypto(), KEY)
+    return TransactionalStorage(PlainCrypto(HmacDrbg(b"store-tests")), KEY)
 
 
 def recovered_copy(storage, crypto=None):
-    crypto = crypto if crypto is not None else PlainCrypto()
+    if crypto is None:
+        crypto = PlainCrypto(HmacDrbg(b"store-tests"))
     recovered, report = TransactionalStorage.recover(
         crypto, storage.journal.key, storage.journal.flash)
     return recovered, report

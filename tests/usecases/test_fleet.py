@@ -228,7 +228,7 @@ def test_aggregates_match_per_device_recomputation(config, templates,
             * templates.access_cycles[d.content_octets]["SW"])
            if d.acquired else 0)
         for d in draws)
-    assert acc.cycles["SW"].total == sw_total
+    assert acc.cycles["SW"].summary().total == sw_total
 
 
 def test_rate_summaries(serial_result):
@@ -335,7 +335,8 @@ def test_journaled_fleet_costs_strictly_more():
     assert durable.requests == base.requests
     assert durable.accesses == base.accesses
     for arch in ARCHES:
-        assert durable.cycles[arch].total > base.cycles[arch].total
+        assert durable.cycles[arch].summary().total \
+            > base.cycles[arch].summary().total
 
 
 def test_crash_recovery_is_worker_and_shard_invariant():
@@ -357,7 +358,8 @@ def test_crashed_devices_pay_recovery_cycles():
                        workers=1).accumulator
     assert crashy.recoveries > quiet.recoveries == 0
     for arch in ARCHES:
-        assert crashy.cycles[arch].total > quiet.cycles[arch].total
+        assert crashy.cycles[arch].summary().total \
+            > quiet.cycles[arch].summary().total
 
 
 # -- adversary fraction ------------------------------------------------------

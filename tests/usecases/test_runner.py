@@ -44,7 +44,7 @@ def test_sizes_recorded(ringtone_run_small):
     assert sizes["encrypted_payload"] == (4096 // 16 + 1) * 16
     assert sizes["dcf"] > sizes["encrypted_payload"]
     assert sizes["ro_payload"] > 100
-    assert ringtone_run_small.dcf_octets == sizes["dcf"]
+    assert len(ringtone_run_small.dcf.to_bytes()) == sizes["dcf"]
 
 
 def test_consume_times_override():

@@ -30,7 +30,7 @@ def test_dcf_octets_exactness(ringtone_run_small):
     run = ringtone_run_small
     predicted = dcf_octets_for_content(run.dcf,
                                        run.clear_content_octets)
-    assert predicted == run.dcf_octets
+    assert predicted == run.sizes["dcf"] == len(run.dcf.to_bytes())
 
 
 @pytest.mark.parametrize("octets,accesses", [
