@@ -131,9 +131,7 @@ def _priced(world: DRMWorld) -> Dict[str, int]:
 
 
 def attack_registration(world: DRMWorld, channel: AdversaryChannel,
-                        attack: AttackKind,
-                        bystander_seed: str = "bystander"
-                        ) -> Optional[Exception]:
+                        attack: AttackKind) -> Optional[Exception]:
     """Mount ``attack`` on one registration flow; return the rejection.
 
     Handles the attack's preconditions (warm-up captures, clock
@@ -157,7 +155,7 @@ def attack_registration(world: DRMWorld, channel: AdversaryChannel,
         else:
             world.clock.advance(DAY)
     if attack is AttackKind.WRONG_RECIPIENT:
-        bystander = world.add_device(bystander_seed)
+        bystander = world.add_device("bystander")
         tap = AdversaryChannel(world.ri,
                                seed=channel.seed + "/bystander")
         bystander.register(tap)

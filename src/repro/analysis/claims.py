@@ -24,10 +24,8 @@ from .formatting import format_table
 PAPER_PKI_MS = 600.0
 
 
-def pki_software_ms(trace, model: PerformanceModel = None) -> float:
+def pki_software_ms(trace, model: PerformanceModel) -> float:
     """Milliseconds of RSA (public + private) work in pure software."""
-    if model is None:
-        model = PerformanceModel()
     breakdown = model.evaluate(trace, SW_PROFILE)
     per_algorithm = breakdown.ms_by_algorithm()
     return (per_algorithm.get(Algorithm.RSA_PUBLIC, 0.0)

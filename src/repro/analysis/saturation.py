@@ -25,7 +25,7 @@ until the OCSP refresh round-trip, not crypto, sets its latency floor.
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from ..core.architecture import PAPER_PROFILES, ArchitectureProfile
+from ..core.architecture import PAPER_PROFILES
 from ..sim.fleet import OpenLoadResult, run_open_load
 from ..sim.ri import (DEFAULT_REQUEST_MIX, RICapacity,
                       nominal_service_ticks)
@@ -67,14 +67,12 @@ class SaturationPoint:
     @property
     def slo_breached(self) -> Tuple[str, ...]:
         """Objectives whose lifetime compliance missed target here."""
-        slo = self.result.load.slo
-        return slo.breached if slo is not None else ()
+        return self.result.load.slo.breached
 
     @property
     def slo_alerts(self) -> int:
         """Burn-rate alerts fired at this measurement point."""
-        slo = self.result.load.slo
-        return slo.alert_count if slo is not None else 0
+        return self.result.load.slo.alert_count
 
 
 @dataclass
@@ -146,15 +144,13 @@ class SaturationSweep:
 def sweep(seed: str = DEFAULT_SEED,
           requests: int = REPORT_REQUESTS,
           rhos: Tuple[float, ...] = DEFAULT_RHOS,
-          capacity: RICapacity = RICapacity(),
-          profiles: Tuple[ArchitectureProfile, ...] = PAPER_PROFILES
-          ) -> SaturationSweep:
+          capacity: RICapacity = RICapacity()) -> SaturationSweep:
     """Measure the offered-load ladder for every architecture."""
     if not rhos or any(rho <= 0 for rho in rhos):
         raise ValueError("offered loads must be positive")
     result = SaturationSweep(seed=seed, requests=requests,
                              capacity=capacity, rhos=tuple(rhos))
-    for profile in profiles:
+    for profile in PAPER_PROFILES:
         service = nominal_service_ticks(profile, DEFAULT_REQUEST_MIX)
         nominal = (capacity.signing_units * profile.clock_hz / service)
         result.nominal_rate[profile.name] = nominal

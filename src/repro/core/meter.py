@@ -154,19 +154,17 @@ class MeteredCrypto(PlainCrypto):
 
     The current :class:`~repro.core.trace.Phase` is set with the
     :meth:`in_phase` context manager; operations executed outside any
-    phase default to ``Phase.CONSUMPTION`` access work only if
-    ``default_phase`` says so (the constructor default is REGISTRATION,
-    the first phase of the consumption process).
+    phase are recorded under ``Phase.REGISTRATION``, the first phase of
+    the consumption process.
     """
 
     def __init__(self, rng: rng_mod.HmacDrbg,
                  options: CostOptions = CostOptions(),
-                 default_phase: Phase = Phase.REGISTRATION,
                  tracer=None) -> None:
         super().__init__(rng, tracer=tracer)
         self.options = options
         self.trace = OperationTrace()
-        self._phase = default_phase
+        self._phase = Phase.REGISTRATION
 
     @contextmanager
     def in_phase(self, phase: Phase) -> Iterator["MeteredCrypto"]:

@@ -84,7 +84,7 @@ _LOG_METHODS = frozenset({"debug", "info", "warning", "warn", "error",
 _TRACER_METHODS = frozenset({"event", "span"})
 
 #: Metrics emitting methods (label and value arguments are exported).
-_METRICS_METHODS = frozenset({"counter", "gauge", "histogram"})
+_METRICS_METHODS = frozenset({"counter", "histogram"})
 
 #: Upper bound on recorded sink paths; monotone summaries make this a
 #: belt-and-braces guard, not a correctness requirement.

@@ -2,8 +2,8 @@
 
 A :class:`Tracer` owns a monotonically advancing *virtual clock* measured
 in CPU cycles: the cumulative cost of every
-:class:`~repro.core.trace.OperationRecord` priced so far under the active
-:class:`~repro.core.costs.CostTable` and
+:class:`~repro.core.trace.OperationRecord` priced so far from the paper's
+Table 1 (:data:`~repro.core.costs.PAPER_TABLE1`) under the active
 :class:`~repro.core.architecture.ArchitectureProfile`. Nothing ever reads
 wall-clock time, so traces of the same seed are byte-identical across
 machines and runs — instrumentation inherits the repository's
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.architecture import ArchitectureProfile, SW_PROFILE
-from ..core.costs import CostTable, LinearCost, PAPER_TABLE1
+from ..core.costs import LinearCost, PAPER_TABLE1
 from ..core.trace import OperationRecord
 
 from .metrics import MetricsRegistry
@@ -148,15 +148,13 @@ class Tracer:
     """Collects spans/events stamped with priced-cycle timestamps.
 
     ``spans`` and ``events`` are each in ``index`` (recording) order.
-    The profile and cost table are fixed for the tracer's life: prices
-    are looked up once per algorithm.
+    Operations are priced from Table 1 under a profile fixed for the
+    tracer's life: prices are looked up once per algorithm.
     """
 
     def __init__(self, profile: ArchitectureProfile = SW_PROFILE,
-                 cost_table: CostTable = PAPER_TABLE1,
                  actor: str = "device") -> None:
         self._profile = profile
-        self._cost_table = cost_table
         self.actor = actor
         self.now = 0
         self.spans: List[Span] = []
@@ -170,11 +168,6 @@ class Tracer:
     def profile(self) -> ArchitectureProfile:
         """The architecture every operation span is priced under."""
         return self._profile
-
-    @property
-    def cost_table(self) -> CostTable:
-        """The Table 1 costs every operation span is priced from."""
-        return self._cost_table
 
     @property
     def metrics(self) -> MetricsRegistry:
@@ -233,7 +226,7 @@ class Tracer:
             implementation = self._profile.implementation(record.algorithm)
             price = self._prices[algorithm_name] = (
                 implementation,
-                self._cost_table.cost(record.algorithm, implementation))
+                PAPER_TABLE1.cost(record.algorithm, implementation))
         implementation, cost = price
         invocations = record.invocations
         blocks = record.blocks

@@ -1,11 +1,12 @@
 """Admission control for the Rights Issuer: shed early, shed cheap.
 
-The PR 7 RI had exactly two answers to overload: queue the request or
-— past the queue bound — refuse it (:data:`~repro.sim.kernel.REJECTED`,
-the connection-refused analogue). Neither protects goodput: a queue
-admits work it can no longer serve in time, and a hard refusal tells
-the client nothing a retry storm will respect. This module adds the
-third answer production systems use, an explicit **SHED**: the RI
+Without a policy (``admission=None``, the ``"none"`` spelling) the RI
+has two answers to overload: queue the request or — past the queue
+bound — refuse it (:data:`~repro.sim.kernel.REJECTED`, the
+connection-refused analogue). Neither protects goodput: a queue admits
+work it can no longer serve in time, and a hard refusal tells the
+client nothing a retry storm will respect. A policy adds the third
+answer production systems use, an explicit **SHED**: the RI
 declines the request *before* it occupies a queue slot, spending zero
 service and signalling deliberate overload (distinct from ``REJECTED``
 in every counter, metric and
@@ -27,9 +28,9 @@ Three policies, all deterministic and integer-exact:
   device that cannot register can do nothing else, so registrations
   are the last traffic to shed), and each class has its own pending
   bound so a flood of one kind cannot starve the queue for the others.
-  The class index doubles as the :class:`~repro.sim.kernel.Acquire`
-  priority, so admitted registrations also overtake queued
-  acquisitions.
+  Classes come from :data:`PRIORITY_CLASSES`; the class index doubles
+  as the :class:`~repro.sim.kernel.Acquire` priority, so admitted
+  registrations also overtake queued acquisitions.
 
 Policies are bound to one :class:`~repro.sim.ri.RIServer` via
 their ``bind`` (deriving tick budgets from the server's
@@ -188,15 +189,14 @@ class PriorityAdmission(AdmissionPolicy):
 
     name = "priority"
 
-    def __init__(self, class_limits: Optional[Mapping[int, int]] = None,
-                 classes: Mapping[str, int] = PRIORITY_CLASSES) -> None:
+    def __init__(self, class_limits: Optional[Mapping[int, int]] = None
+                 ) -> None:
         limits = dict(class_limits if class_limits is not None
                       else {0: 16, 1: 8, 2: 8})
         if any(limit < 1 for limit in limits.values()):
             raise ValueError("every class bound must admit at least "
                              "one request")
         self.class_limits = limits
-        self.classes = dict(classes)
         self._pending: Dict[int, int] = {cls: 0
                                          for cls in sorted(limits)}
 
@@ -204,7 +204,7 @@ class PriorityAdmission(AdmissionPolicy):
         self._pending = {cls: 0 for cls in sorted(self.class_limits)}
 
     def priority(self, kind: str) -> int:
-        return self.classes.get(kind, max(self.classes.values()) + 1)
+        return PRIORITY_CLASSES.get(kind, max(PRIORITY_CLASSES.values()) + 1)
 
     def admit(self, ri, kind: str, now: int) -> Optional[str]:
         cls = self.priority(kind)

@@ -28,7 +28,7 @@ worker-independent and the sequential engine already holds that
 contract.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -79,10 +79,9 @@ class ArchitectureLoadResult:
     ocsp_fetches: int
     latency: StatsSummary
     wait: StatsSummary
-    latency_by_kind: Dict[str, StatsSummary] = field(default_factory=dict)
-    #: SLO evaluation of the run (deterministic alerts + exemplars);
-    #: ``None`` when the server ran without a monitor.
-    slo: Optional[SLOReport] = None
+    latency_by_kind: Dict[str, StatsSummary]
+    #: SLO evaluation of the run (deterministic alerts + exemplars).
+    slo: SLOReport
 
     def latency_ms(self, which: str = "mean") -> float:
         """A latency summary statistic in milliseconds."""
@@ -107,7 +106,7 @@ def _load_result(ri: RIServer, kernel: Kernel,
         latency_by_kind={kind: stats.summary()
                          for kind, stats in ri.latency_by_kind.items()
                          if stats.count},
-        slo=ri.slo.report() if ri.slo is not None else None,
+        slo=ri.slo.report(),
     )
 
 
@@ -128,9 +127,8 @@ class KernelFleetResult:
 
 def run_fleet_kernel(config: FleetConfig, workers: int = 1,
                      templates: Optional[CostTemplates] = None,
-                     capacity: RICapacity = RICapacity(),
-                     profiles: Tuple[ArchitectureProfile, ...] =
-                     PAPER_PROFILES) -> KernelFleetResult:
+                     capacity: RICapacity = RICapacity()
+                     ) -> KernelFleetResult:
     """Run the fleet sequentially, then replay it on shared RIs.
 
     The kernel pass schedules each device at its drawn arrival bin (a
@@ -149,11 +147,10 @@ def run_fleet_kernel(config: FleetConfig, workers: int = 1,
              for index in range(config.devices)]
 
     architectures: Dict[str, ArchitectureLoadResult] = {}
-    for profile in profiles:
+    for profile in PAPER_PROFILES:
         kernel = Kernel(seed="%s/kernel/%s" % (config.seed,
                                                profile.name))
         ri = RIServer(kernel, profile, capacity=capacity)
-        ri.attach_slo()
         bin_ticks = max(1, config.window_seconds * profile.clock_hz
                         // config.arrival_bins)
         offsets = kernel.stream("arrivals")
@@ -206,7 +203,6 @@ def run_open_load(seed: str, profile: ArchitectureProfile,
         raise ValueError("at least one request is required")
     kernel = Kernel(seed=seed)
     ri = RIServer(kernel, profile, capacity=capacity)
-    ri.attach_slo()
     mean_gap = profile.clock_hz / arrivals_per_second
     gaps = kernel.stream("arrivals")
     names = tuple(mix)

@@ -272,10 +272,10 @@ class StormResult:
     pre_goodput_per_bin: float
     collapse_bins: int
     recovery_bin: Optional[int]
-    bins: Tuple[BinStat, ...] = field(default_factory=tuple)
     #: SLO evaluation of the run (burn-rate alerts + exemplars); same
     #: seed, same alert ticks — the determinism tests pin this.
-    slo: Optional[SLOReport] = None
+    slo: SLOReport
+    bins: Tuple[BinStat, ...] = field(default_factory=tuple)
 
     @property
     def collapse_duration(self) -> int:
@@ -361,9 +361,9 @@ def run_storm(spec: StormSpec) -> StormResult:
                           queue_limit=spec.queue_limit)
     kernel = Kernel(seed="%s/storm" % spec.seed)
     ri = RIServer(kernel, profile, capacity=capacity,
-                  admission=make_admission(spec.admission))
-    slot_ticks = max(1, int(round(ri.nominal_service_ticks())))
-    slo = ri.attach_slo(spec.objectives())
+                  admission=make_admission(spec.admission),
+                  objectives=spec.objectives())
+    slot_ticks = ri.slo.slot_ticks
     policy = RETRY_POLICIES[spec.retry]
     budget = RetryBudget() if spec.retry == "retry-budget" else None
 
@@ -526,4 +526,4 @@ def run_storm(spec: StormSpec) -> StormResult:
         collapse_bins=collapse_bins,
         recovery_bin=recovery_bin,
         bins=bin_stats,
-        slo=slo.report())
+        slo=ri.slo.report())

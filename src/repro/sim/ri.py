@@ -12,15 +12,16 @@ models that capacity explicitly:
   (requests beyond it are refused, the deterministic analogue of a
   connection-refused front-end);
 * **service times priced from Table 1**: each request kind expands to
-  the RSA/SHA-1/HMAC operations the RI performs for it, priced by the
-  same :class:`~repro.core.costs.CostTable` +
-  :class:`~repro.core.architecture.ArchitectureProfile` machinery as the
-  terminal-side model — one tick of kernel time is one RI clock cycle;
+  the RSA/SHA-1/HMAC operations the RI performs for it, priced from
+  :data:`~repro.core.costs.PAPER_TABLE1` under an
+  :class:`~repro.core.architecture.ArchitectureProfile`, as the
+  terminal-side model prices them — one tick of kernel time is one RI
+  clock cycle;
 * **OCSP fetch latency**: the RI refreshes its cached OCSP assertion
-  when it has aged past ``ocsp_validity_seconds``, spending
-  ``ocsp_fetch_ms`` of pure latency on the signing unit it holds (the
-  same degraded-freshness window :mod:`repro.adversary.outage` models
-  from the availability side);
+  when it has aged past :data:`DEFAULT_OCSP_VALIDITY_SECONDS`, spending
+  :data:`DEFAULT_OCSP_FETCH_MS` of pure latency on the signing unit it
+  holds (the same degraded-freshness window
+  :mod:`repro.adversary.outage` models from the availability side);
 * **replay-cache pressure**: every served request grows the nonce
   cache; lookups cost one HMAC probe plus a per-probe SHA-1 tree walk
   that deepens logarithmically with the cache population.
@@ -28,7 +29,8 @@ models that capacity explicitly:
 Each request is counted once in an outcome ledger, closed by
 :meth:`RIServer.check_conservation` at end of run; sojourn latencies
 land in exact :class:`~repro.core.stats.StreamingStats` (integer
-ticks).
+ticks), and every server's :class:`~repro.obs.slo.SLOMonitor` scores
+each resolved request.
 """
 
 from dataclasses import dataclass
@@ -36,7 +38,7 @@ from typing import (Any, Callable, Dict, Generator, Mapping, Optional,
                     Tuple)
 
 from ..core.architecture import ArchitectureProfile
-from ..core.costs import PAPER_TABLE1, CostTable
+from ..core.costs import PAPER_TABLE1
 from ..core.stats import StreamingStats, merge_all
 from ..core.trace import Algorithm, OperationRecord, Phase
 from ..obs.slo import DEFAULT_OBJECTIVES, Objective, SLOMonitor
@@ -62,10 +64,10 @@ _MESSAGE_OCTETS = {"hello": 256, "registration": 2048,
 DEFAULT_REQUEST_MIX: Mapping[str, float] = {
     "hello": 0.4, "registration": 0.4, "acquisition": 0.2}
 
-#: Default OCSP responder round-trip, in milliseconds of pure latency.
+#: OCSP responder round-trip, in milliseconds of pure latency.
 DEFAULT_OCSP_FETCH_MS = 50.0
 
-#: Default validity window of a cached OCSP assertion, in seconds.
+#: Validity window of a cached OCSP assertion, in seconds.
 DEFAULT_OCSP_VALIDITY_SECONDS = 300
 
 
@@ -160,13 +162,12 @@ def service_records(kind: str) -> Tuple[OperationRecord, ...]:
     )
 
 
-def _kind_ticks(kind: str, profile: ArchitectureProfile,
-                cost_table: CostTable = PAPER_TABLE1) -> int:
+def _kind_ticks(kind: str, profile: ArchitectureProfile) -> int:
     """State-free service demand of one ``kind`` request on
-    ``profile``: its :func:`service_records` priced by ``cost_table``."""
+    ``profile``: its :func:`service_records` priced by Table 1."""
     implementation = profile.implementation
-    return sum(cost_table.cycles(record,
-                                 implementation(record.algorithm))
+    return sum(PAPER_TABLE1.cycles(record,
+                                   implementation(record.algorithm))
                for record in service_records(kind))
 
 
@@ -242,31 +243,30 @@ class RIServer:
 
     Device processes drive it with ``yield from ri.serve_request(kind,
     deadline=..., timeout=...)``, which engages admission control and
-    in-queue expiry and returns a :class:`ServeOutcome`.
+    in-queue expiry and returns a :class:`ServeOutcome`. Service is
+    priced from Table 1 with the OCSP constants above, and ``slo``, an
+    :class:`~repro.obs.slo.SLOMonitor` over ``objectives``, scores
+    every resolved request.
     """
 
     def __init__(self, kernel: Kernel, profile: ArchitectureProfile,
-                 cost_table: CostTable = PAPER_TABLE1,
                  capacity: RICapacity = RICapacity(),
-                 ocsp_fetch_ms: float = DEFAULT_OCSP_FETCH_MS,
-                 ocsp_validity_seconds: int =
-                 DEFAULT_OCSP_VALIDITY_SECONDS,
                  admission=None,
-                 slo=None) -> None:
+                 objectives: Tuple[Objective, ...] =
+                 DEFAULT_OBJECTIVES) -> None:
         self.kernel = kernel
         self.profile = profile
-        self.cost_table = cost_table
         self.capacity = capacity
         self.signing = Resource(kernel, "ri.signing",
                                 capacity=capacity.signing_units,
                                 queue_limit=capacity.queue_limit)
         self.ticks_per_second = profile.clock_hz
         self.ocsp_fetch_ticks = int(round(
-            ocsp_fetch_ms / 1000.0 * self.ticks_per_second))
-        self.ocsp_validity_ticks = (ocsp_validity_seconds
+            DEFAULT_OCSP_FETCH_MS / 1000.0 * self.ticks_per_second))
+        self.ocsp_validity_ticks = (DEFAULT_OCSP_VALIDITY_SECONDS
                                     * self.ticks_per_second)
         self._ocsp_fetched_at: Optional[int] = None
-        self._base_ticks = {kind: _kind_ticks(kind, profile, cost_table)
+        self._base_ticks = {kind: _kind_ticks(kind, profile)
                             for kind in REQUEST_KINDS}
         self.replay_entries = 0
         #: Replay-probe cycles per cache depth, priced on first use.
@@ -283,15 +283,18 @@ class RIServer:
         self.latency_by_kind: Dict[str, StreamingStats] = {
             kind: StreamingStats() for kind in REQUEST_KINDS}
         #: Admission policy consulted on every ``serve_request``
-        #: arrival; ``None`` admits everything (the historical path).
+        #: arrival; ``None`` admits everything.
         self.admission = admission
         if admission is not None:
             admission.bind(self)
-        #: Optional :class:`~repro.obs.slo.SLOMonitor`; every resolved
-        #: :class:`ServeOutcome` is scored against it, so burn-rate
+        #: Scores every resolved :class:`ServeOutcome`, so burn-rate
         #: alerts and exemplars ride the same virtual timeline as the
-        #: latency statistics.
-        self.slo = slo
+        #: latency statistics. Its service unit is the rounded nominal
+        #: service demand, so one objective set means the same thing on
+        #: SW, SW/HW and HW profiles.
+        self.slo = SLOMonitor(
+            slot_ticks=max(1, int(round(self.nominal_service_ticks()))),
+            objectives=objectives)
 
     # -- pricing ----------------------------------------------------------
     def base_ticks(self, kind: str) -> int:
@@ -312,12 +315,11 @@ class RIServer:
         depth = self.replay_entries.bit_length()
         ticks = self._probe_ticks.get(depth)
         if ticks is None:
-            table = self.cost_table
             impl = self.profile.implementation
-            hmac = table.cost(Algorithm.HMAC_SHA1,
-                              impl(Algorithm.HMAC_SHA1)).cycles(1, 2)
-            probe = table.cost(Algorithm.SHA1, impl(Algorithm.SHA1)
-                               ).cycles(depth, depth * 2)
+            hmac = PAPER_TABLE1.cost(Algorithm.HMAC_SHA1,
+                                     impl(Algorithm.HMAC_SHA1)).cycles(1, 2)
+            probe = PAPER_TABLE1.cost(Algorithm.SHA1, impl(Algorithm.SHA1)
+                                      ).cycles(depth, depth * 2)
             ticks = self._probe_ticks[depth] = hmac + probe
         return ticks
 
@@ -356,24 +358,11 @@ class RIServer:
         """
         return _mix_mean(mix, self.base_ticks)
 
-    def attach_slo(self, objectives: Tuple[Objective, ...] =
-                   DEFAULT_OBJECTIVES) -> SLOMonitor:
-        """Bind a fresh SLO monitor sized to this server's service time.
-
-        The monitor's service unit is the rounded mix-weighted nominal
-        service demand, so the same objective set means the same thing
-        on SW, SW/HW and HW profiles.
-        """
-        slot = max(1, int(round(self.nominal_service_ticks())))
-        self.slo = SLOMonitor(slot_ticks=slot, objectives=objectives)
-        return self.slo
-
     def _resolved(self, outcome: ServeOutcome) -> ServeOutcome:
         """Book a terminal outcome in the ledger and score it against
-        the bound SLO monitor."""
+        the SLO monitor."""
         self.ledger[outcome.status][outcome.kind] += 1
-        if self.slo is not None:
-            self.slo.observe_outcome(outcome)
+        self.slo.observe_outcome(outcome)
         return outcome
 
     # -- the serving protocol ---------------------------------------------

@@ -64,7 +64,8 @@ def run_functional(use_case: UseCase, seed: str = "repro-world",
 
     ``consume_times`` overrides the number of consumptions actually
     executed (the rights grant still matches ``use_case.accesses``); the
-    workload scaler uses this to run a single calibration access.
+    workload scaler uses this to run a single calibration access. A
+    ``world`` passed in must be metered, as the one built here is.
     """
     if world is None:
         world = DRMWorld.create(
@@ -107,9 +108,7 @@ def run_functional(use_case: UseCase, seed: str = "repro-world",
         result = agent.consume(cid)
         assert result.clear_content == clear  # functional correctness
 
-    trace = (world.agent_crypto.trace
-             if hasattr(world.agent_crypto, "trace")
-             else OperationTrace())
+    trace = world.agent_crypto.trace
     sizes = {
         "dcf": len(dcf.to_bytes()),
         "encrypted_payload": len(dcf.encrypted_data),

@@ -178,8 +178,7 @@ def run_scenario(name: str, tracer: Tracer,
             % (name, ", ".join(sorted(SCENARIOS)))) from None
     trace = runner(tracer, seed, rsa_bits)
     tree_cycles = ProfileTree.from_tracer(tracer).total_cycles
-    breakdown = PerformanceModel(tracer.cost_table).evaluate(
-        trace, tracer.profile)
+    breakdown = PerformanceModel().evaluate(trace, tracer.profile)
     if tree_cycles != breakdown.total_cycles:
         raise AssertionError(
             "profile tree does not reconcile with the cost model: "

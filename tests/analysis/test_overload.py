@@ -15,6 +15,7 @@ from repro.analysis.common import DEFAULT_SEED
 from repro.analysis.overload import (BASELINE_COMBO, DEFAULT_COMBOS,
                                      MITIGATED_COMBO, OverloadSweep,
                                      generate, sweep)
+from repro.obs.slo import SLOReport
 from repro.sim.overload import StormResult, StormSpec
 
 SMALL_COMBOS = (BASELINE_COMBO, MITIGATED_COMBO)
@@ -33,7 +34,8 @@ def _fake(combo, collapse_bins=0, recovery_bin=None, attempts=100,
         pending=pending, retries_denied=0, service_ticks_total=1,
         wasted_service_ticks=0, utilization=0.5, events=1,
         pre_goodput_per_bin=pre_goodput, collapse_bins=collapse_bins,
-        recovery_bin=recovery_bin)
+        recovery_bin=recovery_bin,
+        slo=SLOReport(slot_ticks=1000, objectives=()))
 
 
 def _fake_sweep(baseline_collapse_bins, mitigated_recovery_bin):

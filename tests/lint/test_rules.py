@@ -11,7 +11,9 @@ import textwrap
 import pytest
 
 from repro.lint import LintEngine
+from repro.lint.dataflow import _METRICS_METHODS
 from repro.lint.rules import RULE_CLASSES, Rule
+from repro.obs.metrics import MetricsRegistry
 
 
 def lint_tree(tmp_path, files):
@@ -226,6 +228,14 @@ def test_rep801_allows_stable_digest_redaction(tmp_path):
                 "bad key %s" % key_fingerprint(kdev))
         """})
     assert rule_ids(result) == []
+
+
+def test_rep801_metrics_sinks_are_registry_methods():
+    # A sink name the registry does not define guards nothing and
+    # flags calls that publish nothing.
+    assert _METRICS_METHODS
+    for name in _METRICS_METHODS:
+        assert callable(getattr(MetricsRegistry, name, None)), name
 
 
 def test_rep302_flags_bytes_compare_in_crypto(tmp_path):

@@ -5,6 +5,7 @@ from dataclasses import asdict
 import pytest
 
 from repro.core.architecture import HW_PROFILE, PAPER_PROFILES, SW_PROFILE
+from repro.core.costs import PAPER_TABLE1
 from repro.core.model import PerformanceModel
 from repro.core.trace import Algorithm, OperationRecord, Phase
 from repro.drm.rel import ExportMode, export_rights, play_count
@@ -29,7 +30,7 @@ def test_on_record_advances_clock_by_priced_cycles():
     tracer = Tracer(profile=SW_PROFILE)
     rec = record()
     span = tracer.on_record(rec)
-    expected = tracer.cost_table.cycles(
+    expected = PAPER_TABLE1.cycles(
         rec, SW_PROFILE.implementation(rec.algorithm))
     assert span.duration == expected
     assert tracer.now == expected

@@ -1,10 +1,10 @@
 """The concurrent Rights Issuer: pricing, state, refusal, telemetry.
 
 Everything here cross-checks :class:`repro.sim.ri.RIServer` against the
-*existing* cost machinery — the same :class:`~repro.core.costs
-.CostTable` and :class:`~repro.core.architecture.ArchitectureProfile`
-that price the terminal side — so the RI cannot drift onto a private
-notion of what crypto costs.
+*existing* cost machinery — the same Table 1 and
+:class:`~repro.core.architecture.ArchitectureProfile` that price the
+terminal side — so the RI cannot drift onto a private notion of what
+crypto costs.
 """
 
 import math
@@ -17,9 +17,15 @@ from repro.core.costs import PAPER_TABLE1
 from repro.core.stats import StreamingStats, merge_all
 from repro.core.trace import Algorithm
 from repro.sim.kernel import Kernel
-from repro.sim.ri import (DEFAULT_REQUEST_MIX, REQUEST_KINDS,
-                          RICapacity, RIServer, ServeOutcome,
-                          nominal_service_ticks, service_records)
+from repro.obs.slo import DEFAULT_OBJECTIVES
+from repro.sim.admission import AdmissionPolicy
+from repro.sim.overload import StormSpec, run_storm
+from repro.sim.ri import (DEFAULT_OCSP_FETCH_MS,
+                          DEFAULT_OCSP_VALIDITY_SECONDS,
+                          DEFAULT_REQUEST_MIX, REQUEST_KINDS,
+                          SERVE_STATUSES, RICapacity, RIServer,
+                          ServeOutcome, nominal_service_ticks,
+                          service_records)
 
 HW = HW_PROFILE
 
@@ -82,7 +88,12 @@ def test_hello_is_hash_only():
 # -- stateful terms ---------------------------------------------------------
 
 def test_ocsp_refresh_charged_once_per_validity_window():
-    kernel, ri = _server(ocsp_fetch_ms=50.0, ocsp_validity_seconds=300)
+    kernel, ri = _server()
+    clock_hz = SW_PROFILE.clock_hz
+    assert ri.ocsp_fetch_ticks == round(DEFAULT_OCSP_FETCH_MS / 1000.0
+                                        * clock_hz)
+    assert ri.ocsp_validity_ticks \
+        == DEFAULT_OCSP_VALIDITY_SECONDS * clock_hz
     base = ri.base_ticks("registration")
     probe = ri.replay_probe_ticks()
     first = ri.service_ticks("registration")
@@ -236,6 +247,60 @@ def test_one_served_request_leaves_the_queue_empty():
     assert ri.latency.count == 1
     assert ri.utilization() > 0
     assert ri.mean_queue_depth() == 0.0
+
+
+# -- the SLO monitor ---------------------------------------------------------
+
+class _ShedDomainJoins(AdmissionPolicy):
+    """Admits everything but domain joins."""
+
+    def bind(self, ri):
+        pass
+
+    def admit(self, ri, kind, now):
+        return "no joins" if kind == "domain-join" else None
+
+
+def test_every_server_scores_every_resolved_outcome():
+    kernel, ri = _server(HW, capacity=RICapacity(signing_units=1,
+                                                 queue_limit=1),
+                         admission=_ShedDomainJoins())
+    statuses = []
+
+    def request(kind, **kwargs):
+        outcome = yield from ri.serve_request(kind, **kwargs)
+        statuses.append(outcome.status)
+
+    # Served, served from the queue, refused (queue full), timed out
+    # (already past its deadline) and shed, all at tick zero.
+    for index, (kind, kwargs) in enumerate([
+            ("hello", {}), ("registration", {}), ("acquisition", {}),
+            ("acquisition", {"deadline": 0}), ("domain-join", {})]):
+        kernel.spawn("req/%d" % index, request(kind, **kwargs))
+    kernel.run()
+    assert sorted(statuses) == sorted(SERVE_STATUSES + ("served",))
+    report = ri.slo.report()
+    assert report.slot_ticks == max(1, round(ri.nominal_service_ticks()))
+    assert [r.name for r in report.objectives] \
+        == [objective.name for objective in DEFAULT_OBJECTIVES]
+    goodput = report.objective("goodput")
+    assert (goodput.total, goodput.bad) \
+        == (ri.offered, ri.refused + ri.shed + ri.timed_out)
+    for kind in ("hello", "registration", "acquisition"):
+        scored = report.objective("%s-latency" % kind).total
+        assert scored == sum(ri.ledger[status][kind]
+                             for status in SERVE_STATUSES)
+
+
+def test_a_storm_server_is_scored_against_the_spec_objectives():
+    spec = StormSpec(spike_start=60, spike_end=120, horizon=240)
+    result = run_storm(spec)
+    assert result.slo.slot_ticks == result.slot_ticks
+    assert [(r.name, r.kind, r.target) for r in result.slo.objectives] \
+        == [(o.name, o.kind, o.target) for o in spec.objectives()]
+    assert result.slo.objective("storm-goodput").total \
+        == result.served + result.refused + result.shed \
+        + result.timed_out
 
 
 def test_capacity_validation():
